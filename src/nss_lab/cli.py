@@ -92,67 +92,51 @@ class ExperimentConfig:
 
     def echo_ini(self) -> str:
         """Canonical INI text sufficient to reproduce the run exactly."""
-        lines = [
-            "[system]",
-            f"name = {self.system}",
-            "x0 = " + ",".join(f"{v:.17g}" for v in self.x0),
-            "",
-            "[sim]",
-            f"t_end = {self.t_end:.17g}",
-            f"dt = {self.dt:.17g}",
-            f"seed = {self.seed}",
-            f"dump_trajectory = {str(self.dump_trajectory).lower()}",
-            "",
-            "[levels]",
-            f"v1 = {self.v1:.17g}",
-            "v0 = " + ("optimal" if self.v0 is None else f"{self.v0:.17g}"),
-            "",
-            "[grid]",
-            f"r_min = {self.r_min:.17g}",
-            f"r_max = {self.r_max:.17g}",
-            f"count = {self.r_count}",
-            f"spacing = {self.r_spacing}",
-            "",
-            "[fractiles]",
-            "k = " + ",".join(f"{v:.17g}" for v in self.k_list),
-            "",
-            "[ensemble]",
-            f"n_paths = {self.n_paths}",
-            "check_times = " + ",".join(f"{v:.17g}" for v in self.check_times),
-            f"prob_radius = {self.prob_radius:.17g}",
-            "",
-            "[stats]",
-            f"confidence = {self.confidence:.17g}",
-            "",
-            "[output]",
-            f"dir = {self.output_dir}",
-        ]
-        return "\n".join(lines) + "\n"
+        sections = {}
+        for (section, key), (attr, _, fmt) in _CONFIG_KEYS.items():
+            sections.setdefault(section, []).append(f"{key} = {fmt(getattr(self, attr))}")
+        return "\n\n".join(
+            f"[{section}]\n" + "\n".join(lines) for section, lines in sections.items()
+        ) + "\n"
 
 
 def _parse_floats(raw: str) -> Tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
+def _format_float(value: float) -> str:
+    return f"{value:.17g}"
+
+
+def _format_floats(values: Sequence[float]) -> str:
+    return ",".join(_format_float(v) for v in values)
+
+
+# (section, key) -> (ExperimentConfig field, parser, formatter); the echo
+# writes sections and keys in this order.
 _CONFIG_KEYS = {
-    ("system", "name"): ("system", str),
-    ("system", "x0"): ("x0", _parse_floats),
-    ("sim", "t_end"): ("t_end", float),
-    ("sim", "dt"): ("dt", float),
-    ("sim", "seed"): ("seed", int),
-    ("sim", "dump_trajectory"): ("dump_trajectory", lambda s: s.lower() in ("1", "true", "yes")),
-    ("levels", "v1"): ("v1", float),
-    ("levels", "v0"): ("v0", lambda s: None if s.strip() == "optimal" else float(s)),
-    ("grid", "r_min"): ("r_min", float),
-    ("grid", "r_max"): ("r_max", float),
-    ("grid", "count"): ("r_count", int),
-    ("grid", "spacing"): ("r_spacing", str),
-    ("fractiles", "k"): ("k_list", _parse_floats),
-    ("ensemble", "n_paths"): ("n_paths", int),
-    ("ensemble", "check_times"): ("check_times", _parse_floats),
-    ("ensemble", "prob_radius"): ("prob_radius", float),
-    ("stats", "confidence"): ("confidence", float),
-    ("output", "dir"): ("output_dir", str),
+    ("system", "name"): ("system", str, str),
+    ("system", "x0"): ("x0", _parse_floats, _format_floats),
+    ("sim", "t_end"): ("t_end", float, _format_float),
+    ("sim", "dt"): ("dt", float, _format_float),
+    ("sim", "seed"): ("seed", int, str),
+    ("sim", "dump_trajectory"): ("dump_trajectory",
+                                 lambda s: s.lower() in ("1", "true", "yes"),
+                                 lambda b: str(b).lower()),
+    ("levels", "v1"): ("v1", float, _format_float),
+    ("levels", "v0"): ("v0",
+                       lambda s: None if s.strip() == "optimal" else float(s),
+                       lambda v: "optimal" if v is None else _format_float(v)),
+    ("grid", "r_min"): ("r_min", float, _format_float),
+    ("grid", "r_max"): ("r_max", float, _format_float),
+    ("grid", "count"): ("r_count", int, str),
+    ("grid", "spacing"): ("r_spacing", str, str),
+    ("fractiles", "k"): ("k_list", _parse_floats, _format_floats),
+    ("ensemble", "n_paths"): ("n_paths", int, str),
+    ("ensemble", "check_times"): ("check_times", _parse_floats, _format_floats),
+    ("ensemble", "prob_radius"): ("prob_radius", float, _format_float),
+    ("stats", "confidence"): ("confidence", float, _format_float),
+    ("output", "dir"): ("output_dir", str, str),
 }
 
 
@@ -261,6 +245,21 @@ def _run_pipeline(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     lyap = spec.lyapunov
     floor = spec.noise_floor
 
+    # stage: validate the config, so that a bad one fails before simulating
+    v0 = cfg.v0 if cfg.v0 is not None else optimal_v0(cfg.v1, spec.c, spec.gamma_max)
+    levels = LevelPair(v0=v0, v1=cfg.v1, c=spec.c, gamma_max=spec.gamma_max)
+    bset = make_bound_set(levels, lyap.alpha1, lyap.alpha1_inv)
+    grid = cfg.r_grid()
+    sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
+    if cfg.n_paths > 0:
+        t_hi = max(cfg.check_times)
+        save_every = max(1, int(round(0.1 / cfg.dt)))
+        n_steps = SimConfig(t_end=t_hi, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0).n_steps
+        while n_steps % save_every != 0:
+            save_every -= 1
+        ens_cfg = SimConfig(t_end=t_hi, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0,
+                            save_every=save_every)
+
     # stage: premises
     states, times, gamma_times = _premise_sample(spec, cfg)
     cond = check_enss(spec, states, times, gamma_times=gamma_times)
@@ -273,19 +272,13 @@ def _run_pipeline(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     report.premises_verified = cond.passed
 
     # stage: simulate
-    sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
     traj = integrate(spec, sim_cfg)
     if cfg.dump_trajectory:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         trajectory_to_csv(traj, Path(cfg.output_dir) / "trajectory.csv")
 
     if report.premises_verified:
-        v0 = cfg.v0 if cfg.v0 is not None else optimal_v0(cfg.v1, spec.c, spec.gamma_max)
-        levels = LevelPair(v0=v0, v1=cfg.v1, c=spec.c, gamma_max=spec.gamma_max)
-        bset = make_bound_set(levels, lyap.alpha1, lyap.alpha1_inv)
-
         # stage: time-average distribution vs closed-form bound
-        grid = cfg.r_grid()
         dist = empirical_time_average(traj, grid, mode="norm")
         rows = []
         violations = 0
@@ -342,13 +335,6 @@ def _run_pipeline(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
 
     # stage: ensemble checks
     if cfg.n_paths > 0 and report.premises_verified:
-        t_hi = max(cfg.check_times)
-        save_every = max(1, int(round(0.1 / cfg.dt)))
-        n_steps = SimConfig(t_end=t_hi, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0).n_steps
-        while n_steps % save_every != 0:
-            save_every -= 1
-        ens_cfg = SimConfig(t_end=t_hi, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0,
-                            save_every=save_every)
         paths = ensemble(spec, ens_cfg, cfg.n_paths)
         mom = verify_moment_bound(paths, spec, cfg.check_times)
         report.tables["moment_bound"] = (

@@ -104,7 +104,9 @@ class SystemSpec:
     ``vectorized=True`` declares that ``drift`` / ``diffusion`` accept state
     batches of shape ``(..., N)`` (returning ``(..., N)`` and ``(..., N, m)``)
     and that ``covariance`` accepts time arrays; the ensemble integrator then
-    steps all paths at once.
+    steps chunks of paths at once.  Non-vectorized specs run one path after
+    another.  Either way ``integrate(spec, cfg, i)`` equals path ``i`` of
+    ``ensemble`` bit for bit.
     """
 
     dim_state: int
@@ -245,11 +247,16 @@ def builtin_example() -> SystemSpec:
     def drift(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
-        return np.stack((-x1 + x2, -x1 - x2), axis=-1)
+        out = np.empty_like(x)
+        out[..., 0] = -x1 + x2
+        out[..., 1] = -x1 - x2
+        return out
 
     def diffusion(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 0.0
+        out[..., 0, 1] = 0.0
         out[..., 1, 0] = x[..., 1]
         out[..., 1, 1] = 1.0
         return out

@@ -64,6 +64,7 @@ def max_threads() -> int:
 class SimConfig:
     """One integration run: horizon, step, seed and initial state.
 
+    The horizon ``t_end`` must be a whole number of steps ``dt``.
     ``save_every`` thins storage to every k-th grid point (the time grid
     stays uniform); it must divide the step count exactly.
     """
@@ -80,6 +81,10 @@ class SimConfig:
             raise ValueError(f"need 0 < dt <= t_end, got dt={self.dt!r}, t_end={self.t_end!r}")
         if self.save_every < 1:
             raise ValueError(f"save_every must be >= 1, got {self.save_every!r}")
+        if abs(self.t_end / self.dt - self.n_steps) > 1e-9:
+            raise ValueError(
+                f"t_end={self.t_end!r} is not a whole number of steps dt={self.dt!r}"
+            )
         if self.n_steps % self.save_every != 0:
             raise ValueError(
                 f"save_every={self.save_every} does not divide {self.n_steps} steps"
@@ -87,7 +92,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(math.ceil(self.t_end / self.dt - 1e-9))
+        return round(self.t_end / self.dt)
 
 
 @dataclass(frozen=True)
@@ -113,13 +118,6 @@ class Trajectory:
         return float(self.times[-1] - self.times[0])
 
 
-def _wrap_array(fn):
-    def wrapped(x):
-        return np.asarray(fn(x), dtype=float)
-
-    return wrapped
-
-
 def _sigma_series(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
     """Covariance matrices at all step times, shape (K, m, m)."""
     m = spec.dim_noise
@@ -133,12 +131,56 @@ def _sigma_series(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finalize(spec: SystemSpec, times: np.ndarray, states: np.ndarray,
-              path_index: int, save_every: int, dt: float) -> Trajectory:
+def _saved_times(cfg: SimConfig) -> np.ndarray:
+    save = cfg.save_every
+    return cfg.t0 + np.arange(cfg.n_steps // save + 1) * (cfg.dt * save)
+
+
+def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
+                    hi: Optional[int] = None) -> np.ndarray:
+    """Saved states of paths [lo, hi) stepped in lock step, shape (hi-lo, K+1, N).
+
+    With ``hi=None`` only path ``lo`` is stepped, on a state of shape (N,), and
+    the result has shape (K+1, N).  Every batch shape evaluates the same
+    expressions, so path i has the same bits alone as inside any chunk.
+    """
+    n_steps = cfg.n_steps
+    dt = cfg.dt
+    m = spec.dim_noise
+    x0 = np.asarray(cfg.x0, dtype=float)
+    if x0.shape != (spec.dim_state,):
+        raise ValueError(f"x0 shape {x0.shape} != ({spec.dim_state},)")
+    batch = () if hi is None else (hi - lo,)
+
+    dw = np.empty(batch + (n_steps, m))
+    for i, noise in enumerate(dw.reshape(-1, n_steps, m)):
+        noise[...] = path_generator(cfg.seed, lo + i).normal(size=(n_steps, m))
+    dw *= math.sqrt(dt)
+    step_times = cfg.t0 + np.arange(n_steps) * dt
+    sdw = np.einsum("kij,...kj->...ki", _sigma_series(spec, step_times), dw)
+
+    drift = spec.drift
+    diffusion = spec.diffusion
+    save = cfg.save_every
+    x = np.tile(x0, batch + (1,))
+    states = np.empty(batch + (n_steps // save + 1, spec.dim_state))
+    states[..., 0, :] = x
+    for k in range(n_steps):
+        # np.multiply, unlike `*`, also accepts a drift that returns a list
+        x = x + np.multiply(drift(x), dt) + np.einsum(
+            "...nm,...m->...n", diffusion(x), sdw[..., k, :]
+        )
+        if (k + 1) % save == 0:
+            states[..., (k + 1) // save, :] = x
+    return states
+
+
+def _finalize(spec: SystemSpec, cfg: SimConfig, times: np.ndarray,
+              states: np.ndarray, path_index: int) -> Trajectory:
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
         idx = int(np.argmax(bad))
-        raise NonFiniteStateError(idx * save_every, float(times[idx]), path_index)
+        raise NonFiniteStateError(idx * cfg.save_every, float(times[idx]), path_index)
     if spec.vectorized:
         lyap = np.asarray(spec.lyapunov.v(states), dtype=float)
     else:
@@ -150,102 +192,37 @@ def _finalize(spec: SystemSpec, times: np.ndarray, states: np.ndarray,
 def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajectory:
     """Euler-Maruyama path: x_{k+1} = x_k + f dt + h(x_k) Sigma(t_k) dW_k.
 
-    Bit-reproducible for fixed (spec, cfg, path_index) on one platform.
+    Bit-reproducible for fixed (spec, cfg, path_index) on one platform, and
+    bit-identical to path ``path_index`` of :func:`ensemble`.
     """
-    n_steps = cfg.n_steps
-    dt = cfg.dt
-    m = spec.dim_noise
-    x = np.asarray(cfg.x0, dtype=float)
-    if x.shape != (spec.dim_state,):
-        raise ValueError(f"x0 shape {x.shape} != ({spec.dim_state},)")
-
-    gen = path_generator(cfg.seed, path_index)
-    dw = gen.normal(size=(n_steps, m)) * math.sqrt(dt)
-    step_times = cfg.t0 + np.arange(n_steps) * dt
-    sdw = np.einsum("kij,kj->ki", _sigma_series(spec, step_times), dw)
-
-    drift = spec.drift
-    diffusion = spec.diffusion
-    if not isinstance(drift(x), np.ndarray):
-        drift = _wrap_array(drift)
-    if not isinstance(diffusion(x), np.ndarray):
-        diffusion = _wrap_array(diffusion)
-
-    save = cfg.save_every
-    n_saved = n_steps // save
-    states = np.empty((n_saved + 1, spec.dim_state))
-    states[0] = x
-    si = 0
-    for k in range(n_steps):
-        x = x + drift(x) * dt + diffusion(x) @ sdw[k]
-        if (k + 1) % save == 0:
-            si += 1
-            states[si] = x
-
-    times = cfg.t0 + np.arange(n_saved + 1) * (dt * save)
-    return _finalize(spec, times, states, path_index, save, dt)
-
-
-def _ensemble_chunk(spec: SystemSpec, cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
-    """Integrate paths [lo, hi) in lock step; returns saved states (B, K+1, N)."""
-    n_steps = cfg.n_steps
-    dt = cfg.dt
-    m = spec.dim_noise
-    batch = hi - lo
-    dw = np.empty((batch, n_steps, m))
-    for i in range(batch):
-        dw[i] = path_generator(cfg.seed, lo + i).normal(size=(n_steps, m))
-    dw *= math.sqrt(dt)
-    step_times = cfg.t0 + np.arange(n_steps) * dt
-    sdw = np.einsum("kij,bkj->bki", _sigma_series(spec, step_times), dw)
-
-    x = np.tile(np.asarray(cfg.x0, dtype=float), (batch, 1))
-    save = cfg.save_every
-    n_saved = n_steps // save
-    states = np.empty((batch, n_saved + 1, spec.dim_state))
-    states[:, 0] = x
-    si = 0
-    for k in range(n_steps):
-        x = x + spec.drift(x) * dt + np.einsum(
-            "bnm,bm->bn", spec.diffusion(x), sdw[:, k, :]
-        )
-        if (k + 1) % save == 0:
-            si += 1
-            states[:, si] = x
-    return states
+    states = _euler_maruyama(spec, cfg, path_index)
+    return _finalize(spec, cfg, _saved_times(cfg), states, path_index)
 
 
 def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int,
              chunk_size: int = 1000) -> List[Trajectory]:
     """Independent paths i = 0..n_paths-1, each on substream (cfg.seed, i).
 
-    Identical output regardless of chunking or thread schedule.  Vectorized
-    specs are stepped in lock-stepped chunks; others fall back to per-path
-    integration across a thread pool capped by NSS_LAB_THREADS.
+    Path i is bit-identical to ``integrate(spec, cfg, i)`` regardless of
+    chunking or thread schedule.  Vectorized specs are stepped in lock-stepped
+    chunks across a thread pool capped by NSS_LAB_THREADS; others run one path
+    after another.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-
-    workers = min(max_threads(), n_paths)
     if not spec.vectorized:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda i: integrate(spec, cfg, path_index=i), range(n_paths))
-            )
+        return [integrate(spec, cfg, path_index=i) for i in range(n_paths)]
 
     bounds = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
-    with ThreadPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
-        chunks = list(pool.map(lambda b: _ensemble_chunk(spec, cfg, *b), bounds))
+    with ThreadPoolExecutor(max_workers=min(max_threads(), len(bounds))) as pool:
+        chunks = list(pool.map(lambda b: _euler_maruyama(spec, cfg, *b), bounds))
 
-    save = cfg.save_every
-    dt = cfg.dt
-    n_saved = cfg.n_steps // save
-    times = cfg.t0 + np.arange(n_saved + 1) * (dt * save)
-    out: List[Trajectory] = []
-    for (lo, _), chunk in zip(bounds, chunks):
-        for i, states in enumerate(chunk):
-            out.append(_finalize(spec, times, states, lo + i, save, dt))
-    return out
+    times = _saved_times(cfg)
+    return [
+        _finalize(spec, cfg, times, states, lo + i)
+        for (lo, _), chunk in zip(bounds, chunks)
+        for i, states in enumerate(chunk)
+    ]
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -201,6 +201,8 @@ class TestCommandLine:
         assert main(["bounds", "--c", "1", "--gamma-max", "0.5",
                      "--v1", "2"]) == EXIT_ERROR  # neither --v0 nor --optimal
         assert main(["example", "--set=levels.v1=0.1"]) == EXIT_ERROR  # below floor
+        assert main(["example", "--set=ensemble.n_paths=10",
+                     "--set=ensemble.check_times=2.0005"]) == EXIT_ERROR  # half a step
         err = capsys.readouterr().err
         assert "error:" in err
 

@@ -41,6 +41,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(t_end=1.0, dt=0.0), dict(t_end=1.0, dt=2.0),
         dict(t_end=1.0, dt=0.1, save_every=0), dict(t_end=1.0, dt=0.1, save_every=3),
+        dict(t_end=1.0, dt=0.3),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -50,6 +51,11 @@ class TestConfig:
 class TestDeterministicDynamics:
     def test_single_euler_step(self):
         spec = _deterministic(lambda x: -np.asarray(x, dtype=float))
+        traj = integrate(spec, SimConfig(t_end=0.1, dt=0.1, seed=1, x0=(1.0,)))
+        assert traj.states[-1, 0] == pytest.approx(0.9, rel=1e-15)
+
+    def test_array_like_dynamics(self):
+        spec = _deterministic(lambda x: [-float(x[0])])
         traj = integrate(spec, SimConfig(t_end=0.1, dt=0.1, seed=1, x0=(1.0,)))
         assert traj.states[-1, 0] == pytest.approx(0.9, rel=1e-15)
 
@@ -124,9 +130,10 @@ class TestReproducibility:
         paths = ensemble(spec, cfg, 2)
         assert not np.array_equal(paths[0].states, paths[1].states)
 
-    def test_ensemble_matches_per_path_integrate(self):
-        spec = make_ou()
-        cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,))
+    @pytest.mark.parametrize("system", ["ou", "builtin"])
+    def test_ensemble_matches_per_path_integrate(self, system, benchmark_system):
+        spec = make_ou() if system == "ou" else benchmark_system
+        cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state)
         paths = ensemble(spec, cfg, 7, chunk_size=3)
         for i, p in enumerate(paths):
             solo = integrate(spec, cfg, path_index=i)
@@ -149,7 +156,7 @@ class TestReproducibility:
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.states, pb.states)
 
-    def test_nonvectorized_threadpool_matches(self):
+    def test_nonvectorized_matches_vectorized(self):
         base = make_ou()
         slow = SystemSpec(
             dim_state=1, dim_noise=1, drift=base.drift, diffusion=base.diffusion,
