@@ -24,11 +24,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bounds import LevelPair, beta_star, fractile_q, make_bound_set, optimal_v0
+from .bounds import LevelPair, beta_star, make_bound_set, optimal_v0
 from .loops import (
-    CrossTimeReport,
-    MomentReport,
-    ProbabilityReport,
+    MIN_PATHS,
+    _check_confidence,
+    _grid_index,
     empirical_time_average,
     extract_loops,
     verify_cross_time_bounds,
@@ -240,7 +240,8 @@ def _premise_sample(spec: SystemSpec, cfg: ExperimentConfig):
     return states, times, gamma_times
 
 
-def _run_pipeline(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
+def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
+    """Run the pipeline on a user-supplied system specification."""
     report = ExperimentReport(config_echo=cfg.echo_ini())
     lyap = spec.lyapunov
     floor = spec.noise_floor
@@ -250,8 +251,15 @@ def _run_pipeline(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     levels = LevelPair(v0=v0, v1=cfg.v1, c=spec.c, gamma_max=spec.gamma_max)
     bset = make_bound_set(levels, lyap.alpha1, lyap.alpha1_inv)
     grid = cfg.r_grid()
+    b_grid = [bset.b(float(r)) for r in grid]
+    q_list = [bset.q(k) for k in cfg.k_list]
+    _check_confidence(cfg.confidence)
     sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
+    if cfg.n_paths != 0 and cfg.n_paths < MIN_PATHS:
+        raise ValueError(f"ensemble.n_paths must be 0 or >= {MIN_PATHS}, got {cfg.n_paths}")
     if cfg.n_paths > 0:
+        if cfg.prob_radius <= 0.0:
+            raise ValueError(f"ensemble.prob_radius must be positive, got {cfg.prob_radius!r}")
         t_hi = max(cfg.check_times)
         save_every = max(1, int(round(0.1 / cfg.dt)))
         n_steps = SimConfig(t_end=t_hi, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0).n_steps
@@ -259,6 +267,8 @@ def _run_pipeline(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
             save_every -= 1
         ens_cfg = SimConfig(t_end=t_hi, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0,
                             save_every=save_every)
+        for t in cfg.check_times:
+            _grid_index(ens_cfg.saved_times(), t)
 
     # stage: premises
     states, times, gamma_times = _premise_sample(spec, cfg)
@@ -282,8 +292,7 @@ def _run_pipeline(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         dist = empirical_time_average(traj, grid, mode="norm")
         rows = []
         violations = 0
-        for r, d in zip(dist.thresholds, dist.values):
-            b = bset.b(float(r))
+        for r, d, b in zip(dist.thresholds, dist.values, b_grid):
             bad = d < b
             violations += int(bad)
             rows.append([float(r), float(d), b, bad])
@@ -317,8 +326,7 @@ def _run_pipeline(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         # stage: fractile occupancy
         occ_rows = []
         occ_ok = True
-        for k in cfg.k_list:
-            qk = bset.q(k)
+        for k, qk in zip(cfg.k_list, q_list):
             occ = float(
                 empirical_time_average(traj, [qk], mode="norm").values[0]
             )
@@ -375,30 +383,15 @@ def run_example(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """Run the full pipeline on the built-in 2-D benchmark system."""
     cfg = cfg or ExperimentConfig()
     if cfg.system != "example-2d":
-        raise ValueError(f"run_example requires system 'example-2d', got {cfg.system!r}")
-    return _run_pipeline(builtin_example(), cfg)
-
-
-def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
-    """Run the same pipeline on a user-supplied system specification."""
-    return _run_pipeline(spec, cfg)
-
-
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    if cfg.system != "example-2d":
         raise ValueError(
             f"unknown built-in system {cfg.system!r}; custom systems are supplied "
             "through the library API (run_custom)"
         )
-    report = run_example(cfg)
-    write_report(report, cfg.output_dir)
-    print(report.summary_text())
-    return report.exit_code
+    return run_custom(builtin_example(), cfg)
 
 
-def _cmd_example(args) -> int:
-    cfg = load_config(None, args.set or [])
+def _cmd_run(args) -> int:
+    cfg = load_config(args.config, args.set or [])
     report = run_example(cfg)
     write_report(report, cfg.output_dir)
     print(report.summary_text())
@@ -439,7 +432,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_ex = sub.add_parser("example", help="run the built-in benchmark experiment")
     p_ex.add_argument("--set", action="append", metavar="section.key=value")
-    p_ex.set_defaults(fn=_cmd_example)
+    p_ex.set_defaults(fn=_cmd_run, config=None)
 
     p_b = sub.add_parser("bounds", help="print closed-form crossing-time bounds")
     p_b.add_argument("--c", type=float, required=True)

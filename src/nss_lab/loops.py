@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as sps
@@ -37,17 +37,18 @@ __all__ = [
     "MomentReport",
     "ProbabilityReport",
     "MIN_LOOPS",
+    "MIN_PATHS",
     "extract_loops",
     "empirical_survival",
     "empirical_time_average",
-    "wilson_lower",
-    "wilson_upper",
+    "wilson_interval",
     "verify_cross_time_bounds",
     "verify_moment_bound",
     "verify_probability_bound",
 ]
 
 MIN_LOOPS = 30
+MIN_PATHS = 1000
 
 
 class TailState(enum.Enum):
@@ -176,24 +177,24 @@ def empirical_time_average(
     )
 
 
-def wilson_upper(successes: int, n: int, confidence: float) -> float:
-    """One-sided Wilson score upper limit for a binomial proportion."""
+def wilson_interval(successes: int, n: int,
+                    confidence: float) -> Tuple[float, float]:
+    """One-sided Wilson score limits ``(lo, hi)`` for a binomial proportion.
+
+    Each end alone holds at ``confidence``, which must lie in (0, 1).
+    """
+    _check_confidence(confidence)
     z = float(sps.norm.ppf(confidence))
     p = successes / n
     denom = 1.0 + z * z / n
     center = p + z * z / (2.0 * n)
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
-    return min(1.0, (center + half) / denom)
+    return max(0.0, (center - half) / denom), min(1.0, (center + half) / denom)
 
 
-def wilson_lower(successes: int, n: int, confidence: float) -> float:
-    """One-sided Wilson score lower limit for a binomial proportion."""
-    z = float(sps.norm.ppf(confidence))
-    p = successes / n
-    denom = 1.0 + z * z / n
-    center = p + z * z / (2.0 * n)
-    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
-    return max(0.0, (center - half) / denom)
+def _check_confidence(confidence: float) -> None:
+    if not (0.0 < confidence < 1.0):
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
 
 
 @dataclass(frozen=True)
@@ -266,60 +267,45 @@ def verify_cross_time_bounds(
     against t_uc (>=) and t_dc (<=) with t-intervals.  The first up-cross is
     dropped: its distribution is not controlled by the dominating law.
     """
+    _check_confidence(confidence)
     t_uc = expected_up_cross(levels)
     t_dc = expected_down_cross(levels)
     up = np.asarray(record.up_times[1:], dtype=float)
     down = np.asarray(record.down_times, dtype=float)
 
-    if record.complete_loops < min_loops:
-        return CrossTimeReport(
-            n_up=len(up), n_down=len(down), confidence=confidence,
-            underpowered=True, up_rows=[], down_rows=[],
-            t_uc=t_uc, t_dc=t_dc,
-            mean_up=float(np.mean(up)) if len(up) else math.nan,
-            mean_down=float(np.mean(down)) if len(down) else math.nan,
-            mean_up_halfwidth=math.nan, mean_down_halfwidth=math.nan,
-            mean_up_flag=False, mean_down_flag=False,
-        )
-
-    def survival_rows(samples, bound_fn, lower_is_bound):
+    def survival_rows(samples, bound_fn, up_side):
+        # up-cross survival is bounded from below, down-cross from above
         n = len(samples)
         grid = np.quantile(samples, np.linspace(0.0, 0.95, n_grid))
         rows = []
         for s in grid:
             s = float(s)
-            if lower_is_bound:
-                k = int(np.sum(samples > s))
-                bound = bound_fn(s)
-                lo = wilson_lower(k, n, confidence)
-                hi = wilson_upper(k, n, confidence)
-                flag = hi < bound
-            else:
-                k = int(np.sum(samples >= s))
-                bound = bound_fn(s)
-                lo = wilson_lower(k, n, confidence)
-                hi = wilson_upper(k, n, confidence)
-                flag = lo > bound
-            rows.append(CheckRow(s, k / n, bound, lo, hi, flag))
+            k = int(np.sum(samples > s if up_side else samples >= s))
+            bound = bound_fn(s, levels)
+            lo, hi = wilson_interval(k, n, confidence)
+            rows.append(CheckRow(s, k / n, bound, lo, hi,
+                                 hi < bound if up_side else lo > bound))
         return rows
-
-    up_rows = survival_rows(up, lambda s: up_cross_survival_bound(s, levels), True)
-    down_rows = survival_rows(
-        down, lambda s: down_cross_survival_bound(s, levels), False
-    )
 
     def one_sided_halfwidth(samples):
         n = len(samples)
         tq = float(sps.t.ppf(confidence, n - 1))
         return tq * float(np.std(samples, ddof=1)) / math.sqrt(n)
 
-    mean_up = float(np.mean(up))
-    mean_down = float(np.mean(down))
-    up_hw = one_sided_halfwidth(up)
-    down_hw = one_sided_halfwidth(down)
+    underpowered = record.complete_loops < min_loops
+    if underpowered:
+        # NaN half-widths make both mean flags False
+        up_rows, down_rows, up_hw, down_hw = [], [], math.nan, math.nan
+    else:
+        up_rows = survival_rows(up, up_cross_survival_bound, True)
+        down_rows = survival_rows(down, down_cross_survival_bound, False)
+        up_hw = one_sided_halfwidth(up)
+        down_hw = one_sided_halfwidth(down)
+    mean_up = float(np.mean(up)) if len(up) else math.nan
+    mean_down = float(np.mean(down)) if len(down) else math.nan
     return CrossTimeReport(
         n_up=len(up), n_down=len(down), confidence=confidence,
-        underpowered=False, up_rows=up_rows, down_rows=down_rows,
+        underpowered=underpowered, up_rows=up_rows, down_rows=down_rows,
         t_uc=t_uc, t_dc=t_dc,
         mean_up=mean_up, mean_down=mean_down,
         mean_up_halfwidth=up_hw, mean_down_halfwidth=down_hw,
@@ -340,10 +326,11 @@ class MomentReport:
         return not any(r.flag for r in self.rows)
 
 
-def _grid_index(traj: Trajectory, t: float) -> int:
-    dt = traj.grid_dt
-    idx = int(round((t - float(traj.times[0])) / dt))
-    if not (0 <= idx < len(traj.times)) or abs(traj.times[idx] - t) > 1e-9 + 1e-9 * abs(t):
+def _grid_index(times: np.ndarray, t: float) -> int:
+    """Index of time t on a uniform saved time grid; raises if t is off it."""
+    dt = float(times[1] - times[0])
+    idx = int(round((t - float(times[0])) / dt))
+    if not (0 <= idx < len(times)) or abs(times[idx] - t) > 1e-9 + 1e-9 * abs(t):
         raise ValueError(f"time {t!r} is not on the saved trajectory grid")
     return idx
 
@@ -356,14 +343,14 @@ def verify_moment_bound(
     The empirical mean may exceed the bound by at most three standard errors
     before the point is flagged.
     """
-    if len(paths) < 1000:
-        raise ValueError(f"need >= 1000 paths, got {len(paths)}")
+    if len(paths) < MIN_PATHS:
+        raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
     g = spec.noise_floor
     v0 = float(paths[0].lyap[0])
     rows = []
     for t in times:
         t = float(t)
-        idx = _grid_index(paths[0], t)
+        idx = _grid_index(paths[0].times, t)
         vals = np.array([p.lyap[idx] for p in paths])
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
@@ -402,18 +389,17 @@ def verify_probability_bound(
     confidence: float = 0.99,
 ) -> ProbabilityReport:
     """Check P{|x(t)| < r} against 1 - (e^{-ct}(V(x0)-floor)+floor)/alpha1(r)."""
-    if len(paths) < 1000:
-        raise ValueError(f"need >= 1000 paths, got {len(paths)}")
+    if len(paths) < MIN_PATHS:
+        raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got {r!r}")
     g = spec.noise_floor
     v0 = float(paths[0].lyap[0])
-    idx = _grid_index(paths[0], float(t))
+    idx = _grid_index(paths[0].times, float(t))
     hits = int(np.sum(np.array([p.norms[idx] for p in paths]) < r))
     n = len(paths)
     floor = 1.0 - (math.exp(-spec.c * t) * (v0 - g) + g) / spec.lyapunov.alpha1(r)
-    lo = wilson_lower(hits, n, confidence)
-    hi = wilson_upper(hits, n, confidence)
+    lo, hi = wilson_interval(hits, n, confidence)
     vacuous = floor <= 0.0
     return ProbabilityReport(
         radius=float(r), time=float(t), n_paths=n, frequency=hits / n,

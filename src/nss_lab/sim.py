@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -94,6 +94,11 @@ class SimConfig:
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
 
+    def saved_times(self) -> np.ndarray:
+        """The uniform time grid of the saved states."""
+        save = self.save_every
+        return self.t0 + np.arange(self.n_steps // save + 1) * (self.dt * save)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -129,11 +134,6 @@ def _sigma_series(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
     for k, t in enumerate(times):
         out[k] = np.asarray(spec.covariance(float(t)), dtype=float)
     return out
-
-
-def _saved_times(cfg: SimConfig) -> np.ndarray:
-    save = cfg.save_every
-    return cfg.t0 + np.arange(cfg.n_steps // save + 1) * (cfg.dt * save)
 
 
 def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
@@ -196,7 +196,7 @@ def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajecto
     bit-identical to path ``path_index`` of :func:`ensemble`.
     """
     states = _euler_maruyama(spec, cfg, path_index)
-    return _finalize(spec, cfg, _saved_times(cfg), states, path_index)
+    return _finalize(spec, cfg, cfg.saved_times(), states, path_index)
 
 
 def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int,
@@ -217,7 +217,7 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int,
     with ThreadPoolExecutor(max_workers=min(max_threads(), len(bounds))) as pool:
         chunks = list(pool.map(lambda b: _euler_maruyama(spec, cfg, *b), bounds))
 
-    times = _saved_times(cfg)
+    times = cfg.saved_times()
     return [
         _finalize(spec, cfg, times, states, lo + i)
         for (lo, _), chunk in zip(bounds, chunks)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,23 +108,38 @@ def _expand_bracket(predicate, start: float, direction: float) -> float:
     raise RuntimeError("bracket expansion budget exhausted (pathological CDF)")
 
 
-def inverse_cdf_inf(y: float, f: DominatingLaw, tol: float = _BISECT_TOL) -> float:
-    """Generalized inverse ``inf{s | F(s) >= y}`` by monotone bisection."""
+def _bisect_edge(y: float, f: DominatingLaw, tol: float,
+                 strict: bool) -> Tuple[float, float]:
+    """Bracket ``(lo, hi)`` of the lower edge of ``{s | F(s) >= y}``, or of
+    ``{s | F(s) > y}`` when ``strict``: ``hi`` is in the set and ``lo`` is not.
+    """
     if not (0.0 < y < 1.0):
         raise ValueError(f"y={y!r} outside (0, 1)")
-    hi = _expand_bracket(lambda s: f.cdf(s) >= y, 1.0, 1.0)
-    lo = _expand_bracket(lambda s: f.cdf(s) < y, -1.0, -1.0)
+    cdf = f.cdf
+
+    def in_set(s: float) -> bool:
+        return cdf(s) > y if strict else cdf(s) >= y
+
+    hi = _expand_bracket(in_set, 1.0, 1.0)
+    lo = _expand_bracket(lambda s: not in_set(s), -1.0, -1.0)
     for _ in range(_BRACKET_BUDGET):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if f.cdf(mid) >= y:
+        # in_set inlined: this loop is the hot path of every coupling
+        fm = cdf(mid)
+        if fm > y if strict else fm >= y:
             hi = mid
         else:
             lo = mid
         if hi - lo <= tol:
             break
-    return hi
+    return lo, hi
+
+
+def inverse_cdf_inf(y: float, f: DominatingLaw, tol: float = _BISECT_TOL) -> float:
+    """Generalized inverse ``inf{s | F(s) >= y}`` by monotone bisection."""
+    return _bisect_edge(y, f, tol, strict=False)[1]
 
 
 def inverse_cdf_sup(y: float, f: DominatingLaw, tol: float = _BISECT_TOL) -> float:
@@ -133,21 +148,7 @@ def inverse_cdf_sup(y: float, f: DominatingLaw, tol: float = _BISECT_TOL) -> flo
     Agrees with :func:`inverse_cdf_inf` except where the CDF has a flat
     stretch exactly at level y (a probability-zero event for uniform y).
     """
-    if not (0.0 < y < 1.0):
-        raise ValueError(f"y={y!r} outside (0, 1)")
-    hi = _expand_bracket(lambda s: f.cdf(s) > y, 1.0, 1.0)
-    lo = _expand_bracket(lambda s: f.cdf(s) <= y, -1.0, -1.0)
-    for _ in range(_BRACKET_BUDGET):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f.cdf(mid) <= y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return lo
+    return _bisect_edge(y, f, tol, strict=True)[0]
 
 
 def _coupled_sequence(xs: Sequence[float], g: ConditionalCdf, f: DominatingLaw,

@@ -203,8 +203,33 @@ class TestCommandLine:
         assert main(["example", "--set=levels.v1=0.1"]) == EXIT_ERROR  # below floor
         assert main(["example", "--set=ensemble.n_paths=10",
                      "--set=ensemble.check_times=2.0005"]) == EXIT_ERROR  # half a step
+        for bad in ("stats.confidence=1.5", "stats.confidence=0", "ensemble.n_paths=-5"):
+            assert main(["example", "--set=sim.t_end=20", f"--set={bad}",
+                         f"--set=output.dir={tmp_path}/bad"]) == EXIT_ERROR, bad
         err = capsys.readouterr().err
         assert "error:" in err
+
+    def test_bad_config_fails_before_simulating(self, tmp_path, monkeypatch):
+        import nss_lab.cli as cli
+
+        calls = []
+
+        def no_simulation(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("simulated despite a bad config")
+
+        monkeypatch.setattr(cli, "integrate", no_simulation)
+        monkeypatch.setattr(cli, "ensemble", no_simulation)
+        ens = ["ensemble.n_paths=1000"]
+        for bad in (["stats.confidence=1.5"], ["stats.confidence=0"],
+                    ["ensemble.n_paths=10"], ["ensemble.n_paths=-1"],
+                    ens + ["ensemble.check_times=1.05,5"],
+                    ens + ["ensemble.prob_radius=0"],
+                    ["fractiles.k=1.5"], ["fractiles.k=0"],
+                    ["grid.r_min=0", "grid.spacing=linear"]):
+            argv = ["example", "--set=sim.t_end=20", f"--set=output.dir={tmp_path}/x"]
+            assert main(argv + [f"--set={b}" for b in bad]) == EXIT_ERROR, bad
+            assert calls == [], bad
 
     def test_unknown_system_rejected(self, tmp_path, capsys):
         args = ["example", "--set=system.name=warp-drive",

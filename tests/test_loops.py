@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from nss_lab.bounds import (
     LevelPair,
@@ -18,8 +19,7 @@ from nss_lab.loops import (
     verify_cross_time_bounds,
     verify_moment_bound,
     verify_probability_bound,
-    wilson_lower,
-    wilson_upper,
+    wilson_interval,
 )
 from nss_lab.sim import SimConfig, Trajectory, ensemble
 from nss_lab.slln import DominatingLaw, inverse_cdf_inf
@@ -208,14 +208,28 @@ class TestEmpiricalTimeAverage:
 class TestWilson:
     def test_brackets_point_estimate(self):
         for k, n in [(0, 50), (10, 50), (50, 50), (490, 500)]:
-            lo = wilson_lower(k, n, 0.99)
-            hi = wilson_upper(k, n, 0.99)
+            lo, hi = wilson_interval(k, n, 0.99)
             assert 0.0 <= lo <= k / n <= hi <= 1.0
 
     def test_tightens_with_n(self):
-        w_small = wilson_upper(5, 10, 0.99) - wilson_lower(5, 10, 0.99)
-        w_big = wilson_upper(500, 1000, 0.99) - wilson_lower(500, 1000, 0.99)
-        assert w_big < w_small
+        lo_small, hi_small = wilson_interval(5, 10, 0.99)
+        lo_big, hi_big = wilson_interval(500, 1000, 0.99)
+        assert hi_big - lo_big < hi_small - lo_small
+
+    @pytest.mark.parametrize("n", [1, 50, 1000])
+    def test_closed_form_at_the_edges(self, n):
+        z2 = sps.norm.ppf(0.99) ** 2
+        lo, hi = wilson_interval(0, n, 0.99)
+        assert lo == pytest.approx(0.0, abs=1e-15)
+        assert hi == pytest.approx(z2 / (n + z2), rel=1e-12)
+        lo, hi = wilson_interval(n, n, 0.99)
+        assert lo == pytest.approx(n / (n + z2), rel=1e-12)
+        assert hi == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            wilson_interval(10, 50, confidence)
 
 
 LEVELS = LevelPair(v0=1.0, v1=2.0, c=1.0, gamma_max=0.5)
@@ -275,6 +289,15 @@ class TestVerifyCrossTimes:
         low_gate = verify_cross_time_bounds(rec, LEVELS, confidence=0.99, min_loops=5)
         assert not low_gate.underpowered
         assert low_gate.n_flags == 0
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.5])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        # also when underpowered, where no interval is computed
+        up = _sample_from_up_law(11, seed=25)
+        down = _sample_from_down_law(10, seed=26)
+        rec = _record_from_times(up, down)
+        with pytest.raises(ValueError, match="confidence"):
+            verify_cross_time_bounds(rec, LEVELS, confidence=confidence)
 
     def test_simulated_run_passes(self, long_trajectory, benchmark_system):
         from nss_lab.bounds import optimal_v0
