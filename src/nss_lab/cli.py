@@ -36,7 +36,14 @@ from .loops import (
     verify_probability_bound,
 )
 from .model import SystemSpec, builtin_example, check_enss
-from .sim import RNG_ALGORITHM, SimConfig, ensemble, integrate, trajectory_to_csv
+from .sim import (
+    RNG_ALGORITHM,
+    SimConfig,
+    ensemble,
+    integrate,
+    integrator_name,
+    trajectory_to_csv,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -84,6 +91,13 @@ class ExperimentConfig:
     dump_trajectory: bool = False
 
     def r_grid(self) -> np.ndarray:
+        if self.r_count < 1:
+            raise ValueError(f"grid.count must be >= 1, got {self.r_count!r}")
+        if not self.r_max > self.r_min:
+            raise ValueError(
+                f"grid.r_max must exceed grid.r_min, got r_min={self.r_min!r}, "
+                f"r_max={self.r_max!r}"
+            )
         if self.r_spacing == "log":
             return np.geomspace(self.r_min, self.r_max, self.r_count)
         if self.r_spacing == "linear":
@@ -172,6 +186,7 @@ class ExperimentReport:
     """Everything one run produced: metadata, tables and a verdict."""
 
     config_echo: str
+    integrator: str
     rng_algorithm: str = RNG_ALGORITHM
     version: str = __version__
     tables: dict = field(default_factory=dict)  # name -> (header, rows)
@@ -196,6 +211,7 @@ class ExperimentReport:
         lines = [
             f"nss-lab {self.version}",
             f"rng: {self.rng_algorithm}",
+            f"integrator: {self.integrator}",
             "",
             "checks:",
         ]
@@ -242,7 +258,8 @@ def _premise_sample(spec: SystemSpec, cfg: ExperimentConfig):
 
 def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     """Run the pipeline on a user-supplied system specification."""
-    report = ExperimentReport(config_echo=cfg.echo_ini())
+    report = ExperimentReport(config_echo=cfg.echo_ini(),
+                              integrator=integrator_name(spec))
     lyap = spec.lyapunov
     floor = spec.noise_floor
 

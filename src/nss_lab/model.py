@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,6 +107,13 @@ class SystemSpec:
     steps chunks of paths at once.  Non-vectorized specs run one path after
     another.  Either way ``integrate(spec, cfg, i)`` equals path ``i`` of
     ``ensemble`` bit for bit.
+
+    ``affine=(A, H0, H)`` declares linear drift ``f(x) = A x`` and affine
+    diffusion ``h(x) = H0 + sum_i x_i H[i]``, with shapes ``(N, N)``,
+    ``(N, m)`` and ``(N, N, m)``.  The declaration is trusted, not checked
+    against ``drift``/``diffusion``; the simulator then runs the blocked
+    affine scan instead of the sequential step loop (in chunks of paths, even
+    when ``vectorized`` is false), and only ``covariance`` is called.
     """
 
     dim_state: int
@@ -120,10 +127,24 @@ class SystemSpec:
     gamma_max: float
     vectorized: bool = False
     name: str = "system"
+    affine: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim_state < 1 or self.dim_noise < 1:
             raise ValueError("state and noise dimensions must be positive")
+        if self.affine is not None:
+            n, m = self.dim_state, self.dim_noise
+            arrays = tuple(np.array(a, dtype=float) for a in self.affine)
+            shapes = ((n, n), (n, m), (n, n, m))
+            if len(arrays) != 3 or any(a.shape != s for a, s in zip(arrays, shapes)):
+                raise ValueError(
+                    f"affine=(A, H0, H) needs shapes {shapes}, got "
+                    f"{tuple(a.shape for a in arrays)}"
+                )
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise ValueError("affine=(A, H0, H) must be finite")
+            object.__setattr__(self, "affine", arrays)
         if self.c <= 0.0:
             raise ValueError(f"c must be positive, got {self.c!r}")
         if self.gamma_max < 0.0:
@@ -286,6 +307,10 @@ def builtin_example() -> SystemSpec:
         grad_v=lambda x: np.asarray(x, dtype=float).copy(),
         hess_v=lambda x: np.eye(2),
     )
+    # f(x) = A x and h(x) = H0 + x1 H[0] + x2 H[1]
+    a = [[-1.0, 1.0], [-1.0, -1.0]]
+    h0 = [[0.0, 0.0], [0.0, 1.0]]
+    h = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     return SystemSpec(
         dim_state=2,
         dim_noise=2,
@@ -298,4 +323,5 @@ def builtin_example() -> SystemSpec:
         gamma_max=0.5,
         vectorized=True,
         name="example-2d",
+        affine=(a, h0, h),
     )

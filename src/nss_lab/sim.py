@@ -2,7 +2,8 @@
 
 Every path draws its Gaussian increments from a counter-based Philox stream
 derived from ``(seed, path_index)``, so ensembles are reproducible regardless
-of execution order or thread count.
+of execution order or thread count.  Specs that declare ``affine`` are
+integrated by a blocked affine scan, all others by the sequential step loop.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .model import SystemSpec
 __all__ = [
     "RNG_ALGORITHM",
     "SimConfig",
+    "block_length",
+    "integrator_name",
     "Trajectory",
     "NonFiniteStateError",
     "path_generator",
@@ -31,6 +34,11 @@ __all__ = [
 
 # Recorded in output metadata; changing this changes every simulated number.
 RNG_ALGORITHM = "numpy.Philox(SeedSequence(entropy=seed, spawn_key=(path_index,)))"
+
+# The two kernels group the floating-point operations of a step differently,
+# so their bits differ; the one used is recorded next to RNG_ALGORITHM.
+_SEQUENTIAL = "euler-maruyama, sequential steps"
+_AFFINE_SCAN = "euler-maruyama, blocked affine scan (block length isqrt(n_steps))"
 
 
 class NonFiniteStateError(RuntimeError):
@@ -136,6 +144,13 @@ def _sigma_series(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
     return out
 
 
+def _initial_state(spec: SystemSpec, cfg: SimConfig) -> np.ndarray:
+    x0 = np.asarray(cfg.x0, dtype=float)
+    if x0.shape != (spec.dim_state,):
+        raise ValueError(f"x0 shape {x0.shape} != ({spec.dim_state},)")
+    return x0
+
+
 def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
                     hi: Optional[int] = None) -> np.ndarray:
     """Saved states of paths [lo, hi) stepped in lock step, shape (hi-lo, K+1, N).
@@ -147,9 +162,7 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
     n_steps = cfg.n_steps
     dt = cfg.dt
     m = spec.dim_noise
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (spec.dim_state,):
-        raise ValueError(f"x0 shape {x0.shape} != ({spec.dim_state},)")
+    x0 = _initial_state(spec, cfg)
     batch = () if hi is None else (hi - lo,)
 
     dw = np.empty(batch + (n_steps, m))
@@ -175,6 +188,123 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
     return states
 
 
+def block_length(n_steps: int) -> int:
+    """Steps per block of the affine scan: a function of the step count alone,
+    so that neither the batch, the chunk nor the thread count moves a bit."""
+    return max(1, math.isqrt(n_steps))
+
+
+def _affine_apply(mat, vec, off=None):
+    """``mat @ vec + off`` on nested lists of arrays, summed left to right."""
+    out = []
+    for r, row in enumerate(mat):
+        acc = row[0] * vec[0]
+        for coef, v in zip(row[1:], vec[1:]):
+            acc = acc + coef * v
+        out.append(acc if off is None else acc + off[r])
+    return out
+
+
+def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
+                 hi: Optional[int] = None) -> np.ndarray:
+    """The contract of :func:`_euler_maruyama`, for a spec that declares ``affine``.
+
+    With ``s_k = Sigma(t_k) dW_k``, step k is the affine map ``x -> M_k x + b_k``
+    with ``M_k = I + A dt + [H[i] s_k]_i`` (column i) and ``b_k = H0 s_k``.  The
+    steps are cut into blocks of :func:`block_length` steps.  The map of every
+    full block is composed, all blocks at once; the block start states are
+    carried from block to block; then the states inside every block are
+    refilled from its start, again all blocks at once.  The last block holds
+    the ``n_steps % block_length`` remaining steps and is never composed.
+    Only elementwise adds and multiplies in a fixed order are used, so path i
+    has the same bits alone as inside any chunk.
+    """
+    n_steps, dt = cfg.n_steps, cfg.dt
+    n, m = spec.dim_state, spec.dim_noise
+    x0 = _initial_state(spec, cfg)
+    batch = () if hi is None else (hi - lo,)
+    span = block_length(n_steps)
+    n_full, rem = divmod(n_steps, span)
+    n_blocks = n_full + 1
+
+    # time-major noise components s[j], zero-padded to whole blocks
+    sig = _sigma_series(spec, cfg.t0 + np.arange(n_steps) * dt)
+    sig_cols = [(j, k, sig[:, j, k]) for j in range(m) for k in range(m)
+                if sig[:, j, k].any()]
+    s = np.zeros((m, n_blocks * span) + batch)
+    per_path = s[..., None] if hi is None else s
+    for i in range(per_path.shape[-1]):
+        dw = path_generator(cfg.seed, lo + i).normal(size=(n_steps, m))
+        dw *= math.sqrt(dt)
+        for j, k, col in sig_cols:
+            per_path[j, :n_steps, i] += col * dw[:, k]
+    s = s.reshape((m, n_blocks, span) + batch)
+
+    a, h0, h = spec.affine
+    const = (np.eye(n) + a * dt).tolist()
+    m_terms = [[[(j, float(h[i, r, j])) for j in range(m) if h[i, r, j] != 0.0]
+                for i in range(n)] for r in range(n)]
+    b_terms = [[(j, float(h0[r, j])) for j in range(m) if h0[r, j] != 0.0]
+               for r in range(n)]
+
+    def entry(value, terms, blocks, jj):
+        for j, coef in terms:
+            value = value + coef * s[j, blocks, jj]
+        return value
+
+    def step_map(blocks, jj):
+        mat = [[entry(const[r][i], m_terms[r][i], blocks, jj) for i in range(n)]
+               for r in range(n)]
+        return mat, [entry(0.0, b_terms[r], blocks, jj) for r in range(n)]
+
+    # compose each full block's map: columns of P and the offset c
+    full = slice(None, n_full)
+    mat, c = step_map(full, 0)
+    p_cols = [[mat[r][i] for r in range(n)] for i in range(n)]
+    for jj in range(1, span):
+        mat, off = step_map(full, jj)
+        p_cols = [_affine_apply(mat, col) for col in p_cols]
+        c = _affine_apply(mat, c, off)
+    p_blk = np.empty((n_full, n, n) + batch)
+    c_blk = np.empty((n_full, n) + batch)
+    for i in range(n):
+        c_blk[:, i] = c[i]
+        for r in range(n):
+            p_blk[:, i, r] = p_cols[i][r]
+
+    # carry the block start states
+    starts = np.empty((n_blocks, n) + batch)
+    starts[0] = x0.reshape((n,) + (1,) * len(batch))
+    for blk in range(n_full):
+        p, x = p_blk[blk], starts[blk]
+        acc = p[0] * x[0]
+        for i in range(1, n):
+            acc = acc + p[i] * x[i]
+        starts[blk + 1] = acc + c_blk[blk]
+
+    # refill the states inside every block and keep every save-th one
+    save = cfg.save_every
+    states = np.empty((n_steps // save + 1, n) + batch)
+    first = np.arange(n_blocks) * span
+    x = [starts[:, r] for r in range(n)]
+    live = slice(None)
+    for jj in range(span):
+        pos = first[live] + jj
+        keep = pos % save == 0
+        for r in range(n):
+            states[pos[keep] // save, r] = x[r][keep]
+        if jj == span - 1:
+            break  # state `span` of a block is the start of the next one
+        if jj == rem:  # the last block has only `rem` steps
+            live = full
+            x = [xr[full] for xr in x]
+        mat, off = step_map(live, jj)
+        x = _affine_apply(mat, x, off)
+    if batch:
+        states = np.ascontiguousarray(np.moveaxis(states, -1, 0))
+    return states
+
+
 def _finalize(spec: SystemSpec, cfg: SimConfig, times: np.ndarray,
               states: np.ndarray, path_index: int) -> Trajectory:
     bad = ~np.isfinite(states).all(axis=1)
@@ -189,13 +319,24 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, times: np.ndarray,
     return Trajectory(times=times, states=states, lyap=lyap, norms=norms)
 
 
+def _kernel(spec: SystemSpec):
+    return _euler_maruyama if spec.affine is None else _affine_scan
+
+
+def integrator_name(spec: SystemSpec) -> str:
+    """The kernel that steps ``spec``, as recorded in output metadata."""
+    return _SEQUENTIAL if spec.affine is None else _AFFINE_SCAN
+
+
 def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajectory:
     """Euler-Maruyama path: x_{k+1} = x_k + f dt + h(x_k) Sigma(t_k) dW_k.
 
-    Bit-reproducible for fixed (spec, cfg, path_index) on one platform, and
-    bit-identical to path ``path_index`` of :func:`ensemble`.
+    Specs that declare ``affine`` run the blocked affine scan, others the
+    sequential step loop.  Bit-reproducible for fixed (spec, cfg, path_index)
+    on one platform, and bit-identical to path ``path_index`` of
+    :func:`ensemble`.
     """
-    states = _euler_maruyama(spec, cfg, path_index)
+    states = _kernel(spec)(spec, cfg, path_index)
     return _finalize(spec, cfg, cfg.saved_times(), states, path_index)
 
 
@@ -204,18 +345,19 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int,
     """Independent paths i = 0..n_paths-1, each on substream (cfg.seed, i).
 
     Path i is bit-identical to ``integrate(spec, cfg, i)`` regardless of
-    chunking or thread schedule.  Vectorized specs are stepped in lock-stepped
-    chunks across a thread pool capped by NSS_LAB_THREADS; others run one path
-    after another.
+    chunking or thread schedule.  Vectorized and affine specs are stepped in
+    lock-stepped chunks across a thread pool capped by NSS_LAB_THREADS; others
+    run one path after another.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-    if not spec.vectorized:
+    if not spec.vectorized and spec.affine is None:
         return [integrate(spec, cfg, path_index=i) for i in range(n_paths)]
 
+    kernel = _kernel(spec)
     bounds = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
     with ThreadPoolExecutor(max_workers=min(max_threads(), len(bounds))) as pool:
-        chunks = list(pool.map(lambda b: _euler_maruyama(spec, cfg, *b), bounds))
+        chunks = list(pool.map(lambda b: kernel(spec, cfg, *b), bounds))
 
     times = cfg.saved_times()
     return [

@@ -14,7 +14,8 @@ from nss_lab.cli import (
     run_example,
     write_report,
 )
-from nss_lab.model import SystemSpec
+from nss_lab.model import SystemSpec, builtin_example
+from nss_lab.sim import integrator_name
 
 from conftest import make_ou, quadratic_lyapunov
 
@@ -89,6 +90,8 @@ class TestPipeline:
         assert (tmp_path / "out" / "summary.txt").exists()
         assert (tmp_path / "out" / "distribution.csv").exists()
         assert (tmp_path / "out" / "config_echo.ini").read_text() == cfg.echo_ini()
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert summary[2] == f"integrator: {integrator_name(builtin_example())}"
 
     def test_custom_ou_pipeline(self, tmp_path):
         spec = make_ou()
@@ -99,6 +102,7 @@ class TestPipeline:
         )
         report = run_custom(spec, cfg)
         assert report.premises_verified
+        assert report.integrator == integrator_name(spec) != integrator_name(builtin_example())
         rows = report.tables["distribution"][1]
         assert all(not flag for *_cols, flag in rows)  # D(r) >= b(r) everywhere
 
@@ -203,7 +207,8 @@ class TestCommandLine:
         assert main(["example", "--set=levels.v1=0.1"]) == EXIT_ERROR  # below floor
         assert main(["example", "--set=ensemble.n_paths=10",
                      "--set=ensemble.check_times=2.0005"]) == EXIT_ERROR  # half a step
-        for bad in ("stats.confidence=1.5", "stats.confidence=0", "ensemble.n_paths=-5"):
+        for bad in ("stats.confidence=1.5", "stats.confidence=0", "ensemble.n_paths=-5",
+                    "grid.count=0"):
             assert main(["example", "--set=sim.t_end=20", f"--set={bad}",
                          f"--set=output.dir={tmp_path}/bad"]) == EXIT_ERROR, bad
         err = capsys.readouterr().err
@@ -226,7 +231,9 @@ class TestCommandLine:
                     ens + ["ensemble.check_times=1.05,5"],
                     ens + ["ensemble.prob_radius=0"],
                     ["fractiles.k=1.5"], ["fractiles.k=0"],
-                    ["grid.r_min=0", "grid.spacing=linear"]):
+                    ["grid.r_min=0", "grid.spacing=linear"],
+                    ["grid.r_min=10", "grid.r_max=1.05"], ["grid.r_max=1.05"],
+                    ["grid.count=0"], ["grid.count=-3"]):
             argv = ["example", "--set=sim.t_end=20", f"--set=output.dir={tmp_path}/x"]
             assert main(argv + [f"--set={b}" for b in bad]) == EXIT_ERROR, bad
             assert calls == [], bad

@@ -198,6 +198,13 @@ class TestBuiltinExample:
             assert np.allclose(hs[i], benchmark_system.diffusion(x))
             assert vs[i] == pytest.approx(0.5 * float(x @ x))
 
+    def test_affine_declaration_reproduces_dynamics(self, benchmark_system):
+        a, h0, h = benchmark_system.affine
+        xs = np.random.default_rng(1).normal(scale=3.0, size=(64, 2))
+        assert np.allclose(xs @ a.T, benchmark_system.drift(xs), rtol=1e-15, atol=0.0)
+        declared = h0 + np.einsum("...i,inj->...nj", xs, h)
+        assert np.allclose(declared, benchmark_system.diffusion(xs), rtol=1e-15, atol=0.0)
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize("overrides", [dict(c=0.0), dict(c=-1.0),
@@ -205,3 +212,15 @@ class TestSpecValidation:
     def test_invalid_constants(self, overrides):
         with pytest.raises(ValueError):
             _example_variant(**overrides)
+
+    @pytest.mark.parametrize("affine", [
+        (np.eye(3), np.zeros((2, 2)), np.zeros((2, 2, 2))),
+        (np.eye(2), np.zeros((2, 1)), np.zeros((2, 2, 2))),
+        (np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.eye(2), np.zeros((2, 2)), np.zeros((2, 2, 2, 1))),
+        (np.eye(2), np.zeros((2, 2))),
+        (np.eye(2), np.full((2, 2), np.nan), np.zeros((2, 2, 2))),
+    ])
+    def test_affine_declaration_checked(self, affine):
+        with pytest.raises(ValueError):
+            _example_variant(affine=affine)

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from nss_lab.loops import extract_loops
 from nss_lab.model import SystemSpec
 from nss_lab.sim import (
     NonFiniteStateError,
     SimConfig,
     Trajectory,
+    block_length,
     ensemble,
     integrate,
     path_generator,
@@ -31,6 +34,36 @@ def _deterministic(drift, dim=1):
         gamma_max=0.0,
         name="deterministic",
     )
+
+
+def _affine(a, h0, h, name="affine"):
+    """A vectorized spec whose drift/diffusion are the declared affine maps."""
+    a, h0, h = (np.asarray(v, dtype=float) for v in (a, h0, h))
+    n, m = h0.shape
+    return SystemSpec(
+        dim_state=n,
+        dim_noise=m,
+        drift=lambda x: np.asarray(x, dtype=float) @ a.T,
+        diffusion=lambda x: h0 + np.einsum("...i,inj->...nj", np.asarray(x, dtype=float), h),
+        covariance=lambda t: np.ones(np.shape(t) + (m, m)) * np.eye(m),
+        lyapunov=quadratic_lyapunov(n),
+        c=1.0,
+        gamma=lambda s: 0.0,
+        gamma_max=0.0,
+        vectorized=True,
+        name=name,
+        affine=(a, h0, h),
+    )
+
+
+def _affine_ou():
+    """dx = -x dt + dW, declared affine, so it runs the affine scan."""
+    return _affine([[-1.0]], [[1.0]], np.zeros((1, 1, 1)), name="affine-ou")
+
+
+def _sequential(spec):
+    """The same system without its declaration: the reference kernel."""
+    return dataclasses.replace(spec, affine=None)
 
 
 class TestConfig:
@@ -130,11 +163,19 @@ class TestReproducibility:
         paths = ensemble(spec, cfg, 2)
         assert not np.array_equal(paths[0].states, paths[1].states)
 
-    @pytest.mark.parametrize("system", ["ou", "builtin"])
-    def test_ensemble_matches_per_path_integrate(self, system, benchmark_system):
-        spec = make_ou() if system == "ou" else benchmark_system
+    @pytest.mark.parametrize("system, chunk_size", [
+        pytest.param("ou", 3, id="ou"),
+        pytest.param("builtin", 3, id="builtin"),
+        pytest.param("affine-ou", 1, id="affine-ou-chunk1"),
+        pytest.param("affine-ou", 3, id="affine-ou-chunk3"),
+        pytest.param("affine-ou", 7, id="affine-ou-chunk7"),
+    ])
+    def test_ensemble_matches_per_path_integrate(self, system, chunk_size,
+                                                 benchmark_system):
+        spec = {"ou": make_ou(), "builtin": benchmark_system,
+                "affine-ou": _affine_ou()}[system]
         cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state)
-        paths = ensemble(spec, cfg, 7, chunk_size=3)
+        paths = ensemble(spec, cfg, 7, chunk_size=chunk_size)
         for i, p in enumerate(paths):
             solo = integrate(spec, cfg, path_index=i)
             assert np.array_equal(p.states, solo.states)
@@ -155,6 +196,15 @@ class TestReproducibility:
         b = ensemble(benchmark_system, cfg, 5)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.states, pb.states)
+        # the affine scan, at chunk sizes 1, 3 and 7
+        ou_cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,))
+        for chunk_size in (1, 3, 7):
+            monkeypatch.setenv("NSS_LAB_THREADS", "1")
+            a = ensemble(_affine_ou(), ou_cfg, 7, chunk_size=chunk_size)
+            monkeypatch.setenv("NSS_LAB_THREADS", "4")
+            b = ensemble(_affine_ou(), ou_cfg, 7, chunk_size=chunk_size)
+            for pa, pb in zip(a, b):
+                assert np.array_equal(pa.states, pb.states), chunk_size
 
     def test_nonvectorized_matches_vectorized(self):
         base = make_ou()
@@ -168,6 +218,54 @@ class TestReproducibility:
         b = ensemble(slow, cfg, 6)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.states, pb.states)
+
+
+class TestAffineScan:
+    """The blocked affine scan against the sequential reference kernel."""
+
+    def test_builtin_path_matches_reference(self, benchmark_system, short_trajectory):
+        cfg = SimConfig(t_end=50.0, dt=1e-3, seed=11, x0=(0.0, 0.0))
+        ref = integrate(_sequential(benchmark_system), cfg)
+        assert np.max(np.abs(short_trajectory.states - ref.states)) <= 1e-9
+        for v0, v1 in ((0.9, 2.0), (0.5, 1.2)):
+            loops = extract_loops(short_trajectory, v0=v0, v1=v1)
+            ref_loops = extract_loops(ref, v0=v0, v1=v1)
+            assert loops.complete_loops > 0
+            assert np.array_equal(loops.taus, ref_loops.taus)
+
+    def test_partial_last_block_and_thinning(self, benchmark_system):
+        cfg = SimConfig(t_end=1.0, dt=1e-3, seed=12, x0=(0.5, -1.0))
+        assert cfg.n_steps % block_length(cfg.n_steps) != 0
+        full = integrate(benchmark_system, cfg)
+        ref = integrate(_sequential(benchmark_system), cfg)
+        assert np.max(np.abs(full.states - ref.states)) <= 1e-12
+        for k in (2, 5, 8):
+            thin = integrate(benchmark_system, dataclasses.replace(cfg, save_every=k))
+            assert np.array_equal(thin.states, full.states[::k])
+            assert np.array_equal(thin.times, full.times[::k])
+
+    @pytest.mark.parametrize("t_end, last_block", [(0.1, 0), (1.0, 1), (1.4, 2), (3.0, 0)])
+    def test_block_edges(self, t_end, last_block):
+        spec = _affine([[-0.5, 2.0], [-2.0, -0.5]], [[0.3, 0.0], [0.0, 0.2]],
+                       [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.4, 0.1]]])
+        cfg = SimConfig(t_end=t_end, dt=0.1, seed=13, x0=(1.0, -0.5))
+        assert cfg.n_steps % block_length(cfg.n_steps) == last_block
+        got = integrate(spec, cfg).states
+        ref = integrate(_sequential(spec), cfg).states
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_blow_up_step_matches_reference(self):
+        spec = _affine([[16.0, 1.0], [0.0, 15.0]], [[0.0], [1.0]],
+                       [[[0.5], [0.0]], [[0.0], [0.0]]])
+        cfg = SimConfig(t_end=400.0, dt=1.0, seed=14, x0=(1.0, 1.0), save_every=2)
+        steps = []
+        for s in (spec, _sequential(spec)):
+            with pytest.raises(NonFiniteStateError) as exc:
+                integrate(s, cfg)
+            steps.append(exc.value.step)
+        assert steps[0] == steps[1]
+        assert steps[0] > 2 * block_length(cfg.n_steps)
 
 
 class TestNoiseStream:
