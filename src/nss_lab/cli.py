@@ -252,7 +252,7 @@ def _premise_sample(spec: SystemSpec, cfg: ExperimentConfig):
     states = np.stack([m.ravel() for m in mesh], axis=-1)
     t_hi = min(cfg.t_end, 2.0 * math.pi)
     times = np.linspace(0.0, t_hi, 11)
-    gamma_times = np.linspace(0.0, min(cfg.t_end, 2.0 * math.pi), 10_000)
+    gamma_times = np.linspace(0.0, t_hi, 10_000)
     return states, times, gamma_times
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtri, stdtrit
 
 from .bounds import (
     LevelPair,
@@ -184,7 +184,7 @@ def wilson_interval(successes: int, n: int,
     Each end alone holds at ``confidence``, which must lie in (0, 1).
     """
     _check_confidence(confidence)
-    z = float(sps.norm.ppf(confidence))
+    z = float(ndtri(confidence))
     p = successes / n
     denom = 1.0 + z * z / n
     center = p + z * z / (2.0 * n)
@@ -289,7 +289,7 @@ def verify_cross_time_bounds(
 
     def one_sided_halfwidth(samples):
         n = len(samples)
-        tq = float(sps.t.ppf(confidence, n - 1))
+        tq = float(stdtrit(n - 1, confidence))
         return tq * float(np.std(samples, ddof=1)) / math.sqrt(n)
 
     underpowered = record.complete_loops < min_loops
@@ -335,6 +335,12 @@ def _grid_index(times: np.ndarray, t: float) -> int:
     return idx
 
 
+def _moment_envelope(paths: Sequence[Trajectory], spec: SystemSpec, t: float) -> float:
+    """The bound ``e^{-ct}(V(x0) - floor) + floor`` on E[V(x(t))]."""
+    g = spec.noise_floor
+    return math.exp(-spec.c * t) * (float(paths[0].lyap[0]) - g) + g
+
+
 def verify_moment_bound(
     paths: Sequence[Trajectory], spec: SystemSpec, times: Sequence[float]
 ) -> MomentReport:
@@ -345,8 +351,6 @@ def verify_moment_bound(
     """
     if len(paths) < MIN_PATHS:
         raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
-    g = spec.noise_floor
-    v0 = float(paths[0].lyap[0])
     rows = []
     for t in times:
         t = float(t)
@@ -354,7 +358,7 @@ def verify_moment_bound(
         vals = np.array([p.lyap[idx] for p in paths])
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-        bound = math.exp(-spec.c * t) * (v0 - g) + g
+        bound = _moment_envelope(paths, spec, t)
         rows.append(
             CheckRow(t, mean, bound, mean - 3.0 * se, mean + 3.0 * se,
                      flag=mean - 3.0 * se > bound)
@@ -393,12 +397,10 @@ def verify_probability_bound(
         raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got {r!r}")
-    g = spec.noise_floor
-    v0 = float(paths[0].lyap[0])
     idx = _grid_index(paths[0].times, float(t))
     hits = int(np.sum(np.array([p.norms[idx] for p in paths]) < r))
     n = len(paths)
-    floor = 1.0 - (math.exp(-spec.c * t) * (v0 - g) + g) / spec.lyapunov.alpha1(r)
+    floor = 1.0 - _moment_envelope(paths, spec, t) / spec.lyapunov.alpha1(r)
     lo, hi = wilson_interval(hits, n, confidence)
     vacuous = floor <= 0.0
     return ProbabilityReport(

@@ -28,16 +28,18 @@ __all__ = [
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
+def _fd_shifted(v: Callable, x: np.ndarray, *steps) -> float:
+    """V at x with each ``(index, delta)`` of ``steps`` added."""
+    y = x.copy()
+    for i, delta in steps:
+        y[i] += delta
+    return float(v(y))
+
+
 def _fd_gradient(v: Callable, x: np.ndarray) -> np.ndarray:
     eps = _FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        grad[i] = (float(v(xp)) - float(v(xm))) / (2.0 * eps)
-    return grad
+    return np.array([(_fd_shifted(v, x, (i, eps)) - _fd_shifted(v, x, (i, -eps)))
+                     / (2.0 * eps) for i in range(x.size)])
 
 
 def _fd_hessian(v: Callable, x: np.ndarray) -> np.ndarray:
@@ -46,25 +48,12 @@ def _fd_hessian(v: Callable, x: np.ndarray) -> np.ndarray:
     hess = np.empty((n, n))
     v0 = float(v(x))
     for i in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        hess[i, i] = (float(v(xp)) + float(v(xm)) - 2.0 * v0) / (eps * eps)
+        hess[i, i] = (_fd_shifted(v, x, (i, eps)) + _fd_shifted(v, x, (i, -eps))
+                      - 2.0 * v0) / (eps * eps)
         for j in range(i + 1, n):
-            xpp = x.copy()
-            xpm = x.copy()
-            xmp = x.copy()
-            xmm = x.copy()
-            xpp[[i, j]] += eps
-            xmm[[i, j]] -= eps
-            xpm[i] += eps
-            xpm[j] -= eps
-            xmp[i] -= eps
-            xmp[j] += eps
-            hess[i, j] = hess[j, i] = (
-                float(v(xpp)) - float(v(xpm)) - float(v(xmp)) + float(v(xmm))
-            ) / (4.0 * eps * eps)
+            pp, pm, mp, mm = (_fd_shifted(v, x, (i, a), (j, b)) for a, b in
+                              ((eps, eps), (eps, -eps), (-eps, eps), (-eps, -eps)))
+            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * eps * eps)
     return hess
 
 
@@ -106,14 +95,16 @@ class SystemSpec:
     and that ``covariance`` accepts time arrays; the ensemble integrator then
     steps chunks of paths at once.  Non-vectorized specs run one path after
     another.  Either way ``integrate(spec, cfg, i)`` equals path ``i`` of
-    ``ensemble`` bit for bit.
+    ``ensemble`` bit for bit.  Simulator and premise check alike read
+    ``covariance`` only through :meth:`sigma_series`.
 
     ``affine=(A, H0, H)`` declares linear drift ``f(x) = A x`` and affine
     diffusion ``h(x) = H0 + sum_i x_i H[i]``, with shapes ``(N, N)``,
-    ``(N, m)`` and ``(N, N, m)``.  The declaration is trusted, not checked
-    against ``drift``/``diffusion``; the simulator then runs the blocked
-    affine scan instead of the sequential step loop (in chunks of paths, even
-    when ``vectorized`` is false), and only ``covariance`` is called.
+    ``(N, m)`` and ``(N, N, m)``.  It is trusted, not checked against
+    ``drift``/``diffusion`` (the built-in system builds those from it); the
+    simulator then runs the blocked affine scan instead of the sequential
+    step loop (in chunks of paths, even when ``vectorized`` is false), and
+    only ``covariance`` is called.
     """
 
     dim_state: int
@@ -154,6 +145,25 @@ class SystemSpec:
     def noise_floor(self) -> float:
         return self.gamma_max / self.c
 
+    def sigma_series(self, times) -> np.ndarray:
+        """Sigma(t) at every time of a 1-D sequence, shape (K, m, m): one
+        ``covariance`` call if the spec is vectorized and that call returns
+        this shape, else one call per time."""
+        times = np.asarray(times, dtype=float)
+        m = self.dim_noise
+        if self.vectorized:
+            sig = np.asarray(self.covariance(times), dtype=float)
+            if sig.shape == (len(times), m, m):
+                return sig
+        out = np.empty((len(times), m, m))
+        for k, t in enumerate(times):
+            sig = np.asarray(self.covariance(float(t)), dtype=float)
+            if sig.shape != (m, m):
+                raise ValueError(
+                    f"covariance returned shape {sig.shape}, expected ({m}, {m})")
+            out[k] = sig
+        return out
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -174,12 +184,8 @@ class ConditionReport:
         return self.max_violation <= self.tol and self.gamma_max_violation <= self.tol
 
 
-def generator_v(spec: SystemSpec, x, t: float) -> float:
-    """Ito generator of V at state x and time t.
-
-    Computes ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S)`` with
-    ``S = covariance(t)`` (V carries no explicit time dependence here).
-    """
+def _generator(spec: SystemSpec, x, sig: np.ndarray) -> float:
+    """:func:`generator_v` at x under ``Sigma = sig``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim_state,):
         raise ValueError(f"state shape {x.shape} != ({spec.dim_state},)")
@@ -192,22 +198,31 @@ def generator_v(spec: SystemSpec, x, t: float) -> float:
             f"diffusion returned shape {h.shape}, expected "
             f"({spec.dim_state}, {spec.dim_noise})"
         )
-    sig = np.asarray(spec.covariance(t), dtype=float)
-    if sig.shape != (spec.dim_noise, spec.dim_noise):
-        raise ValueError(
-            f"covariance returned shape {sig.shape}, expected "
-            f"({spec.dim_noise}, {spec.dim_noise})"
-        )
     grad = spec.lyapunov.grad(x)
     hess = spec.lyapunov.hess(x)
     hs = h @ sig
     return float(grad @ f + 0.5 * np.trace(hs.T @ hess @ hs))
 
 
+def generator_v(spec: SystemSpec, x, t: float) -> float:
+    """Ito generator of V at state x and time t.
+
+    Computes ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S)`` with
+    ``S = covariance(t)`` (V carries no explicit time dependence here).
+    """
+    return _generator(spec, x, spec.sigma_series([t])[0])
+
+
+def _noise_magnitudes(sig: np.ndarray) -> np.ndarray:
+    """``|Sigma Sigma^T|_F`` over a (K, m, m) series.  The batched dot equals
+    ``np.linalg.norm(S, "fro")`` bit for bit; a sum of squares can miss by an ulp."""
+    s = (sig @ np.swapaxes(sig, -1, -2)).reshape(len(sig), -1)
+    return np.sqrt(np.vecdot(s, s))
+
+
 def noise_magnitude(spec: SystemSpec, t: float) -> float:
     """Frobenius norm of Sigma(t) Sigma(t)^T."""
-    sig = np.asarray(spec.covariance(t), dtype=float)
-    return float(np.linalg.norm(sig @ sig.T, "fro"))
+    return float(_noise_magnitudes(spec.sigma_series([t]))[0])
 
 
 def check_enss(
@@ -222,28 +237,30 @@ def check_enss(
     The residual at each point is ``LV(x, t) + c V(x) - gamma(|Sigma Sigma^T|_F)``;
     nonpositive residuals pass.  The declared ``gamma_max`` is additionally
     verified against ``gamma`` on ``gamma_times`` (defaulting to ``times``).
+    Sigma and ``gamma`` are evaluated once per distinct time.
     """
     states = [np.asarray(x, dtype=float) for x in states]
     times = [float(t) for t in times]
     if not states or not times:
         raise ValueError("state and time samples must be non-empty")
 
+    scan_times = [] if gamma_times is None else [float(t) for t in gamma_times]
+    sigs = spec.sigma_series(times + scan_times)
+    gains = [spec.gamma(s) for s in _noise_magnitudes(sigs).tolist()]
     violating = []
     max_violation = -math.inf
-    for x, t in itertools.product(states, times):
+    for x, (t, sig, gain) in itertools.product(states, zip(times, sigs, gains)):
         residual = (
-            generator_v(spec, x, t)
+            _generator(spec, x, sig)
             + spec.c * float(spec.lyapunov.v(x))
-            - spec.gamma(noise_magnitude(spec, t))
+            - gain
         )
         max_violation = max(max_violation, residual)
         if residual > tol:
             violating.append((x, t, residual))
 
-    gamma_grid = times if gamma_times is None else [float(t) for t in gamma_times]
-    gamma_violation = max(
-        spec.gamma(noise_magnitude(spec, t)) - spec.gamma_max for t in gamma_grid
-    )
+    scan = gains if gamma_times is None else gains[len(times):]
+    gamma_violation = max(g - spec.gamma_max for g in scan)
     return ConditionReport(
         points_checked=len(states) * len(times),
         max_violation=max_violation,
@@ -251,6 +268,14 @@ def check_enss(
         gamma_max_violation=gamma_violation,
         tol=tol,
     )
+
+
+def _affine_dynamics(a, h0, h):
+    """``(drift, diffusion)`` of ``affine=(A, H0, H)``: ``x -> A x`` and
+    ``x -> H0 + sum_i x_i H[i]``, for single states and batches."""
+    a, h0, h = (np.asarray(v, dtype=float) for v in (a, h0, h))
+    return (lambda x: np.asarray(x, dtype=float) @ a.T,
+            lambda x: h0 + np.einsum("...i,inj->...nj", np.asarray(x, dtype=float), h))
 
 
 def builtin_example() -> SystemSpec:
@@ -264,23 +289,6 @@ def builtin_example() -> SystemSpec:
     The gain function is defined only for Frobenius magnitudes >= 1; this
     system's covariance never goes below that edge.
     """
-
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        out = np.empty_like(x)
-        out[..., 0] = -x1 + x2
-        out[..., 1] = -x1 - x2
-        return out
-
-    def diffusion(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 0.0
-        out[..., 0, 1] = 0.0
-        out[..., 1, 0] = x[..., 1]
-        out[..., 1, 1] = 1.0
-        return out
 
     def covariance(t):
         t = np.asarray(t, dtype=float)
@@ -311,6 +319,7 @@ def builtin_example() -> SystemSpec:
     a = [[-1.0, 1.0], [-1.0, -1.0]]
     h0 = [[0.0, 0.0], [0.0, 1.0]]
     h = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    drift, diffusion = _affine_dynamics(a, h0, h)
     return SystemSpec(
         dim_state=2,
         dim_noise=2,

@@ -131,19 +131,6 @@ class Trajectory:
         return float(self.times[-1] - self.times[0])
 
 
-def _sigma_series(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
-    """Covariance matrices at all step times, shape (K, m, m)."""
-    m = spec.dim_noise
-    if spec.vectorized:
-        sig = np.asarray(spec.covariance(times), dtype=float)
-        if sig.shape == (len(times), m, m):
-            return sig
-    out = np.empty((len(times), m, m))
-    for k, t in enumerate(times):
-        out[k] = np.asarray(spec.covariance(float(t)), dtype=float)
-    return out
-
-
 def _initial_state(spec: SystemSpec, cfg: SimConfig) -> np.ndarray:
     x0 = np.asarray(cfg.x0, dtype=float)
     if x0.shape != (spec.dim_state,):
@@ -170,7 +157,7 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
         noise[...] = path_generator(cfg.seed, lo + i).normal(size=(n_steps, m))
     dw *= math.sqrt(dt)
     step_times = cfg.t0 + np.arange(n_steps) * dt
-    sdw = np.einsum("kij,...kj->...ki", _sigma_series(spec, step_times), dw)
+    sdw = np.einsum("kij,...kj->...ki", spec.sigma_series(step_times), dw)
 
     drift = spec.drift
     diffusion = spec.diffusion
@@ -228,7 +215,7 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
     n_blocks = n_full + 1
 
     # time-major noise components s[j], zero-padded to whole blocks
-    sig = _sigma_series(spec, cfg.t0 + np.arange(n_steps) * dt)
+    sig = spec.sigma_series(cfg.t0 + np.arange(n_steps) * dt)
     sig_cols = [(j, k, sig[:, j, k]) for j in range(m) for k in range(m)
                 if sig[:, j, k].any()]
     s = np.zeros((m, n_blocks * span) + batch)
@@ -371,8 +358,9 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Dump a trajectory as CSV: t,x1..xN,V,norm at full double precision."""
     n = traj.states.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",V,norm"
+    table = np.column_stack([traj.times, traj.states, traj.lyap, traj.norms])
+    row = ",".join(["%.17g"] * (n + 3)) + "\n"  # prints as f"{c:.17g}" does
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        for k in range(len(traj.times)):
-            cols = [traj.times[k], *traj.states[k], traj.lyap[k], traj.norms[k]]
-            fh.write(",".join(f"{c:.17g}" for c in cols) + "\n")
+        for block in np.split(table, range(4096, len(table), 4096)):  # bounded memory
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

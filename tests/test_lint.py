@@ -1,6 +1,9 @@
-"""Static checks on the package source that need nothing beyond the stdlib."""
+"""Checks on the package source and its import footprint, stdlib only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,13 @@ def test_detector_sees_unused_and_used_names():
         "    return os.getcwd()\n"
     )
     assert _unused_imports(source) == [(2, "system")]
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats takes most of a second to import; the quantiles come from
+    # scipy.special instead
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = "import sys, nss_lab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

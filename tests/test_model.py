@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nss_lab.cli import ExperimentConfig, _premise_sample
 from nss_lab.model import (
     LyapunovSpec,
     SystemSpec,
@@ -101,7 +102,34 @@ class TestGenerator:
         assert abs(mean - lv) <= 3.0 * se + 5.0 * h * (dt_lv + 1.0)
 
 
+class TestSigmaSeries:
+    def test_one_call_equals_per_time_calls(self, benchmark_system):
+        ts = np.linspace(0.0, 7.0, 50)
+        per_time = _example_variant(vectorized=False).sigma_series(ts)
+        assert per_time.shape == (50, 2, 2)
+        assert np.array_equal(benchmark_system.sigma_series(ts), per_time)
+
+    def test_unbatched_covariance_falls_back(self, benchmark_system):
+        # a time array gets one (m, m) matrix back, so it is asked per time
+        spec = _example_variant(covariance=lambda t: np.diag([1.0, np.sin(np.max(t))]))
+        assert np.array_equal(spec.sigma_series([0.5, 1.5]),
+                              benchmark_system.sigma_series([0.5, 1.5]))
+
+    def test_shape_checked(self):
+        spec = _example_variant(covariance=lambda t: np.eye(3))
+        with pytest.raises(ValueError, match="covariance returned shape"):
+            spec.sigma_series([0.0])
+
+
 class TestNoiseMagnitude:
+    def test_equals_frobenius_norm(self, benchmark_system):
+        ts = np.random.default_rng(4).uniform(0.0, 100.0, 200)
+        for spec in (benchmark_system, _example_variant(vectorized=False)):
+            for t in ts:
+                sig = benchmark_system.covariance(float(t))
+                assert noise_magnitude(spec, float(t)) == float(
+                    np.linalg.norm(sig @ sig.T, "fro"))
+
     def test_builtin_range(self, benchmark_system):
         # |Sigma Sigma^T|_F = sqrt(1 + sin^4 t) in [1, sqrt(2)]
         ts = np.linspace(0.0, 2.0 * math.pi, 101)
@@ -164,6 +192,57 @@ class TestCheckEnss:
         with pytest.raises(ValueError):
             check_enss(benchmark_system, [], [0.0])
 
+    @staticmethod
+    def _reference(spec, states, times, gamma_times):
+        """check_enss point by point: one generator and one norm per point."""
+        def gain(t):
+            sig = np.asarray(spec.covariance(float(t)), dtype=float)
+            return spec.gamma(float(np.linalg.norm(sig @ sig.T, "fro")))
+
+        residuals = [
+            (x, float(t), generator_v(spec, x, float(t))
+             + spec.c * float(spec.lyapunov.v(x)) - gain(t))
+            for x in states for t in times
+        ]
+        gamma_violation = max(gain(t) - spec.gamma_max for t in gamma_times)
+        return residuals, gamma_violation
+
+    @pytest.mark.parametrize("variant", [
+        {}, dict(vectorized=False), dict(gamma=lambda s: 0.0, gamma_max=0.0),
+    ], ids=["builtin", "per-time", "zero-gain"])
+    @pytest.mark.parametrize("sample", ["cli", "tests"])
+    def test_equals_pointwise_reference(self, variant, sample):
+        spec = _example_variant(**variant)
+        if sample == "cli":
+            states, times, gamma_times = _premise_sample(spec, ExperimentConfig(t_end=2.0))
+        else:
+            states, times, gamma_times = self.GRID, self.TIMES, self.TIMES
+        report = check_enss(spec, states, times, gamma_times=gamma_times)
+        residuals, gamma_violation = self._reference(spec, states, times, gamma_times)
+        assert report.max_violation == max(r for _, _, r in residuals)
+        assert report.gamma_max_violation == gamma_violation
+        flagged = [(x, t, r) for x, t, r in residuals if r > report.tol]
+        assert len(report.violating_points) == len(flagged)
+        for (x, t, r), (rx, rt, rr) in zip(report.violating_points, flagged):
+            assert np.array_equal(x, rx) and t == rt and r == rr
+        if "gamma" in variant:
+            assert flagged
+
+    def test_gain_evaluated_once_per_time(self, benchmark_system):
+        calls = []
+
+        def gamma(s):
+            calls.append(s)
+            return benchmark_system.gamma(s)
+
+        spec = _example_variant(gamma=gamma)
+        states, times, gamma_times = _premise_sample(spec, ExperimentConfig())
+        check_enss(spec, states, times, gamma_times=gamma_times)
+        assert len(calls) == len(times) + len(gamma_times) == 11 + 10_000
+        calls.clear()
+        check_enss(spec, states, times)
+        assert len(calls) == len(times)
+
 
 class TestBuiltinExample:
     def test_drift_value(self, benchmark_system):
@@ -204,6 +283,20 @@ class TestBuiltinExample:
         assert np.allclose(xs @ a.T, benchmark_system.drift(xs), rtol=1e-15, atol=0.0)
         declared = h0 + np.einsum("...i,inj->...nj", xs, h)
         assert np.allclose(declared, benchmark_system.diffusion(xs), rtol=1e-15, atol=0.0)
+
+    def test_dynamics_equal_closed_form_bits(self, benchmark_system):
+        # drift (-x1 + x2, -x1 - x2) and diffusion [[0, 0], [x2, 1]], exactly
+        xs = np.random.default_rng(1).normal(scale=3.0, size=(64, 2))
+        x1, x2 = xs[:, 0], xs[:, 1]
+        drift = np.stack([-x1 + x2, -x1 - x2], axis=-1)
+        diffusion = np.zeros((64, 2, 2))
+        diffusion[:, 1, 0] = x2
+        diffusion[:, 1, 1] = 1.0
+        assert benchmark_system.drift(xs).tobytes() == drift.tobytes()
+        assert benchmark_system.diffusion(xs).tobytes() == diffusion.tobytes()
+        for x, f, h in zip(xs, drift, diffusion):
+            assert benchmark_system.drift(x).tobytes() == f.tobytes()
+            assert benchmark_system.diffusion(x).tobytes() == h.tobytes()
 
 
 class TestSpecValidation:

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from nss_lab.loops import extract_loops
-from nss_lab.model import SystemSpec
+from nss_lab.model import SystemSpec, _affine_dynamics
 from nss_lab.sim import (
     NonFiniteStateError,
     SimConfig,
@@ -38,13 +38,13 @@ def _deterministic(drift, dim=1):
 
 def _affine(a, h0, h, name="affine"):
     """A vectorized spec whose drift/diffusion are the declared affine maps."""
-    a, h0, h = (np.asarray(v, dtype=float) for v in (a, h0, h))
-    n, m = h0.shape
+    n, m = np.shape(h0)
+    drift, diffusion = _affine_dynamics(a, h0, h)
     return SystemSpec(
         dim_state=n,
         dim_noise=m,
-        drift=lambda x: np.asarray(x, dtype=float) @ a.T,
-        diffusion=lambda x: h0 + np.einsum("...i,inj->...nj", np.asarray(x, dtype=float), h),
+        drift=drift,
+        diffusion=diffusion,
         covariance=lambda t: np.ones(np.shape(t) + (m, m)) * np.eye(m),
         lyapunov=quadratic_lyapunov(n),
         c=1.0,
@@ -314,3 +314,20 @@ class TestCsvDump:
         assert np.array_equal(data[:, 1], traj.states[:, 0])
         assert np.array_equal(data[:, 2], traj.lyap)
         assert np.array_equal(data[:, 3], traj.norms)
+
+    def test_bytes_equal_per_cell_format(self, tmp_path):
+        # edge values, then enough random rows to span several write blocks
+        special = np.array([
+            [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310],
+            [1e-3, 1.7976931348623157e308, -1e301, 3e300, -0.0],
+            [2e-3, 0.1, -1.0 / 3.0, 123456789.123456789, 1e16],
+        ])
+        rows = np.random.default_rng(8).standard_cauchy(size=(10_000, 5))
+        table = np.concatenate([special, rows])
+        traj = Trajectory(times=table[:, 0], states=table[:, 1:3],
+                          lyap=table[:, 3], norms=table[:, 4])
+        out = tmp_path / "traj.csv"
+        trajectory_to_csv(traj, out)
+        expected = "t,x1,x2,V,norm\n" + "".join(
+            ",".join(f"{c:.17g}" for c in row) + "\n" for row in table)
+        assert out.read_bytes() == expected.encode("ascii")
