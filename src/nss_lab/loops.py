@@ -335,10 +335,10 @@ def _grid_index(times: np.ndarray, t: float) -> int:
     return idx
 
 
-def _moment_envelope(paths: Sequence[Trajectory], spec: SystemSpec, t: float) -> float:
-    """The bound ``e^{-ct}(V(x0) - floor) + floor`` on E[V(x(t))]."""
+def _moment_envelope(spec: SystemSpec, v0: float, t: float) -> float:
+    """The bound ``e^{-ct}(V(x0) - floor) + floor`` on E[V(x(t))], ``v0 = V(x0)``."""
     g = spec.noise_floor
-    return math.exp(-spec.c * t) * (float(paths[0].lyap[0]) - g) + g
+    return math.exp(-spec.c * t) * (v0 - g) + g
 
 
 def verify_moment_bound(
@@ -351,6 +351,7 @@ def verify_moment_bound(
     """
     if len(paths) < MIN_PATHS:
         raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
+    v0 = float(paths[0].lyap[0])
     rows = []
     for t in times:
         t = float(t)
@@ -358,7 +359,7 @@ def verify_moment_bound(
         vals = np.array([p.lyap[idx] for p in paths])
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-        bound = _moment_envelope(paths, spec, t)
+        bound = _moment_envelope(spec, v0, t)
         rows.append(
             CheckRow(t, mean, bound, mean - 3.0 * se, mean + 3.0 * se,
                      flag=mean - 3.0 * se > bound)
@@ -400,7 +401,7 @@ def verify_probability_bound(
     idx = _grid_index(paths[0].times, float(t))
     hits = int(np.sum(np.array([p.norms[idx] for p in paths]) < r))
     n = len(paths)
-    floor = 1.0 - _moment_envelope(paths, spec, t) / spec.lyapunov.alpha1(r)
+    floor = 1.0 - _moment_envelope(spec, float(paths[0].lyap[0]), t) / spec.lyapunov.alpha1(r)
     lo, hi = wilson_interval(hits, n, confidence)
     vacuous = floor <= 0.0
     return ProbabilityReport(

@@ -28,18 +28,16 @@ __all__ = [
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-def _fd_shifted(v: Callable, x: np.ndarray, *steps) -> float:
-    """V at x with each ``(index, delta)`` of ``steps`` added."""
-    y = x.copy()
-    for i, delta in steps:
-        y[i] += delta
-    return float(v(y))
-
-
 def _fd_gradient(v: Callable, x: np.ndarray) -> np.ndarray:
     eps = _FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    return np.array([(_fd_shifted(v, x, (i, eps)) - _fd_shifted(v, x, (i, -eps)))
-                     / (2.0 * eps) for i in range(x.size)])
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += eps
+        xm[i] -= eps
+        grad[i] = (float(v(xp)) - float(v(xm))) / (2.0 * eps)
+    return grad
 
 
 def _fd_hessian(v: Callable, x: np.ndarray) -> np.ndarray:
@@ -48,12 +46,25 @@ def _fd_hessian(v: Callable, x: np.ndarray) -> np.ndarray:
     hess = np.empty((n, n))
     v0 = float(v(x))
     for i in range(n):
-        hess[i, i] = (_fd_shifted(v, x, (i, eps)) + _fd_shifted(v, x, (i, -eps))
-                      - 2.0 * v0) / (eps * eps)
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += eps
+        xm[i] -= eps
+        hess[i, i] = (float(v(xp)) + float(v(xm)) - 2.0 * v0) / (eps * eps)
         for j in range(i + 1, n):
-            pp, pm, mp, mm = (_fd_shifted(v, x, (i, a), (j, b)) for a, b in
-                              ((eps, eps), (eps, -eps), (-eps, eps), (-eps, -eps)))
-            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * eps * eps)
+            xpp = x.copy()
+            xpm = x.copy()
+            xmp = x.copy()
+            xmm = x.copy()
+            xpp[[i, j]] += eps
+            xmm[[i, j]] -= eps
+            xpm[i] += eps
+            xpm[j] -= eps
+            xmp[i] -= eps
+            xmp[j] += eps
+            hess[i, j] = hess[j, i] = (
+                float(v(xpp)) - float(v(xpm)) - float(v(xmp)) + float(v(xmm))
+            ) / (4.0 * eps * eps)
     return hess
 
 
@@ -216,8 +227,8 @@ def generator_v(spec: SystemSpec, x, t: float) -> float:
 def _noise_magnitudes(sig: np.ndarray) -> np.ndarray:
     """``|Sigma Sigma^T|_F`` over a (K, m, m) series.  The batched dot equals
     ``np.linalg.norm(S, "fro")`` bit for bit; a sum of squares can miss by an ulp."""
-    s = (sig @ np.swapaxes(sig, -1, -2)).reshape(len(sig), -1)
-    return np.sqrt(np.vecdot(s, s))
+    s = (sig @ np.swapaxes(sig, -1, -2)).reshape(len(sig), 1, -1)
+    return np.sqrt((s @ np.swapaxes(s, -1, -2))[:, 0, 0])
 
 
 def noise_magnitude(spec: SystemSpec, t: float) -> float:

@@ -358,9 +358,10 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Dump a trajectory as CSV: t,x1..xN,V,norm at full double precision."""
     n = traj.states.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",V,norm"
-    table = np.column_stack([traj.times, traj.states, traj.lyap, traj.norms])
+    cols = (traj.times, traj.states, traj.lyap, traj.norms)
     row = ",".join(["%.17g"] * (n + 3)) + "\n"  # prints as f"{c:.17g}" does
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        for block in np.split(table, range(4096, len(table), 4096)):  # bounded memory
+        for lo in range(0, len(traj.times), 4096):  # one block of rows in memory at a time
+            block = np.column_stack([c[lo:lo + 4096] for c in cols])
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
