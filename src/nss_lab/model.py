@@ -9,7 +9,6 @@ sample of states and times and reports every violating point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -28,15 +27,21 @@ __all__ = [
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
+def _fd_value(v: Callable, x: np.ndarray, eps: float, *steps) -> float:
+    """``float(v)`` at a copy of x moved by ``sign * eps`` along axis i for
+    each ``(i, sign)`` of ``steps``."""
+    shifted = x.copy()
+    for i, sign in steps:
+        shifted[i] += sign * eps
+    return float(v(shifted))
+
+
 def _fd_gradient(v: Callable, x: np.ndarray) -> np.ndarray:
     eps = _FD_STEP * max(1.0, float(np.linalg.norm(x)))
     grad = np.empty_like(x)
     for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        grad[i] = (float(v(xp)) - float(v(xm))) / (2.0 * eps)
+        up, down = (_fd_value(v, x, eps, (i, sign)) for sign in (1, -1))
+        grad[i] = (up - down) / (2.0 * eps)
     return grad
 
 
@@ -46,25 +51,12 @@ def _fd_hessian(v: Callable, x: np.ndarray) -> np.ndarray:
     hess = np.empty((n, n))
     v0 = float(v(x))
     for i in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        hess[i, i] = (float(v(xp)) + float(v(xm)) - 2.0 * v0) / (eps * eps)
+        up, down = (_fd_value(v, x, eps, (i, sign)) for sign in (1, -1))
+        hess[i, i] = (up + down - 2.0 * v0) / (eps * eps)
         for j in range(i + 1, n):
-            xpp = x.copy()
-            xpm = x.copy()
-            xmp = x.copy()
-            xmm = x.copy()
-            xpp[[i, j]] += eps
-            xmm[[i, j]] -= eps
-            xpm[i] += eps
-            xpm[j] -= eps
-            xmp[i] -= eps
-            xmp[j] += eps
-            hess[i, j] = hess[j, i] = (
-                float(v(xpp)) - float(v(xpm)) - float(v(xmp)) + float(v(xmm))
-            ) / (4.0 * eps * eps)
+            pp, pm, mp, mm = (_fd_value(v, x, eps, (i, si), (j, sj))
+                              for si in (1, -1) for sj in (1, -1))
+            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * eps * eps)
     return hess
 
 
@@ -101,21 +93,20 @@ class LyapunovSpec:
 class SystemSpec:
     """Full problem statement for one exponentially dissipative SDE.
 
-    ``vectorized=True`` declares that ``drift`` / ``diffusion`` accept state
-    batches of shape ``(..., N)`` (returning ``(..., N)`` and ``(..., N, m)``)
-    and that ``covariance`` accepts time arrays; the ensemble integrator then
-    steps chunks of paths at once.  Non-vectorized specs run one path after
-    another.  Either way ``integrate(spec, cfg, i)`` equals path ``i`` of
-    ``ensemble`` bit for bit.  Simulator and premise check alike read
-    ``covariance`` only through :meth:`sigma_series`.
+    ``vectorized=True`` declares that ``drift``, ``diffusion`` and the Lyapunov
+    ``v`` accept state batches ``(..., N)`` (returning ``(..., N)``,
+    ``(..., N, m)`` and ``(...)``) and ``covariance`` time arrays; otherwise
+    they are called once per state or time.  Only :meth:`batched` and
+    :meth:`sigma_series` read the flag.  The ensemble steps chunks of paths
+    either way, and ``integrate(spec, cfg, i)`` equals path ``i`` of
+    ``ensemble`` bit for bit.
 
     ``affine=(A, H0, H)`` declares linear drift ``f(x) = A x`` and affine
     diffusion ``h(x) = H0 + sum_i x_i H[i]``, with shapes ``(N, N)``,
     ``(N, m)`` and ``(N, N, m)``.  It is trusted, not checked against
     ``drift``/``diffusion`` (the built-in system builds those from it); the
     simulator then runs the blocked affine scan instead of the sequential
-    step loop (in chunks of paths, even when ``vectorized`` is false), and
-    only ``covariance`` is called.
+    step loop, and only ``covariance`` is called.
     """
 
     dim_state: int
@@ -156,6 +147,12 @@ class SystemSpec:
     def noise_floor(self) -> float:
         return self.gamma_max / self.c
 
+    def batched(self, fn: Callable) -> Callable:
+        """A state function such as ``drift`` as a map over a (P, N) batch of
+        states: ``fn`` itself if the spec is vectorized, else a loop that calls
+        it once per state and stacks the results."""
+        return fn if self.vectorized else (lambda x: np.array([fn(s) for s in x]))
+
     def sigma_series(self, times) -> np.ndarray:
         """Sigma(t) at every time of a 1-D sequence, shape (K, m, m): one
         ``covariance`` call if the spec is vectorized and that call returns
@@ -195,8 +192,8 @@ class ConditionReport:
         return self.max_violation <= self.tol and self.gamma_max_violation <= self.tol
 
 
-def _generator(spec: SystemSpec, x, sig: np.ndarray) -> float:
-    """:func:`generator_v` at x under ``Sigma = sig``."""
+def _generator(spec: SystemSpec, x) -> Callable[[np.ndarray], float]:
+    """:func:`generator_v` at x as a function of Sigma; the state terms are taken once."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim_state,):
         raise ValueError(f"state shape {x.shape} != ({spec.dim_state},)")
@@ -209,10 +206,11 @@ def _generator(spec: SystemSpec, x, sig: np.ndarray) -> float:
             f"diffusion returned shape {h.shape}, expected "
             f"({spec.dim_state}, {spec.dim_noise})"
         )
-    grad = spec.lyapunov.grad(x)
-    hess = spec.lyapunov.hess(x)
-    hs = h @ sig
-    return float(grad @ f + 0.5 * np.trace(hs.T @ hess @ hs))
+    drift_term, hess = spec.lyapunov.grad(x) @ f, spec.lyapunov.hess(x)
+    def lv(sig: np.ndarray) -> float:
+        hs = h @ sig
+        return float(drift_term + 0.5 * np.trace(hs.T @ hess @ hs))
+    return lv
 
 
 def generator_v(spec: SystemSpec, x, t: float) -> float:
@@ -221,7 +219,7 @@ def generator_v(spec: SystemSpec, x, t: float) -> float:
     Computes ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S)`` with
     ``S = covariance(t)`` (V carries no explicit time dependence here).
     """
-    return _generator(spec, x, spec.sigma_series([t])[0])
+    return _generator(spec, x)(spec.sigma_series([t])[0])
 
 
 def _noise_magnitudes(sig: np.ndarray) -> np.ndarray:
@@ -248,7 +246,8 @@ def check_enss(
     The residual at each point is ``LV(x, t) + c V(x) - gamma(|Sigma Sigma^T|_F)``;
     nonpositive residuals pass.  The declared ``gamma_max`` is additionally
     verified against ``gamma`` on ``gamma_times`` (defaulting to ``times``).
-    Sigma and ``gamma`` are evaluated once per distinct time.
+    Sigma and ``gamma`` are evaluated once per distinct time, and drift,
+    diffusion, V and its derivatives once per state.
     """
     states = [np.asarray(x, dtype=float) for x in states]
     times = [float(t) for t in times]
@@ -260,15 +259,14 @@ def check_enss(
     gains = [spec.gamma(s) for s in _noise_magnitudes(sigs).tolist()]
     violating = []
     max_violation = -math.inf
-    for x, (t, sig, gain) in itertools.product(states, zip(times, sigs, gains)):
-        residual = (
-            _generator(spec, x, sig)
-            + spec.c * float(spec.lyapunov.v(x))
-            - gain
-        )
-        max_violation = max(max_violation, residual)
-        if residual > tol:
-            violating.append((x, t, residual))
+    for x in states:
+        lv = _generator(spec, x)
+        cv = spec.c * float(spec.lyapunov.v(x))
+        for t, sig, gain in zip(times, sigs, gains):
+            residual = lv(sig) + cv - gain
+            max_violation = max(max_violation, residual)
+            if residual > tol:
+                violating.append((x, t, residual))
 
     scan = gains if gamma_times is None else gains[len(times):]
     gamma_violation = max(g - spec.gamma_max for g in scan)

@@ -138,6 +138,25 @@ def _initial_state(spec: SystemSpec, cfg: SimConfig) -> np.ndarray:
     return x0
 
 
+def _noise(spec: SystemSpec, cfg: SimConfig, lo: int, hi: Optional[int],
+           length: int) -> np.ndarray:
+    """``s[j, k] = (Sigma(t_k) dW_k)_j`` of paths [lo, hi) (path lo alone if ``hi`` is
+    None), time-major, shape ``(m, length) + batch``, zero after step ``n_steps``: one
+    ``path_generator`` draw per path, nonzero Sigma entries summed left to right."""
+    n_steps, m = cfg.n_steps, spec.dim_noise
+    sig = spec.sigma_series(cfg.t0 + np.arange(n_steps) * cfg.dt)
+    sig_cols = [(j, k, sig[:, j, k]) for j in range(m) for k in range(m)
+                if sig[:, j, k].any()]
+    s = np.zeros((m, length) + (() if hi is None else (hi - lo,)))
+    per_path = s[..., None] if hi is None else s
+    for i in range(per_path.shape[-1]):
+        dw = path_generator(cfg.seed, lo + i).normal(size=(n_steps, m))
+        dw *= math.sqrt(cfg.dt)
+        for j, k, col in sig_cols:
+            per_path[j, :n_steps, i] += col * dw[:, k]
+    return s
+
+
 def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
                     hi: Optional[int] = None) -> np.ndarray:
     """Saved states of paths [lo, hi) stepped in lock step, shape (hi-lo, K+1, N).
@@ -148,19 +167,13 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
     """
     n_steps = cfg.n_steps
     dt = cfg.dt
-    m = spec.dim_noise
     x0 = _initial_state(spec, cfg)
     batch = () if hi is None else (hi - lo,)
+    sdw = np.moveaxis(_noise(spec, cfg, lo, hi, n_steps), 0, -1)  # (K,) + batch + (m,)
 
-    dw = np.empty(batch + (n_steps, m))
-    for i, noise in enumerate(dw.reshape(-1, n_steps, m)):
-        noise[...] = path_generator(cfg.seed, lo + i).normal(size=(n_steps, m))
-    dw *= math.sqrt(dt)
-    step_times = cfg.t0 + np.arange(n_steps) * dt
-    sdw = np.einsum("kij,...kj->...ki", spec.sigma_series(step_times), dw)
-
-    drift = spec.drift
-    diffusion = spec.diffusion
+    drift, diffusion = spec.drift, spec.diffusion
+    if batch:  # one state is what every spec's drift and diffusion accept
+        drift, diffusion = spec.batched(drift), spec.batched(diffusion)
     save = cfg.save_every
     x = np.tile(x0, batch + (1,))
     states = np.empty(batch + (n_steps // save + 1, spec.dim_state))
@@ -168,7 +181,7 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
     for k in range(n_steps):
         # np.multiply, unlike `*`, also accepts a drift that returns a list
         x = x + np.multiply(drift(x), dt) + np.einsum(
-            "...nm,...m->...n", diffusion(x), sdw[..., k, :]
+            "...nm,...m->...n", diffusion(x), sdw[k]
         )
         if (k + 1) % save == 0:
             states[..., (k + 1) // save, :] = x
@@ -214,18 +227,8 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
     n_full, rem = divmod(n_steps, span)
     n_blocks = n_full + 1
 
-    # time-major noise components s[j], zero-padded to whole blocks
-    sig = spec.sigma_series(cfg.t0 + np.arange(n_steps) * dt)
-    sig_cols = [(j, k, sig[:, j, k]) for j in range(m) for k in range(m)
-                if sig[:, j, k].any()]
-    s = np.zeros((m, n_blocks * span) + batch)
-    per_path = s[..., None] if hi is None else s
-    for i in range(per_path.shape[-1]):
-        dw = path_generator(cfg.seed, lo + i).normal(size=(n_steps, m))
-        dw *= math.sqrt(dt)
-        for j, k, col in sig_cols:
-            per_path[j, :n_steps, i] += col * dw[:, k]
-    s = s.reshape((m, n_blocks, span) + batch)
+    # the noise, zero-padded to whole blocks
+    s = _noise(spec, cfg, lo, hi, n_blocks * span).reshape((m, n_blocks, span) + batch)
 
     a, h0, h = spec.affine
     const = (np.eye(n) + a * dt).tolist()
@@ -254,20 +257,16 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
         c = _affine_apply(mat, c, off)
     p_blk = np.empty((n_full, n, n) + batch)
     c_blk = np.empty((n_full, n) + batch)
-    for i in range(n):
-        c_blk[:, i] = c[i]
-        for r in range(n):
-            p_blk[:, i, r] = p_cols[i][r]
+    for r in range(n):
+        c_blk[:, r] = c[r]
+        for i in range(n):
+            p_blk[:, r, i] = p_cols[i][r]
 
     # carry the block start states
     starts = np.empty((n_blocks, n) + batch)
     starts[0] = x0.reshape((n,) + (1,) * len(batch))
     for blk in range(n_full):
-        p, x = p_blk[blk], starts[blk]
-        acc = p[0] * x[0]
-        for i in range(1, n):
-            acc = acc + p[i] * x[i]
-        starts[blk + 1] = acc + c_blk[blk]
+        starts[blk + 1] = _affine_apply(p_blk[blk], starts[blk], c_blk[blk])
 
     # refill the states inside every block and keep every save-th one
     save = cfg.save_every
@@ -287,23 +286,24 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
             x = [xr[full] for xr in x]
         mat, off = step_map(live, jj)
         x = _affine_apply(mat, x, off)
-    if batch:
-        states = np.ascontiguousarray(np.moveaxis(states, -1, 0))
-    return states
+    return np.moveaxis(states, -1, 0) if batch else states
 
 
-def _finalize(spec: SystemSpec, cfg: SimConfig, times: np.ndarray,
-              states: np.ndarray, path_index: int) -> Trajectory:
-    bad = ~np.isfinite(states).all(axis=1)
+def _trajectories(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
+                  lo: int = 0) -> List[Trajectory]:
+    """Trajectories of paths lo, lo+1, ... from saved states of shape (P, K+1, N);
+    a non-finite state raises :class:`NonFiniteStateError` naming the lowest
+    failing path and that path's first non-finite saved step."""
+    times = cfg.saved_times()
+    bad = ~np.isfinite(states).all(axis=2)
     if bad.any():
-        idx = int(np.argmax(bad))
-        raise NonFiniteStateError(idx * cfg.save_every, float(times[idx]), path_index)
-    if spec.vectorized:
-        lyap = np.asarray(spec.lyapunov.v(states), dtype=float)
-    else:
-        lyap = np.array([float(spec.lyapunov.v(x)) for x in states])
-    norms = np.linalg.norm(states, axis=1)
-    return Trajectory(times=times, states=states, lyap=lyap, norms=norms)
+        path, idx = divmod(int(np.argmax(bad)), bad.shape[1])
+        raise NonFiniteStateError(idx * cfg.save_every, float(times[idx]), lo + path)
+    flat = states.reshape(-1, states.shape[2])
+    lyap = np.asarray(spec.batched(spec.lyapunov.v)(flat), dtype=float).reshape(bad.shape)
+    norms = np.linalg.norm(states, axis=2)
+    return [Trajectory(times=times, states=x, lyap=v, norms=r)
+            for x, v, r in zip(states, lyap, norms)]
 
 
 def _kernel(spec: SystemSpec):
@@ -319,12 +319,12 @@ def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajecto
     """Euler-Maruyama path: x_{k+1} = x_k + f dt + h(x_k) Sigma(t_k) dW_k.
 
     Specs that declare ``affine`` run the blocked affine scan, others the
-    sequential step loop.  Bit-reproducible for fixed (spec, cfg, path_index)
-    on one platform, and bit-identical to path ``path_index`` of
-    :func:`ensemble`.
+    sequential step loop, on this path alone.  Bit-reproducible for fixed
+    (spec, cfg, path_index) on one platform, and bit-identical to path
+    ``path_index`` of :func:`ensemble`.
     """
     states = _kernel(spec)(spec, cfg, path_index)
-    return _finalize(spec, cfg, cfg.saved_times(), states, path_index)
+    return _trajectories(spec, cfg, states[None], path_index)[0]
 
 
 def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int,
@@ -332,26 +332,23 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int,
     """Independent paths i = 0..n_paths-1, each on substream (cfg.seed, i).
 
     Path i is bit-identical to ``integrate(spec, cfg, i)`` regardless of
-    chunking or thread schedule.  Vectorized and affine specs are stepped in
-    lock-stepped chunks across a thread pool capped by NSS_LAB_THREADS; others
-    run one path after another.
+    chunking or thread schedule.  Every spec is stepped in lock-stepped chunks
+    across a thread pool capped by NSS_LAB_THREADS, so besides the saved
+    states memory holds the noise of one chunk per worker.  A non-finite state
+    names the lowest failing path once every chunk has run.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-    if not spec.vectorized and spec.affine is None:
-        return [integrate(spec, cfg, path_index=i) for i in range(n_paths)]
-
     kernel = _kernel(spec)
-    bounds = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
-    with ThreadPoolExecutor(max_workers=min(max_threads(), len(bounds))) as pool:
-        chunks = list(pool.map(lambda b: kernel(spec, cfg, *b), bounds))
+    states = np.empty((n_paths, cfg.n_steps // cfg.save_every + 1, spec.dim_state))
 
-    times = cfg.saved_times()
-    return [
-        _finalize(spec, cfg, times, states, lo + i)
-        for (lo, _), chunk in zip(bounds, chunks)
-        for i, states in enumerate(chunk)
-    ]
+    def run(lo):
+        states[lo:lo + chunk_size] = kernel(spec, cfg, lo, min(lo + chunk_size, n_paths))
+
+    starts = range(0, n_paths, chunk_size)
+    with ThreadPoolExecutor(max_workers=min(max_threads(), len(starts))) as pool:
+        list(pool.map(run, starts))
+    return _trajectories(spec, cfg, states)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

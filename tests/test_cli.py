@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +241,15 @@ class TestCommandLine:
             argv = ["example", "--set=sim.t_end=20", f"--set=output.dir={tmp_path}/x"]
             assert main(argv + [f"--set={b}" for b in bad]) == EXIT_ERROR, bad
             assert calls == [], bad
+
+    def test_module_entry_point(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = [sys.executable, "-m", "nss_lab.cli", "example", "--set=sim.t_end=2",
+                f"--set=output.dir={tmp_path}/module"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert (tmp_path / "module" / "summary.txt").exists()
 
     def test_unknown_system_rejected(self, tmp_path, capsys):
         args = ["example", "--set=system.name=warp-drive",

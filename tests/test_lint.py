@@ -48,6 +48,37 @@ def test_detector_sees_unused_and_used_names():
     assert _unused_imports(source) == [(2, "system")]
 
 
+def _spec_policy_reads(source: str) -> list:
+    """Lines that read ``.vectorized`` or call ``.covariance(...)``: the
+    per-state and per-time policies that only ``model`` may apply."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "vectorized"
+                and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, "vectorized"))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "covariance"):
+            found.append((node.lineno, "covariance"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_spec_policies_read_only_in_model(path):
+    assert _spec_policy_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_policy_detector_sees_reads():
+    source = (
+        "def f(spec, t):\n"
+        "    if spec.vectorized:\n"
+        "        return spec.covariance(t)\n"
+        "    spec.vectorized = False\n"
+        "    return spec.sigma_series([t]), spec.covariance\n"
+    )
+    assert _spec_policy_reads(source) == [(2, "vectorized"), (3, "covariance")]
+
+
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats takes most of a second to import; the quantiles come from
     # scipy.special instead

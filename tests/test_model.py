@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,20 @@ class TestSigmaSeries:
             spec.sigma_series([0.0])
 
 
+class TestBatched:
+    def test_vectorized_spec_returns_function(self, benchmark_system):
+        assert benchmark_system.batched(benchmark_system.drift) is benchmark_system.drift
+
+    def test_per_state_loop_matches_batch_call(self, benchmark_system):
+        states = np.random.default_rng(5).normal(size=(7, 2))
+        slow = _example_variant(vectorized=False)
+        for fn, shape in ((slow.drift, (7, 2)), (slow.diffusion, (7, 2, 2)),
+                          (slow.lyapunov.v, (7,))):
+            got = slow.batched(fn)(states)
+            assert got.shape == shape
+            assert np.allclose(got, fn(states), rtol=1e-15, atol=0.0)
+
+
 class TestNoiseMagnitude:
     def test_equals_frobenius_norm(self, benchmark_system):
         ts = np.random.default_rng(4).uniform(0.0, 100.0, 200)
@@ -242,6 +257,28 @@ class TestCheckEnss:
         calls.clear()
         check_enss(spec, states, times)
         assert len(calls) == len(times)
+
+    def test_state_terms_evaluated_once_per_state(self, benchmark_system):
+        calls = dict.fromkeys(("drift", "diffusion", "v", "gamma"), 0)
+
+        def counted(name, fn):
+            def wrapper(arg):
+                calls[name] += 1
+                return fn(arg)
+            return wrapper
+
+        base = benchmark_system
+        spec = _example_variant(
+            vectorized=False,
+            drift=counted("drift", base.drift),
+            diffusion=counted("diffusion", base.diffusion),
+            lyapunov=dataclasses.replace(base.lyapunov, v=counted("v", base.lyapunov.v)),
+            gamma=counted("gamma", base.gamma),
+        )
+        states, times, gamma_times = _premise_sample(spec, ExperimentConfig(t_end=2.0))
+        check_enss(spec, states, times, gamma_times=gamma_times)
+        assert len(states) == 49
+        assert calls == {"drift": 49, "diffusion": 49, "v": 49, "gamma": 11 + 10_000}
 
 
 class TestBuiltinExample:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from nss_lab.sim import (
     integrate,
     path_generator,
     trajectory_to_csv,
+    _trajectories,
 )
 
 from conftest import make_ou, quadratic_lyapunov
@@ -64,6 +66,12 @@ def _affine_ou():
 def _sequential(spec):
     """The same system without its declaration: the reference kernel."""
     return dataclasses.replace(spec, affine=None)
+
+
+def _unstable():
+    """An affine spec that overflows within a few hundred unit steps."""
+    return _affine([[16.0, 1.0], [0.0, 15.0]], [[0.0], [1.0]],
+                   [[[0.5], [0.0]], [[0.0], [0.0]]])
 
 
 class TestConfig:
@@ -165,6 +173,7 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("system, chunk_size", [
         pytest.param("ou", 3, id="ou"),
+        pytest.param("ou-per-state", 3, id="ou-per-state"),
         pytest.param("builtin", 3, id="builtin"),
         pytest.param("affine-ou", 1, id="affine-ou-chunk1"),
         pytest.param("affine-ou", 3, id="affine-ou-chunk3"),
@@ -172,8 +181,8 @@ class TestReproducibility:
     ])
     def test_ensemble_matches_per_path_integrate(self, system, chunk_size,
                                                  benchmark_system):
-        spec = {"ou": make_ou(), "builtin": benchmark_system,
-                "affine-ou": _affine_ou()}[system]
+        spec = {"ou": make_ou(), "builtin": benchmark_system, "affine-ou": _affine_ou(),
+                "ou-per-state": dataclasses.replace(make_ou(), vectorized=False)}[system]
         cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state)
         paths = ensemble(spec, cfg, 7, chunk_size=chunk_size)
         for i, p in enumerate(paths):
@@ -205,6 +214,23 @@ class TestReproducibility:
             b = ensemble(_affine_ou(), ou_cfg, 7, chunk_size=chunk_size)
             for pa, pb in zip(a, b):
                 assert np.array_equal(pa.states, pb.states), chunk_size
+
+    def test_many_workers_fill_their_own_rows(self, monkeypatch):
+        # more workers than cores, switching threads often: every chunk must
+        # land in its own rows of the shared states array
+        spec = make_ou()
+        cfg = SimConfig(t_end=0.2, dt=1e-2, seed=9, x0=(0.2,))
+        solo = [integrate(spec, cfg, i) for i in range(40)]
+        monkeypatch.setenv("NSS_LAB_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            paths = ensemble(spec, cfg, 40, chunk_size=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(paths) == 40
+        for p, q in zip(paths, solo):
+            assert np.array_equal(p.states, q.states)
 
     def test_nonvectorized_matches_vectorized(self):
         base = make_ou()
@@ -256,8 +282,7 @@ class TestAffineScan:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     def test_blow_up_step_matches_reference(self):
-        spec = _affine([[16.0, 1.0], [0.0, 15.0]], [[0.0], [1.0]],
-                       [[[0.5], [0.0]], [[0.0], [0.0]]])
+        spec = _unstable()
         cfg = SimConfig(t_end=400.0, dt=1.0, seed=14, x0=(1.0, 1.0), save_every=2)
         steps = []
         for s in (spec, _sequential(spec)):
@@ -266,6 +291,18 @@ class TestAffineScan:
             steps.append(exc.value.step)
         assert steps[0] == steps[1]
         assert steps[0] > 2 * block_length(cfg.n_steps)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.parametrize("kernel", ["affine", "sequential"])
+    def test_ensemble_blow_up_matches_integrate(self, kernel):
+        spec = _unstable() if kernel == "affine" else _sequential(_unstable())
+        cfg = SimConfig(t_end=400.0, dt=1.0, seed=14, x0=(1.0, 1.0), save_every=2)
+        with pytest.raises(NonFiniteStateError) as solo:
+            integrate(spec, cfg, 0)
+        with pytest.raises(NonFiniteStateError) as exc:
+            ensemble(spec, cfg, 5, chunk_size=2)
+        assert exc.value.path_index == solo.value.path_index == 0
+        assert exc.value.step == solo.value.step
 
 
 class TestNoiseStream:
@@ -288,6 +325,17 @@ class TestFailureModes:
         with pytest.raises(NonFiniteStateError) as exc:
             integrate(spec, SimConfig(t_end=30.0, dt=1.0, seed=1, x0=(10.0,)))
         assert exc.value.step > 0
+
+    def test_lowest_failing_path_named(self):
+        spec = make_ou()
+        cfg = SimConfig(t_end=0.3, dt=0.1, seed=1, x0=(0.0,), save_every=1)
+        states = np.zeros((5, 4, 1))
+        states[4, 1, 0] = np.nan
+        states[3, 2, 0] = np.inf
+        with pytest.raises(NonFiniteStateError) as exc:
+            _trajectories(spec, cfg, states, lo=10)
+        assert (exc.value.path_index, exc.value.step) == (13, 2)
+        assert exc.value.t == pytest.approx(0.2)
 
     def test_x0_shape_checked(self):
         spec = make_ou()
