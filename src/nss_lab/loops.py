@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
 from .bounds import (
     LevelPair,
@@ -183,8 +182,7 @@ def wilson_interval(successes: int, n: int,
 
     Each end alone holds at ``confidence``, which must lie in (0, 1).
     """
-    _check_confidence(confidence)
-    z = float(ndtri(confidence))
+    z = _normal_quantile(confidence)
     p = successes / n
     denom = 1.0 + z * z / n
     center = p + z * z / (2.0 * n)
@@ -195,6 +193,110 @@ def wilson_interval(successes: int, n: int,
 def _check_confidence(confidence: float) -> None:
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+
+
+# Cephes ndtri coefficients: P0/Q0 for |p - 1/2| <= 1/2 - exp(-2), P1/Q1 for
+# z = sqrt(-2 log q) in [2, 8) and P2/Q2 for z >= 8, q = min(p, 1 - p).  The
+# leading 1 of each Q is implied in Cephes (p1evl); 1 * x == x, so the bits agree.
+_SQRT_2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: Tuple[float, ...]) -> float:
+    """Cephes ``polevl``: the polynomial with coefficients ``coef`` (highest
+    power first) at x, by Horner's rule."""
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile: a port of the Cephes ``ndtri`` (S. L. Moshier).
+
+    The same rational approximations and the same operation order, so the
+    result equals ``scipy.special.ndtri(p)`` bit for bit.
+    """
+    _check_confidence(p)
+    q, negate = p, True
+    if q > 1.0 - _EXP_M2:
+        q, negate = 1.0 - q, False
+    if q > _EXP_M2:
+        q -= 0.5
+        q2 = q * q
+        return (q + q * (q2 * _polevl(q2, _P0) / _polevl(q2, _Q0))) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(q))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    return -(x0 - x1) if negate else x0 - x1
+
+
+def _t_two_sided(t: float, df: int) -> float:
+    """``P(|T| < t)`` for Student's t with integer ``df``, ``t >= 0``: the finite
+    sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df) in
+    ``theta = atan(t / sqrt(df))``, with ``cos^2 theta = df / (df + t^2)``."""
+    cos2 = df / (df + t * t)
+    acc = term = 1.0
+    if df % 2:
+        for k in range(1, (df - 1) // 2):
+            term *= cos2 * (2 * k) / (2 * k + 1)
+            acc += term
+        sin_cos = t * math.sqrt(df) / (df + t * t) if df > 1 else 0.0
+        return (2.0 / math.pi) * (math.atan(t / math.sqrt(df)) + sin_cos * acc)
+    for k in range(1, df // 2):
+        term *= cos2 * (2 * k - 1) / (2 * k)
+        acc += term
+    return t / math.sqrt(df + t * t) * acc
+
+
+def _t_quantile(df: int, p: float) -> float:
+    """Student's t quantile for an integer ``df >= 1``.
+
+    Newton's method from the normal quantile on the two-sided probability of
+    :func:`_t_two_sided`, solved against ``|2p - 1|`` (exact for p >= 1/4),
+    with the density from ``math.lgamma``.  The two-sided sum is concave in
+    t > 0 and the normal quantile lies below the root, so the iterates rise
+    to it monotonically.  Within about ``1e-11 * max(1, |t|)`` of
+    ``scipy.special.stdtrit`` for df up to 1e4 and p in [1e-4, 1 - 1e-4];
+    further out the relative error grows roughly as ``1e-16 / min(p, 1 - p)``,
+    and p within about 5e-17 of 0 gives -inf.
+    """
+    _check_confidence(p)
+    target = abs(2.0 * p - 1.0)
+    if target == 1.0:
+        return -math.inf
+    log_norm = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
+                - 0.5 * math.log(df * math.pi))
+    t = abs(_normal_quantile(p))
+    for _ in range(100):
+        dens = math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df))
+        step = (target - _t_two_sided(t, df)) / (2.0 * dens)
+        t += step
+        # converged, or a step that does not rise: rounding noise of the sum
+        if step <= 1e-13 * max(1.0, t):
+            break
+    return t if p >= 0.5 else -t
 
 
 @dataclass(frozen=True)
@@ -289,7 +391,7 @@ def verify_cross_time_bounds(
 
     def one_sided_halfwidth(samples):
         n = len(samples)
-        tq = float(stdtrit(n - 1, confidence))
+        tq = _t_quantile(n - 1, confidence)
         return tq * float(np.std(samples, ddof=1)) / math.sqrt(n)
 
     underpowered = record.complete_loops < min_loops

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from .model import SystemSpec
 
@@ -54,17 +55,19 @@ class NonFiniteStateError(RuntimeError):
         self.path_index = path_index
 
 
-def path_generator(seed: int, path_index: int = 0) -> np.random.Generator:
+def path_generator(seed: int, path_index: int = 0) -> Generator:
     """Independent substream for one path, derived from (seed, path_index)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return Generator(Philox(SeedSequence(entropy=seed, spawn_key=(path_index,))))
 
 
 def max_threads() -> int:
     """Worker cap from NSS_LAB_THREADS (defaults to the CPU count)."""
     raw = os.environ.get("NSS_LAB_THREADS", "").strip()
     if raw:
-        return max(1, int(raw))
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise ValueError(f"NSS_LAB_THREADS must be an integer, got {raw!r}") from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -339,6 +342,8 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int,
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
     kernel = _kernel(spec)
     states = np.empty((n_paths, cfg.n_steps // cfg.save_every + 1, spec.dim_state))
 

@@ -79,11 +79,52 @@ def test_policy_detector_sees_reads():
     assert _spec_policy_reads(source) == [(2, "vectorized"), (3, "covariance")]
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats takes most of a second to import; the quantiles come from
-    # scipy.special instead
+def _scipy_imports(source: str) -> list:
+    """Lines that import scipy or one of its submodules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        found += [node.lineno for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_does_not_import_scipy(path):
+    # numpy and the standard library only: scipy's import costs about as much
+    # as the default run's simulation
+    assert _scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scipy_detector_sees_imports():
+    source = (
+        "import scipy\n"
+        "from scipy.special import ndtri\n"
+        "def f():\n"
+        "    import scipy.stats as sps\n"
+        "from . import scipyish\n"
+    )
+    assert _scipy_imports(source) == [1, 2, 4]
+
+
+def test_cli_runs_leave_scipy_out(tmp_path):
+    # a powered cross-time check (seed 1: 30 loops) and an ensemble stage use
+    # both quantiles; neither may pull in scipy
+    probe = (
+        "import contextlib, io, sys\n"
+        "from nss_lab.cli import main\n"
+        "runs = [['sim.seed=1'], ['sim.t_end=5', 'ensemble.n_paths=1000']]\n"
+        "for i, sets in enumerate(runs):\n"
+        "    argv = ['example', '--set', f'output.dir={sys.argv[1]}/{i}']\n"
+        "    for s in sets:\n"
+        "        argv += ['--set', s]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    probe = "import sys, nss_lab.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+    assert "[pass] cross-time-bounds" in (tmp_path / "0" / "summary.txt").read_text()
+    assert (tmp_path / "1" / "probability_bound.csv").exists()

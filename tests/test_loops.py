@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as spx
 from scipy import stats as sps
 
 from nss_lab.bounds import (
@@ -13,6 +14,8 @@ from nss_lab.bounds import (
 from nss_lab.loops import (
     LoopRecord,
     TailState,
+    _normal_quantile,
+    _t_quantile,
     empirical_survival,
     empirical_time_average,
     extract_loops,
@@ -230,6 +233,41 @@ class TestWilson:
     def test_confidence_outside_unit_interval_rejected(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
             wilson_interval(10, 50, confidence)
+
+
+class TestQuantiles:
+    def test_normal_quantile_is_ndtri_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        ps = np.concatenate([
+            rng.uniform(size=60_000),
+            10.0 ** rng.uniform(-300, 0, 20_000),  # lower tail
+            1.0 - 10.0 ** rng.uniform(-16, 0, 20_000),  # upper tail
+            1.0 - 10.0 ** -np.arange(1.0, 17.0),
+            [0.5, 0.9, 0.95, 0.99, 0.999, 5e-324, np.nextafter(1.0, 0.0)],
+        ])
+        ps = ps[(ps > 0.0) & (ps < 1.0)]
+        assert len(ps) >= 100_000
+        ours = np.array([_normal_quantile(float(p)) for p in ps])
+        mismatch = np.flatnonzero(ours != spx.ndtri(ps))
+        assert len(mismatch) == 0, ps[mismatch[:5]]
+
+    def test_t_quantile_matches_stdtrit(self):
+        dfs = list(range(1, 300)) + [500, 1000, 2000, 5000, 10_000]
+        ps = np.linspace(0.5001, 0.9999, 25)
+        for df in dfs:
+            ref = spx.stdtrit(df, ps)
+            for p, r in zip(ps, ref):
+                t = _t_quantile(df, float(p))
+                assert abs(t - r) <= 1e-10 * max(1.0, abs(r)), (df, p)
+                assert _t_quantile(df, 1.0 - float(p)) == -t
+
+    @pytest.mark.parametrize("quantile", [_normal_quantile,
+                                          lambda p: _t_quantile(29, p)],
+                             ids=["normal", "t"])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_p_outside_unit_interval_rejected(self, quantile, p):
+        with pytest.raises(ValueError, match="confidence"):
+            quantile(p)
 
 
 LEVELS = LevelPair(v0=1.0, v1=2.0, c=1.0, gamma_max=0.5)

@@ -215,6 +215,18 @@ class TestReproducibility:
             for pa, pb in zip(a, b):
                 assert np.array_equal(pa.states, pb.states), chunk_size
 
+    @pytest.mark.parametrize("chunk_size", [0, -2])
+    def test_chunk_size_below_one_rejected(self, chunk_size):
+        cfg = SimConfig(t_end=0.2, dt=1e-2, seed=6, x0=(0.1,))
+        with pytest.raises(ValueError, match="chunk_size"):
+            ensemble(make_ou(), cfg, 5, chunk_size=chunk_size)
+
+    def test_non_integer_thread_cap_named(self, monkeypatch):
+        cfg = SimConfig(t_end=0.2, dt=1e-2, seed=6, x0=(0.1,))
+        monkeypatch.setenv("NSS_LAB_THREADS", "two")
+        with pytest.raises(ValueError, match="NSS_LAB_THREADS"):
+            ensemble(make_ou(), cfg, 5)
+
     def test_many_workers_fill_their_own_rows(self, monkeypatch):
         # more workers than cores, switching threads often: every chunk must
         # land in its own rows of the shared states array
