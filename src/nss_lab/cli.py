@@ -17,7 +17,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,10 +39,13 @@ from .model import SystemSpec, builtin_example, check_enss
 from .sim import (
     RNG_ALGORITHM,
     SimConfig,
+    Trajectory,
     ensemble,
     integrate,
     integrator_name,
+    max_threads,
     trajectory_to_csv,
+    write_csv,
 )
 
 __all__ = [
@@ -126,6 +129,13 @@ def _format_floats(values: Sequence[float]) -> str:
     return ",".join(_format_float(v) for v in values)
 
 
+def _parse_bool(raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.strip().lower() not in states:
+        raise ValueError(f"expected one of {', '.join(states)}")
+    return states[raw.strip().lower()]
+
+
 # (section, key) -> (ExperimentConfig field, parser, formatter); the echo
 # writes sections and keys in this order.
 _CONFIG_KEYS = {
@@ -134,9 +144,7 @@ _CONFIG_KEYS = {
     ("sim", "t_end"): ("t_end", float, _format_float),
     ("sim", "dt"): ("dt", float, _format_float),
     ("sim", "seed"): ("seed", int, str),
-    ("sim", "dump_trajectory"): ("dump_trajectory",
-                                 lambda s: s.lower() in ("1", "true", "yes"),
-                                 lambda b: str(b).lower()),
+    ("sim", "dump_trajectory"): ("dump_trajectory", _parse_bool, lambda b: str(b).lower()),
     ("levels", "v1"): ("v1", float, _format_float),
     ("levels", "v0"): ("v0",
                        lambda s: None if s.strip() == "optimal" else float(s),
@@ -157,28 +165,29 @@ _CONFIG_KEYS = {
 def load_config(path: Optional[str] = None,
                 overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Read an INI config file and apply ``section.key=value`` overrides."""
-    cfg = ExperimentConfig()
-    updates = {}
+    entries = []  # (section, key, raw) in the order they apply
     if path is not None:
         parser = configparser.ConfigParser()
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                spec = _CONFIG_KEYS.get((section, key))
-                if spec is None:
-                    raise ValueError(f"unknown config key [{section}] {key}")
-                updates[spec[0]] = spec[1](raw)
+        entries += [(section, key, raw) for section in parser.sections()
+                    for key, raw in parser.items(section)]
     for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        loc, eq, raw = item.partition("=")
+        section, dot, key = loc.partition(".")
+        if not (eq and dot):
             raise ValueError(f"override must look like section.key=value, got {item!r}")
-        loc, raw = item.split("=", 1)
-        section, key = loc.split(".", 1)
-        spec = _CONFIG_KEYS.get((section.strip(), key.strip()))
-        if spec is None:
+        entries.append((section.strip(), key.strip(), raw))
+    updates = {}
+    for section, key, raw in entries:
+        if (section, key) not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key [{section}] {key}")
-        updates[spec[0]] = spec[1](raw)
-    return replace(cfg, **updates)
+        attr, parse, _ = _CONFIG_KEYS[section, key]
+        try:
+            updates[attr] = parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {key} = {raw!r}: {exc}") from None
+    return replace(ExperimentConfig(), **updates)
 
 
 @dataclass
@@ -190,6 +199,7 @@ class ExperimentReport:
     rng_algorithm: str = RNG_ALGORITHM
     version: str = __version__
     tables: dict = field(default_factory=dict)  # name -> (header, rows)
+    trajectory: Optional[Trajectory] = None  # the long path, when it is dumped
     checks: List[Tuple[str, str, str]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     premises_verified: bool = True
@@ -223,22 +233,13 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def write_report(report: ExperimentReport, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in report.tables.items():
-        with open(out / f"{name}.csv", "w", encoding="ascii", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(c) for c in row) + "\n")
+        write_csv(out / f"{name}.csv", header, rows)
+    if report.trajectory is not None:
+        trajectory_to_csv(report.trajectory, out / "trajectory.csv")
     (out / "summary.txt").write_text(report.summary_text(), encoding="utf-8")
     (out / "config_echo.ini").write_text(report.config_echo, encoding="utf-8")
 
@@ -269,14 +270,21 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     bset = make_bound_set(levels, lyap.alpha1, lyap.alpha1_inv)
     grid = cfg.r_grid()
     b_grid = [bset.b(float(r)) for r in grid]
+    if not cfg.k_list:
+        raise ValueError("fractiles.k must list at least one fraction")
     q_list = [bset.q(k) for k in cfg.k_list]
     _check_confidence(cfg.confidence)
+    if cfg.seed < 0:
+        raise ValueError(f"sim.seed must be >= 0, got {cfg.seed}")
     sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
     if cfg.n_paths != 0 and cfg.n_paths < MIN_PATHS:
         raise ValueError(f"ensemble.n_paths must be 0 or >= {MIN_PATHS}, got {cfg.n_paths}")
     if cfg.n_paths > 0:
         if cfg.prob_radius <= 0.0:
             raise ValueError(f"ensemble.prob_radius must be positive, got {cfg.prob_radius!r}")
+        if not cfg.check_times:
+            raise ValueError("ensemble.check_times must list at least one time")
+        max_threads()  # a bad NSS_LAB_THREADS fails here, not after the long path
         t_hi = max(cfg.check_times)
         save_every = max(1, int(round(0.1 / cfg.dt)))
         n_steps = SimConfig(t_end=t_hi, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0).n_steps
@@ -301,31 +309,28 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     # stage: simulate
     traj = integrate(spec, sim_cfg)
     if cfg.dump_trajectory:
-        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-        trajectory_to_csv(traj, Path(cfg.output_dir) / "trajectory.csv")
+        report.trajectory = traj
 
     if report.premises_verified:
         # stage: time-average distribution vs closed-form bound
         dist = empirical_time_average(traj, grid, mode="norm")
-        rows = []
-        violations = 0
-        for r, d, b in zip(dist.thresholds, dist.values, b_grid):
-            bad = d < b
-            violations += int(bad)
-            rows.append([float(r), float(d), b, bad])
-        report.tables["distribution"] = (["r", "D_empirical", "b_bound", "flag"], rows)
+        flags = dist.values < b_grid
+        report.tables["distribution"] = (
+            ["r", "D_empirical", "b_bound", "flag"],
+            np.column_stack([dist.thresholds, dist.values, b_grid, flags]),
+        )
         report.add_check(
             "time-average-distribution",
-            violations == 0,
-            f"D(r) >= b(r) at {len(rows) - violations}/{len(rows)} grid points",
+            not flags.any(),
+            f"D(r) >= b(r) at {np.count_nonzero(~flags)}/{len(flags)} grid points",
         )
 
         # stage: crossing-time bounds
         record = extract_loops(traj, v0=v0, v1=cfg.v1)
         ct = verify_cross_time_bounds(record, levels, confidence=cfg.confidence)
         header = ["threshold", "empirical", "bound", "ci_low", "ci_high", "flag"]
-        report.tables["up_cross_survival"] = (header, [r.csv_cols() for r in ct.up_rows])
-        report.tables["down_cross_survival"] = (header, [r.csv_cols() for r in ct.down_rows])
+        report.tables["up_cross_survival"] = (header, [astuple(r) for r in ct.up_rows])
+        report.tables["down_cross_survival"] = (header, [astuple(r) for r in ct.down_rows])
         if ct.underpowered:
             report.add_check(
                 "cross-time-bounds", True,
@@ -341,19 +346,15 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
             )
 
         # stage: fractile occupancy
-        occ_rows = []
-        occ_ok = True
-        for k, qk in zip(cfg.k_list, q_list):
-            occ = float(
-                empirical_time_average(traj, [qk], mode="norm").values[0]
-            )
-            good = occ >= k
-            occ_ok = occ_ok and good
-            occ_rows.append([k, qk, occ, not good])
-        report.tables["occupancy"] = (["k", "q_k", "occupied_fraction", "flag"], occ_rows)
+        occ = [float(empirical_time_average(traj, [qk], mode="norm").values[0])
+               for qk in q_list]
+        flags = ~np.greater_equal(occ, cfg.k_list)
+        report.tables["occupancy"] = (["k", "q_k", "occupied_fraction", "flag"],
+                                      np.column_stack([cfg.k_list, q_list, occ, flags]))
         report.add_check(
-            "fractile-occupancy", occ_ok,
-            "; ".join(f"k={k:.4g}: {o:.4g} at q={q:.4g}" for k, q, o, _ in occ_rows),
+            "fractile-occupancy", not flags.any(),
+            "; ".join(f"k={k:.4g}: {o:.4g} at q={q:.4g}"
+                      for k, q, o in zip(cfg.k_list, q_list, occ)),
         )
     else:
         report.notes.append("bound checks skipped: dissipation premises unverified")
@@ -364,7 +365,7 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         mom = verify_moment_bound(paths, spec, cfg.check_times)
         report.tables["moment_bound"] = (
             ["t", "mean_V", "bound", "ci_low", "ci_high", "flag"],
-            [r.csv_cols() for r in mom.rows],
+            [astuple(r) for r in mom.rows],
         )
         report.add_check(
             "moment-bound", mom.passed,

@@ -310,16 +310,6 @@ class CheckRow:
     ci_high: float
     flag: bool
 
-    def csv_cols(self) -> list:
-        return [
-            self.threshold,
-            self.empirical,
-            self.bound,
-            self.ci_low,
-            self.ci_high,
-            int(self.flag),
-        ]
-
 
 @dataclass(frozen=True)
 class CrossTimeReport:

@@ -30,6 +30,7 @@ __all__ = [
     "integrate",
     "ensemble",
     "trajectory_to_csv",
+    "write_csv",
     "max_threads",
 ]
 
@@ -356,14 +357,22 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int,
     return _trajectories(spec, cfg, states)
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Dump a trajectory as CSV: t,x1..xN,V,norm at full double precision."""
-    n = traj.states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",V,norm"
-    cols = (traj.times, traj.states, traj.lyap, traj.norms)
-    row = ",".join(["%.17g"] * (n + 3)) + "\n"  # prints as f"{c:.17g}" does
+def write_csv(path, header: Sequence[str], *cols) -> None:
+    """Write ``cols`` side by side under ``header``, every cell as ``%.17g``.
+
+    The columns share their first axis, one CSV row per entry; a 2-D column
+    fills one CSV column per entry of its second axis, and booleans print as
+    0/1.  This is the one routine that turns results into CSV bytes.
+    """
+    row = ",".join(["%.17g"] * len(header)) + "\n"  # prints as f"{c:.17g}" does
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(traj.times), 4096):  # one block of rows in memory at a time
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(cols[0]), 4096):  # one block of rows in memory at a time
             block = np.column_stack([c[lo:lo + 4096] for c in cols])
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def trajectory_to_csv(traj: Trajectory, path) -> None:
+    """Dump a trajectory as CSV: t,x1..xN,V,norm at full double precision."""
+    header = ["t", *(f"x{i + 1}" for i in range(traj.states.shape[1])), "V", "norm"]
+    write_csv(path, header, traj.times, traj.states, traj.lyap, traj.norms)

@@ -66,14 +66,13 @@ class ConditionalCdf:
 
 @dataclass(frozen=True)
 class DominatingLaw:
-    """A fixed law given by its CDF and survival function."""
+    """A fixed law given by its CDF."""
 
     cdf: Callable[[float], float]
-    survival: Callable[[float], float]
 
     @classmethod
     def from_cdf(cls, cdf: Callable[[float], float]) -> "DominatingLaw":
-        return cls(cdf=cdf, survival=lambda s: 1.0 - cdf(s))
+        return cls(cdf=cdf)
 
 
 def uniformize(x_n: float, history: Sequence[float], xi_n: float,

@@ -62,6 +62,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(None, ["t_end=50"])
 
+    @pytest.mark.parametrize("word, value", [
+        ("on", True), ("off", False), ("yes", True), ("no", False),
+        ("true", True), ("false", False), ("1", True), ("0", False), ("True", True),
+    ])
+    def test_boolean_words(self, tmp_path, word, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[sim]\ndump_trajectory = {word}\n")
+        assert load_config(str(ini)).dump_trajectory is value
+        assert load_config(None, [f"sim.dump_trajectory={word}"]).dump_trajectory is value
+
+    @pytest.mark.parametrize("section, key, raw", [
+        ("sim", "dump_trajectory", "ture"),
+        ("sim", "t_end", "abc"),
+        ("grid", "count", "2.5"),
+        ("fractiles", "k", "0.2,x"),
+    ])
+    def test_parse_error_names_the_key(self, tmp_path, section, key, raw):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = {raw}\n")
+        for args in ((str(ini),), (None, [f"{section}.{key}={raw}"])):
+            with pytest.raises(ValueError, match=rf"\[{section}\] {key} = '{raw}'"):
+                load_config(*args)
+
     def test_r_grid_spacing(self):
         log_grid = ExperimentConfig(r_spacing="log").r_grid()
         lin_grid = ExperimentConfig(r_spacing="linear").r_grid()
@@ -140,6 +163,28 @@ class TestPipeline:
         assert "moment_bound" in report.tables
         assert "probability_bound" in report.tables
         assert report.exit_code == EXIT_OK
+
+    def test_write_report_is_the_only_writer(self, tmp_path):
+        out = tmp_path / "files"
+        cfg = load_config(None, FAST_OVERRIDES + [
+            "sim.dump_trajectory=true", "ensemble.n_paths=1000",
+            "ensemble.check_times=0.5,1.0", f"output.dir={out}",
+        ])
+        report = run_example(cfg)
+        assert not out.exists()
+        write_report(report, out)
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == sorted([*(f"{t}.csv" for t in report.tables), "trajectory.csv"])
+        for name in names:
+            header, *lines = (out / name).read_text().splitlines()
+            cols = header.split(",")
+            for line in lines:
+                cells = [float(c) for c in line.split(",")]
+                assert len(cells) == len(cols), name
+                for col, cell in zip(cols, cells):
+                    if col in ("flag", "vacuous"):
+                        assert cell in (0.0, 1.0), (name, line)
+        assert (out / "distribution.csv").read_text().splitlines()[1].endswith(",0")
 
     def test_n_paths_zero_noted(self, tmp_path):
         cfg = load_config(None, FAST_OVERRIDES + [f"output.dir={tmp_path}/o"])
@@ -241,6 +286,27 @@ class TestCommandLine:
             argv = ["example", "--set=sim.t_end=20", f"--set=output.dir={tmp_path}/x"]
             assert main(argv + [f"--set={b}" for b in bad]) == EXIT_ERROR, bad
             assert calls == [], bad
+
+    @pytest.mark.parametrize("sets, threads, message", [
+        (["fractiles.k="], None, "fractiles.k"),
+        (["ensemble.n_paths=1000", "ensemble.check_times="], None, "ensemble.check_times"),
+        (["sim.seed=-1"], None, "sim.seed"),
+        (["ensemble.n_paths=1000"], "two", "NSS_LAB_THREADS"),
+    ])
+    def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
+                                    sets, threads, message):
+        import nss_lab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "check_enss", lambda *a, **k: calls.append("check_enss"))
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append("integrate"))
+        if threads is not None:
+            monkeypatch.setenv("NSS_LAB_THREADS", threads)
+        argv = ["example", "--set=sim.t_end=20", f"--set=output.dir={tmp_path}/x"]
+        assert main(argv + [f"--set={s}" for s in sets]) == EXIT_ERROR
+        assert calls == []
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_module_entry_point(self, tmp_path):
         src = Path(__file__).resolve().parent.parent / "src"

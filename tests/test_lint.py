@@ -128,3 +128,43 @@ def test_cli_runs_leave_scipy_out(tmp_path):
     assert out.strip() == "[]"
     assert "[pass] cross-time-bounds" in (tmp_path / "0" / "summary.txt").read_text()
     assert (tmp_path / "1" / "probability_bound.csv").exists()
+
+
+def _full_precision_formats(source: str) -> list:
+    """``(line, enclosing function)`` of each string holding the ``.17g``
+    format: the byte format of CSV cells and of echoed config floats."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Constant) and ".17g" in str(child.value):
+                found.append((child.lineno, owner))
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_full_precision_format_in_two_routines():
+    # every CSV cell goes through sim.write_csv and every echoed float through
+    # cli._format_float, so each byte format is decided in one place
+    owners = {(path.name, owner)
+              for path in sorted(SRC.glob("*.py"))
+              for _, owner in _full_precision_formats(path.read_text(encoding="utf-8"))}
+    assert owners == {("sim.py", "write_csv"), ("cli.py", "_format_float")}
+
+
+def test_format_detector_sees_strings_and_f_strings():
+    source = (
+        "FMT = '%.17g'\n"
+        "def cell(x):\n"
+        "    return f'{x:.17g}'  # .17g in a comment is not code\n"
+        "def row(xs):\n"
+        "    def one(x):\n"
+        "        return format(x, '.17g')\n"
+        "    return [one(x) for x in xs], '%.6g'\n"
+    )
+    assert _full_precision_formats(source) == [(1, None), (3, "cell"), (6, "one")]
