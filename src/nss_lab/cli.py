@@ -276,6 +276,8 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     _check_confidence(cfg.confidence)
     if cfg.seed < 0:
         raise ValueError(f"sim.seed must be >= 0, got {cfg.seed}")
+    if len(cfg.x0) != spec.dim_state:
+        raise ValueError(f"system.x0 must list {spec.dim_state} values, got {len(cfg.x0)}")
     sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
     if cfg.n_paths != 0 and cfg.n_paths < MIN_PATHS:
         raise ValueError(f"ensemble.n_paths must be 0 or >= {MIN_PATHS}, got {cfg.n_paths}")

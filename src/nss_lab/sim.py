@@ -42,6 +42,14 @@ RNG_ALGORITHM = "numpy.Philox(SeedSequence(entropy=seed, spawn_key=(path_index,)
 _SEQUENTIAL = "euler-maruyama, sequential steps"
 _AFFINE_SCAN = "euler-maruyama, blocked affine scan (block length isqrt(n_steps))"
 
+# Bytes of noise that one chunk holds at a time: the affine scan, which reads
+# its chunk's whole horizon twice, narrows its chunk to this; the sequential
+# kernel draws its noise in time segments of this.
+_NOISE_BYTES = 16 << 20
+# The sequential kernel steps 1.3-1.7x slower on narrow chunks, so it keeps
+# wide ones and streams its noise instead.
+_SEQUENTIAL_CHUNK = 1000
+
 
 class NonFiniteStateError(RuntimeError):
     """A simulated path left the representable range (blow-up or spec bug)."""
@@ -142,38 +150,55 @@ def _initial_state(spec: SystemSpec, cfg: SimConfig) -> np.ndarray:
     return x0
 
 
-def _noise(spec: SystemSpec, cfg: SimConfig, lo: int, hi: Optional[int],
-           length: int) -> np.ndarray:
-    """``s[j, k] = (Sigma(t_k) dW_k)_j`` of paths [lo, hi) (path lo alone if ``hi`` is
-    None), time-major, shape ``(m, length) + batch``, zero after step ``n_steps``: one
-    ``path_generator`` draw per path, nonzero Sigma entries summed left to right."""
-    n_steps, m = cfg.n_steps, spec.dim_noise
-    sig = spec.sigma_series(cfg.t0 + np.arange(n_steps) * cfg.dt)
-    sig_cols = [(j, k, sig[:, j, k]) for j in range(m) for k in range(m)
-                if sig[:, j, k].any()]
-    s = np.zeros((m, length) + (() if hi is None else (hi - lo,)))
-    per_path = s[..., None] if hi is None else s
-    for i in range(per_path.shape[-1]):
-        dw = path_generator(cfg.seed, lo + i).normal(size=(n_steps, m))
-        dw *= math.sqrt(cfg.dt)
+def _sigma_columns(spec: SystemSpec, cfg: SimConfig) -> list:
+    """``(j, k, Sigma(t_k)[j, k] for every step k)`` of each nonzero entry of Sigma,
+    copied so that the zero entries are not kept: one ``sigma_series`` per
+    integrate or ensemble call, sliced by every chunk and time segment."""
+    m = spec.dim_noise
+    sig = spec.sigma_series(cfg.t0 + np.arange(cfg.n_steps) * cfg.dt)
+    return [(j, k, sig[:, j, k].copy()) for j in range(m) for k in range(m)
+            if sig[:, j, k].any()]
+
+
+def _generators(cfg: SimConfig, lo: int, hi: Optional[int]) -> List[Generator]:
+    """The Philox generators of paths [lo, hi) (path lo alone if ``hi`` is None)."""
+    return [path_generator(cfg.seed, i) for i in range(lo, lo + 1 if hi is None else hi)]
+
+
+def _noise(sig_cols: list, gens: List[Generator], dt: float, k0: int, k1: int,
+           shape: tuple) -> np.ndarray:
+    """``s[j, k, i] = (Sigma(t_{k0+k}) dW_{k0+k})_j`` of steps [k0, k1) of the path
+    drawn by ``gens[i]``, time-major, of ``shape`` = ``(m, length) + batch``, zero
+    after step ``k1 - k0``: the next ``k1 - k0`` normal draws of each generator,
+    nonzero Sigma entries summed left to right."""
+    m = shape[0]
+    s = np.zeros(shape)
+    per_path = s.reshape(shape[:2] + (len(gens),))
+    for i, gen in enumerate(gens):
+        dw = gen.normal(size=(k1 - k0, m))
+        dw *= math.sqrt(dt)
         for j, k, col in sig_cols:
-            per_path[j, :n_steps, i] += col * dw[:, k]
+            per_path[j, :k1 - k0, i] += col[k0:k1] * dw[:, k]
     return s
 
 
-def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
+def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_cols: list, lo: int,
                     hi: Optional[int] = None) -> np.ndarray:
     """Saved states of paths [lo, hi) stepped in lock step, shape (hi-lo, K+1, N).
 
     With ``hi=None`` only path ``lo`` is stepped, on a state of shape (N,), and
     the result has shape (K+1, N).  Every batch shape evaluates the same
-    expressions, so path i has the same bits alone as inside any chunk.
+    expressions, so path i has the same bits alone as inside any chunk.  The
+    noise is drawn in time segments of at most ``_NOISE_BYTES``; successive
+    draws continue each path's stream, so the segment length moves no bit.
     """
     n_steps = cfg.n_steps
     dt = cfg.dt
+    m = spec.dim_noise
     x0 = _initial_state(spec, cfg)
     batch = () if hi is None else (hi - lo,)
-    sdw = np.moveaxis(_noise(spec, cfg, lo, hi, n_steps), 0, -1)  # (K,) + batch + (m,)
+    gens = _generators(cfg, lo, hi)
+    seg = max(1, _NOISE_BYTES // (8 * m * len(gens)))
 
     drift, diffusion = spec.drift, spec.diffusion
     if batch:  # one state is what every spec's drift and diffusion accept
@@ -182,13 +207,18 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
     x = np.tile(x0, batch + (1,))
     states = np.empty(batch + (n_steps // save + 1, spec.dim_state))
     states[..., 0, :] = x
-    for k in range(n_steps):
-        # np.multiply, unlike `*`, also accepts a drift that returns a list
-        x = x + np.multiply(drift(x), dt) + np.einsum(
-            "...nm,...m->...n", diffusion(x), sdw[k]
-        )
-        if (k + 1) % save == 0:
-            states[..., (k + 1) // save, :] = x
+    for k0 in range(0, n_steps, seg):
+        k1 = min(k0 + seg, n_steps)
+        # (k1 - k0,) + batch + (m,)
+        sdw = np.moveaxis(_noise(sig_cols, gens, dt, k0, k1, (m, k1 - k0) + batch), 0, -1)
+        for k in range(k0, k1):
+            # np.multiply, unlike `*`, also accepts a drift that returns a list
+            x = x + np.multiply(drift(x), dt) + np.einsum(
+                "...nm,...m->...n", diffusion(x), sdw[k - k0]
+            )
+            if (k + 1) % save == 0:
+                states[..., (k + 1) // save, :] = x
+        del sdw  # so that the next segment's noise replaces it, not joins it
     return states
 
 
@@ -196,6 +226,12 @@ def block_length(n_steps: int) -> int:
     """Steps per block of the affine scan: a function of the step count alone,
     so that neither the batch, the chunk nor the thread count moves a bit."""
     return max(1, math.isqrt(n_steps))
+
+
+def _padded_length(n_steps: int) -> int:
+    """Steps the affine scan holds noise for: whole blocks, the last one partial."""
+    span = block_length(n_steps)
+    return (n_steps // span + 1) * span
 
 
 def _affine_apply(mat, vec, off=None):
@@ -209,7 +245,7 @@ def _affine_apply(mat, vec, off=None):
     return out
 
 
-def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
+def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_cols: list, lo: int,
                  hi: Optional[int] = None) -> np.ndarray:
     """The contract of :func:`_euler_maruyama`, for a spec that declares ``affine``.
 
@@ -232,7 +268,8 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
     n_blocks = n_full + 1
 
     # the noise, zero-padded to whole blocks
-    s = _noise(spec, cfg, lo, hi, n_blocks * span).reshape((m, n_blocks, span) + batch)
+    s = _noise(sig_cols, _generators(cfg, lo, hi), dt, 0, n_steps,
+               (m, n_blocks * span) + batch).reshape((m, n_blocks, span) + batch)
 
     a, h0, h = spec.affine
     const = (np.eye(n) + a * dt).tolist()
@@ -327,29 +364,38 @@ def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajecto
     (spec, cfg, path_index) on one platform, and bit-identical to path
     ``path_index`` of :func:`ensemble`.
     """
-    states = _kernel(spec)(spec, cfg, path_index)
+    states = _kernel(spec)(spec, cfg, _sigma_columns(spec, cfg), path_index)
     return _trajectories(spec, cfg, states[None], path_index)[0]
 
 
 def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int,
-             chunk_size: int = 1000) -> List[Trajectory]:
+             chunk_size: Optional[int] = None) -> List[Trajectory]:
     """Independent paths i = 0..n_paths-1, each on substream (cfg.seed, i).
 
     Path i is bit-identical to ``integrate(spec, cfg, i)`` regardless of
     chunking or thread schedule.  Every spec is stepped in lock-stepped chunks
-    across a thread pool capped by NSS_LAB_THREADS, so besides the saved
-    states memory holds the noise of one chunk per worker.  A non-finite state
-    names the lowest failing path once every chunk has run.
+    across a thread pool capped by NSS_LAB_THREADS.  By default a chunk holds
+    at most ``_NOISE_BYTES`` (16 MiB) of noise, or one path's if that is more:
+    the affine scan takes as many paths as fit, the sequential kernel 1000
+    paths whose noise it draws in time segments.  So besides the saved states
+    memory holds at most that much noise per worker.  An explicit
+    ``chunk_size`` sets the paths per chunk instead.  A non-finite state names
+    the lowest failing path once every chunk has run.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
+    if chunk_size is None:
+        chunk_size = (_SEQUENTIAL_CHUNK if spec.affine is None else max(
+            1, _NOISE_BYTES // (8 * spec.dim_noise * _padded_length(cfg.n_steps))))
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
     kernel = _kernel(spec)
+    sig_cols = _sigma_columns(spec, cfg)
     states = np.empty((n_paths, cfg.n_steps // cfg.save_every + 1, spec.dim_state))
 
     def run(lo):
-        states[lo:lo + chunk_size] = kernel(spec, cfg, lo, min(lo + chunk_size, n_paths))
+        states[lo:lo + chunk_size] = kernel(spec, cfg, sig_cols, lo,
+                                            min(lo + chunk_size, n_paths))
 
     starts = range(0, n_paths, chunk_size)
     with ThreadPoolExecutor(max_workers=min(max_threads(), len(starts))) as pool:

@@ -282,7 +282,7 @@ class TestCommandLine:
                     ["fractiles.k=1.5"], ["fractiles.k=0"],
                     ["grid.r_min=0", "grid.spacing=linear"],
                     ["grid.r_min=10", "grid.r_max=1.05"], ["grid.r_max=1.05"],
-                    ["grid.count=0"], ["grid.count=-3"]):
+                    ["grid.count=0"], ["grid.count=-3"], ["system.x0=0,0,0"]):
             argv = ["example", "--set=sim.t_end=20", f"--set=output.dir={tmp_path}/x"]
             assert main(argv + [f"--set={b}" for b in bad]) == EXIT_ERROR, bad
             assert calls == [], bad
@@ -292,6 +292,7 @@ class TestCommandLine:
         (["ensemble.n_paths=1000", "ensemble.check_times="], None, "ensemble.check_times"),
         (["sim.seed=-1"], None, "sim.seed"),
         (["ensemble.n_paths=1000"], "two", "NSS_LAB_THREADS"),
+        (["system.x0=0,0,0"], None, "system.x0"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):

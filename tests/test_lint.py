@@ -109,7 +109,8 @@ def test_scipy_detector_sees_imports():
 
 def test_cli_runs_leave_scipy_out(tmp_path):
     # a powered cross-time check (seed 1: 30 loops) and an ensemble stage use
-    # both quantiles; neither may pull in scipy
+    # both quantiles; neither may pull in scipy, nor numpy.ma (np.quantile
+    # loads it on first use)
     probe = (
         "import contextlib, io, sys\n"
         "from nss_lab.cli import main\n"
@@ -121,11 +122,12 @@ def test_cli_runs_leave_scipy_out(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
                          check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "False"]
     assert "[pass] cross-time-bounds" in (tmp_path / "0" / "summary.txt").read_text()
     assert (tmp_path / "1" / "probability_bound.csv").exists()
 
@@ -168,3 +170,48 @@ def test_format_detector_sees_strings_and_f_strings():
         "    return [one(x) for x in xs], '%.6g'\n"
     )
     assert _full_precision_formats(source) == [(1, None), (3, "cell"), (6, "one")]
+
+
+def _noise_draw_breaches(source: str) -> list:
+    """``(line, name)`` of each random draw other than ``.normal`` on a generator
+    that ``path_generator`` returns: a ``standard_normal`` or ``random_raw``
+    attribute, a generator built outside ``path_generator``, or
+    ``path_generator`` read without being called."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, so the innermost wins
+        if isinstance(fn, ast.FunctionDef):
+            owner.update((id(n), fn.name) for n in ast.walk(fn))
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("standard_normal", "random_raw"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if (node.id in ("Generator", "Philox", "default_rng") and id(node) in called
+                    and owner.get(id(node)) != "path_generator"):
+                found.append((node.lineno, node.id))
+            if node.id == "path_generator" and id(node) not in called:
+                found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+def test_noise_drawn_only_by_path_generator_normal():
+    # the bench counts sim.noise_bytes by replacing sim.path_generator with a
+    # generator whose .normal counts bytes; any other draw would go uncounted
+    assert _noise_draw_breaches((SRC / "sim.py").read_text(encoding="utf-8")) == []
+
+
+def test_noise_draw_detector_sees_breaches():
+    source = (
+        "from numpy.random import Generator, Philox, default_rng\n"
+        "def path_generator(seed, i) -> Generator:\n"
+        "    return Generator(Philox(seed))\n"
+        "def draw(seed):\n"
+        "    make, g = path_generator, Generator(Philox(seed))\n"
+        "    return g.standard_normal(3), path_generator(seed).normal(size=3), \\\n"
+        "        g.bit_generator.random_raw(2), default_rng(seed)\n"
+    )
+    assert _noise_draw_breaches(source) == [
+        (5, "Generator"), (5, "Philox"), (5, "path_generator"),
+        (6, "standard_normal"), (7, "default_rng"), (7, "random_raw")]

@@ -14,6 +14,7 @@ from nss_lab.bounds import (
 from nss_lab.loops import (
     LoopRecord,
     TailState,
+    _linear_quantiles,
     _normal_quantile,
     _t_quantile,
     empirical_survival,
@@ -260,6 +261,19 @@ class TestQuantiles:
                 t = _t_quantile(df, float(p))
                 assert abs(t - r) <= 1e-10 * max(1.0, abs(r)), (df, p)
                 assert _t_quantile(df, 1.0 - float(p)) == -t
+
+    def test_linear_quantiles_are_np_quantile_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        probs = [np.linspace(0.0, 0.95, 25), rng.uniform(size=40),
+                 np.array([0.0, 0.25, 0.5, 0.75, 1.0])]
+        for trial in range(10_000):
+            n = int(rng.integers(30, 501))
+            samples = rng.exponential(size=n)
+            if trial % 2:  # ties: few distinct values
+                samples = np.round(samples * rng.integers(1, 6)) / 2.0
+            q = probs[trial % 3]
+            assert np.array_equal(_linear_quantiles(samples, q), np.quantile(samples, q)), \
+                (trial, n)
 
     @pytest.mark.parametrize("quantile", [_normal_quantile,
                                           lambda p: _t_quantile(29, p)],

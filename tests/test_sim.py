@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import nss_lab.sim as sim
 from nss_lab.loops import extract_loops
 from nss_lab.model import SystemSpec, _affine_dynamics
 from nss_lab.sim import (
@@ -315,6 +316,100 @@ class TestAffineScan:
             ensemble(spec, cfg, 5, chunk_size=2)
         assert exc.value.path_index == solo.value.path_index == 0
         assert exc.value.step == solo.value.step
+
+
+def _spy_noise(monkeypatch):
+    """Record the shape of every noise buffer the kernels build."""
+    shapes = []
+    real = sim._noise
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(sim, "_noise", spy)
+    return shapes
+
+
+def _one_path_noise(spec, cfg):
+    """Bytes of one path's noise, padded to the affine scan's whole blocks."""
+    span = block_length(cfg.n_steps)
+    return 8 * spec.dim_noise * (cfg.n_steps // span + 1) * span
+
+
+class TestNoiseBudget:
+    """Every kernel holds at most ``_NOISE_BYTES`` of noise per chunk."""
+
+    @pytest.mark.parametrize("paths_in_budget", [3, 0.5])
+    @pytest.mark.parametrize("system", ["affine-ou", "builtin", "builtin-sequential", "ou"])
+    def test_noise_buffer_within_budget(self, monkeypatch, benchmark_system,
+                                        system, paths_in_budget):
+        spec = {"affine-ou": _affine_ou(), "builtin": benchmark_system, "ou": make_ou(),
+                "builtin-sequential": _sequential(benchmark_system)}[system]
+        cfg = SimConfig(t_end=1.0, dt=1e-2, seed=4, x0=(0.2,) * spec.dim_state)
+        one_path = _one_path_noise(spec, cfg)
+        budget = int(paths_in_budget * one_path)
+        monkeypatch.setattr(sim, "_NOISE_BYTES", budget, raising=False)
+        shapes = _spy_noise(monkeypatch)
+        ensemble(spec, cfg, 10)
+        assert shapes
+        assert max(8 * math.prod(s) for s in shapes) <= max(budget, one_path)
+
+    @pytest.mark.parametrize("system", ["ou", "ou-per-state", "builtin-sequential"])
+    def test_time_segments_move_no_bit(self, monkeypatch, benchmark_system, system):
+        spec = {"ou": make_ou(), "ou-per-state": dataclasses.replace(make_ou(), vectorized=False),
+                "builtin-sequential": _sequential(benchmark_system)}[system]
+        cfg = SimConfig(t_end=1.0, dt=1e-2, seed=5, x0=(0.3,) * spec.dim_state,
+                        save_every=4)
+        whole = ensemble(spec, cfg, 7)
+        solo = [integrate(spec, cfg, i) for i in range(7)]
+        # 30 steps of one path: 4 segments alone, 25 in a chunk of 7 paths
+        monkeypatch.setattr(sim, "_NOISE_BYTES", 8 * spec.dim_noise * 30, raising=False)
+        shapes = _spy_noise(monkeypatch)
+        segmented = ensemble(spec, cfg, 7)
+        assert len(shapes) >= 3 and max(s[1] for s in shapes) < cfg.n_steps
+        shapes.clear()
+        segmented_solo = [integrate(spec, cfg, i) for i in range(7)]
+        assert len(shapes) == 7 * 4
+        for runs in zip(whole, solo, segmented, segmented_solo):
+            for r in runs[1:]:
+                assert np.array_equal(r.states, runs[0].states)
+
+    @pytest.mark.parametrize("system", ["affine-ou", "builtin"])
+    def test_default_chunk_matches_integrate(self, monkeypatch, benchmark_system, system):
+        spec = {"affine-ou": _affine_ou(), "builtin": benchmark_system}[system]
+        cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state)
+        monkeypatch.setattr(sim, "_NOISE_BYTES", 3 * _one_path_noise(spec, cfg),
+                            raising=False)
+        shapes = _spy_noise(monkeypatch)
+        paths = ensemble(spec, cfg, 8)
+        assert sorted(s[-1] for s in shapes) == [2, 3, 3]
+        for i, p in enumerate(paths):
+            assert np.array_equal(p.states, integrate(spec, cfg, i).states)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_lowest_failing_path_across_chunks(self, monkeypatch):
+        # x -> (5.55 + s_k) x: whether and when a path overflows depends on its noise
+        spec = _affine([[4.55]], [[0.0]], [[[1.0]]])
+        cfg = SimConfig(t_end=420.0, dt=1.0, seed=2, x0=(1.0,), save_every=2)
+        failing = {}
+        for i in range(12):
+            try:
+                integrate(spec, cfg, i)
+            except NonFiniteStateError as exc:
+                failing[i] = exc.step
+        lowest = min(failing)
+        # not in the first chunk of two paths, and a higher path fails sooner
+        assert lowest >= 2 and min(failing.values()) < failing[lowest]
+        monkeypatch.setattr(sim, "_NOISE_BYTES", 2 * _one_path_noise(spec, cfg),
+                            raising=False)
+        monkeypatch.setenv("NSS_LAB_THREADS", "4")
+        shapes = _spy_noise(monkeypatch)
+        with pytest.raises(NonFiniteStateError) as exc:
+            ensemble(spec, cfg, 12)
+        assert [s[-1] for s in shapes] == [2] * 6
+        assert (exc.value.path_index, exc.value.step) == (lowest, failing[lowest])
 
 
 class TestNoiseStream:
