@@ -30,6 +30,7 @@ from .model import (  # noqa: F401
 )
 from .sim import (  # noqa: F401
     RNG_ALGORITHM,
+    Ensemble,
     NonFiniteStateError,
     SimConfig,
     Trajectory,

@@ -25,7 +25,7 @@ from .bounds import (
     up_cross_survival_bound,
 )
 from .model import SystemSpec
-from .sim import Trajectory
+from .sim import Ensemble, Trajectory
 
 __all__ = [
     "TailState",
@@ -375,8 +375,12 @@ def verify_cross_time_bounds(
     given one-sided Wilson confidence.  Sample means are compared one-sided
     against t_uc (>=) and t_dc (<=) with t-intervals.  The first up-cross is
     dropped: its distribution is not controlled by the dominating law.
+    ``min_loops`` must be at least 3, so that a powered check keeps two
+    up-crossing samples for its t-interval.
     """
     _check_confidence(confidence)
+    if min_loops < 3:
+        raise ValueError(f"min_loops must be >= 3, got {min_loops!r}")
     t_uc = expected_up_cross(levels)
     t_dc = expected_down_cross(levels)
     up = np.asarray(record.up_times[1:], dtype=float)
@@ -451,21 +455,22 @@ def _moment_envelope(spec: SystemSpec, v0: float, t: float) -> float:
 
 
 def verify_moment_bound(
-    paths: Sequence[Trajectory], spec: SystemSpec, times: Sequence[float]
+    paths: Ensemble, spec: SystemSpec, times: Sequence[float]
 ) -> MomentReport:
     """Check E[V(x(t))] <= e^{-ct}(V(x0) - floor) + floor at each sampled time.
 
-    The empirical mean may exceed the bound by at most three standard errors
-    before the point is flagged.
+    The mean is taken over the ensemble's column ``paths.lyap[:, idx]`` at
+    each time.  The empirical mean may exceed the bound by at most three
+    standard errors before the point is flagged.
     """
     if len(paths) < MIN_PATHS:
         raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
-    v0 = float(paths[0].lyap[0])
+    v0 = float(paths.lyap[0, 0])
     rows = []
     for t in times:
         t = float(t)
-        idx = _grid_index(paths[0].times, t)
-        vals = np.array([p.lyap[idx] for p in paths])
+        idx = _grid_index(paths.times, t)
+        vals = paths.lyap[:, idx]
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         bound = _moment_envelope(spec, v0, t)
@@ -496,21 +501,22 @@ class ProbabilityReport:
 
 
 def verify_probability_bound(
-    paths: Sequence[Trajectory],
+    paths: Ensemble,
     spec: SystemSpec,
     r: float,
     t: float,
     confidence: float = 0.99,
 ) -> ProbabilityReport:
-    """Check P{|x(t)| < r} against 1 - (e^{-ct}(V(x0)-floor)+floor)/alpha1(r)."""
+    """Check P{|x(t)| < r} against 1 - (e^{-ct}(V(x0)-floor)+floor)/alpha1(r),
+    counting the hits in the ensemble's column ``paths.norms[:, idx]``."""
     if len(paths) < MIN_PATHS:
         raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got {r!r}")
-    idx = _grid_index(paths[0].times, float(t))
-    hits = int(np.sum(np.array([p.norms[idx] for p in paths]) < r))
+    idx = _grid_index(paths.times, float(t))
+    hits = int(np.sum(paths.norms[:, idx] < r))
     n = len(paths)
-    floor = 1.0 - _moment_envelope(spec, float(paths[0].lyap[0]), t) / spec.lyapunov.alpha1(r)
+    floor = 1.0 - _moment_envelope(spec, float(paths.lyap[0, 0]), t) / spec.lyapunov.alpha1(r)
     lo, hi = wilson_interval(hits, n, confidence)
     vacuous = floor <= 0.0
     return ProbabilityReport(

@@ -12,7 +12,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -25,6 +25,7 @@ __all__ = [
     "block_length",
     "integrator_name",
     "Trajectory",
+    "Ensemble",
     "NonFiniteStateError",
     "path_generator",
     "integrate",
@@ -133,10 +134,6 @@ class Trajectory:
         n = len(self.times)
         if not (len(self.states) == len(self.lyap) == len(self.norms) == n):
             raise ValueError("trajectory series must share one length")
-
-    @property
-    def grid_dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @property
     def horizon(self) -> float:
@@ -330,21 +327,39 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_cols: list, lo: int,
     return np.moveaxis(states, -1, 0) if batch else states
 
 
-def _trajectories(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
-                  lo: int = 0) -> List[Trajectory]:
-    """Trajectories of paths lo, lo+1, ... from saved states of shape (P, K+1, N);
-    a non-finite state raises :class:`NonFiniteStateError` naming the lowest
-    failing path and that path's first non-finite saved step."""
-    times = cfg.saved_times()
-    bad = ~np.isfinite(states).all(axis=2)
+@dataclass(frozen=True)
+class Ensemble:
+    """Paths 0..P-1 of one ensemble on one time grid, as arrays: ``states`` of
+    shape (P, K+1, N), ``lyap`` and ``norms`` of shape (P, K+1).  ``ens[i]``
+    is path i as a :class:`Trajectory` of views into these arrays."""
+
+    times: np.ndarray
+    states: np.ndarray
+    lyap: np.ndarray
+    norms: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, i: int) -> Trajectory:
+        return Trajectory(times=self.times, states=self.states[i],
+                          lyap=self.lyap[i], norms=self.norms[i])
+
+
+def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
+              lo: int) -> Tuple[np.ndarray, np.ndarray]:
+    """V and the norm of saved states of shape (K+1, N) (path ``lo``) or
+    (P, K+1, N) (paths lo, lo+1, ...).  A non-finite state raises
+    :class:`NonFiniteStateError` naming the lowest failing path and that
+    path's first non-finite saved step."""
+    bad = ~np.isfinite(states).all(axis=-1)
     if bad.any():
-        path, idx = divmod(int(np.argmax(bad)), bad.shape[1])
-        raise NonFiniteStateError(idx * cfg.save_every, float(times[idx]), lo + path)
-    flat = states.reshape(-1, states.shape[2])
+        path, idx = divmod(int(np.argmax(bad)), bad.shape[-1])
+        raise NonFiniteStateError(idx * cfg.save_every, float(cfg.saved_times()[idx]),
+                                  lo + path)
+    flat = states.reshape(-1, states.shape[-1])
     lyap = np.asarray(spec.batched(spec.lyapunov.v)(flat), dtype=float).reshape(bad.shape)
-    norms = np.linalg.norm(states, axis=2)
-    return [Trajectory(times=times, states=x, lyap=v, norms=r)
-            for x, v, r in zip(states, lyap, norms)]
+    return lyap, np.linalg.norm(states, axis=-1)
 
 
 def _kernel(spec: SystemSpec):
@@ -365,42 +380,43 @@ def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajecto
     ``path_index`` of :func:`ensemble`.
     """
     states = _kernel(spec)(spec, cfg, _sigma_columns(spec, cfg), path_index)
-    return _trajectories(spec, cfg, states[None], path_index)[0]
+    lyap, norms = _finalize(spec, cfg, states, path_index)
+    return Trajectory(times=cfg.saved_times(), states=states, lyap=lyap, norms=norms)
 
 
-def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int,
-             chunk_size: Optional[int] = None) -> List[Trajectory]:
+def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
     """Independent paths i = 0..n_paths-1, each on substream (cfg.seed, i).
 
-    Path i is bit-identical to ``integrate(spec, cfg, i)`` regardless of
-    chunking or thread schedule.  Every spec is stepped in lock-stepped chunks
-    across a thread pool capped by NSS_LAB_THREADS.  By default a chunk holds
-    at most ``_NOISE_BYTES`` (16 MiB) of noise, or one path's if that is more:
-    the affine scan takes as many paths as fit, the sequential kernel 1000
-    paths whose noise it draws in time segments.  So besides the saved states
-    memory holds at most that much noise per worker.  An explicit
-    ``chunk_size`` sets the paths per chunk instead.  A non-finite state names
-    the lowest failing path once every chunk has run.
+    Path i, its V and its norms are bit-identical to ``integrate(spec, cfg, i)``
+    regardless of chunking or thread schedule.  Every spec is stepped in
+    lock-stepped chunks across a thread pool capped by NSS_LAB_THREADS.  A
+    chunk holds at most ``_NOISE_BYTES`` (16 MiB) of noise, or one path's if
+    that is more: the affine scan takes as many paths as fit, the sequential
+    kernel 1000 paths whose noise it draws in time segments.  Each worker
+    fills its chunk's rows of the states, V and norms, so besides those
+    arrays memory holds one chunk's noise and temporaries per worker.  A
+    non-finite state names the lowest failing path.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-    if chunk_size is None:
-        chunk_size = (_SEQUENTIAL_CHUNK if spec.affine is None else max(
-            1, _NOISE_BYTES // (8 * spec.dim_noise * _padded_length(cfg.n_steps))))
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
+    chunk = (_SEQUENTIAL_CHUNK if spec.affine is None else max(
+        1, _NOISE_BYTES // (8 * spec.dim_noise * _padded_length(cfg.n_steps))))
     kernel = _kernel(spec)
     sig_cols = _sigma_columns(spec, cfg)
-    states = np.empty((n_paths, cfg.n_steps // cfg.save_every + 1, spec.dim_state))
+    times = cfg.saved_times()
+    ens = Ensemble(times=times, states=np.empty((n_paths, len(times), spec.dim_state)),
+                   lyap=np.empty((n_paths, len(times))), norms=np.empty((n_paths, len(times))))
 
     def run(lo):
-        states[lo:lo + chunk_size] = kernel(spec, cfg, sig_cols, lo,
-                                            min(lo + chunk_size, n_paths))
+        hi = min(lo + chunk, n_paths)
+        ens.states[lo:hi] = kernel(spec, cfg, sig_cols, lo, hi)
+        ens.lyap[lo:hi], ens.norms[lo:hi] = _finalize(spec, cfg, ens.states[lo:hi], lo)
 
-    starts = range(0, n_paths, chunk_size)
+    starts = range(0, n_paths, chunk)
+    # map yields in chunk order, so the first error raised is the lowest path's
     with ThreadPoolExecutor(max_workers=min(max_threads(), len(starts))) as pool:
         list(pool.map(run, starts))
-    return _trajectories(spec, cfg, states)
+    return ens
 
 
 def write_csv(path, header: Sequence[str], *cols) -> None:

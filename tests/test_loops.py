@@ -342,6 +342,17 @@ class TestVerifyCrossTimes:
         assert not low_gate.underpowered
         assert low_gate.n_flags == 0
 
+    @pytest.mark.parametrize("min_loops", [1, 2])
+    def test_min_loops_below_three_rejected(self, min_loops):
+        # with the first up-cross dropped, one loop leaves no up-crossing
+        # sample and two loops leave one: neither gives a t-interval
+        up = _sample_from_up_law(min_loops, seed=25)
+        down = _sample_from_down_law(min_loops, seed=26)
+        rec = _record_from_times(up, down)
+        assert rec.complete_loops == min_loops
+        with pytest.raises(ValueError, match="min_loops"):
+            verify_cross_time_bounds(rec, LEVELS, confidence=0.99, min_loops=min_loops)
+
     @pytest.mark.parametrize("confidence", [0.0, 1.5])
     def test_confidence_outside_unit_interval_rejected(self, confidence):
         # also when underpowered, where no interval is computed

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from nss_lab.sim import (
     integrate,
     path_generator,
     trajectory_to_csv,
-    _trajectories,
+    _finalize,
 )
 
 from conftest import make_ou, quadratic_lyapunov
@@ -75,6 +76,44 @@ def _unstable():
                    [[[0.5], [0.0]], [[0.0], [0.0]]])
 
 
+def _spy_noise(monkeypatch):
+    """Record the shape of every noise buffer the kernels build."""
+    shapes = []
+    real = sim._noise
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(sim, "_noise", spy)
+    return shapes
+
+
+def _one_path_noise(spec, cfg):
+    """Bytes of one path's noise, padded to the affine scan's whole blocks."""
+    span = block_length(cfg.n_steps)
+    return 8 * spec.dim_noise * (cfg.n_steps // span + 1) * span
+
+
+def _set_chunk(monkeypatch, spec, cfg, paths):
+    """Make :func:`ensemble` step ``spec`` in chunks of ``paths`` paths: the
+    sequential kernel's chunk is a constant, the affine scan's is as many
+    paths as fit in the noise budget."""
+    if spec.affine is None:
+        monkeypatch.setattr(sim, "_SEQUENTIAL_CHUNK", paths)
+    else:
+        monkeypatch.setattr(sim, "_NOISE_BYTES", paths * _one_path_noise(spec, cfg))
+
+
+def _assert_paths_equal(a, b):
+    assert len(a) == len(b)
+    for pa, pb in zip(a, b):
+        assert np.array_equal(pa.states, pb.states)
+        assert np.array_equal(pa.lyap, pb.lyap)
+        assert np.array_equal(pa.norms, pb.norms)
+
+
 class TestConfig:
     def test_n_steps_rounding(self):
         assert SimConfig(t_end=1.0, dt=0.1, seed=0, x0=(0.0,)).n_steps == 10
@@ -111,7 +150,6 @@ class TestDeterministicDynamics:
         spec = _deterministic(lambda x: np.zeros(1))
         traj = integrate(spec, SimConfig(t_end=1.0, dt=0.25, seed=1, x0=(0.0,), t0=2.0))
         assert np.allclose(traj.times, [2.0, 2.25, 2.5, 2.75, 3.0])
-        assert traj.grid_dt == 0.25
         assert traj.horizon == 1.0
 
     def test_save_every_thins_grid(self):
@@ -180,23 +218,25 @@ class TestReproducibility:
         pytest.param("affine-ou", 3, id="affine-ou-chunk3"),
         pytest.param("affine-ou", 7, id="affine-ou-chunk7"),
     ])
-    def test_ensemble_matches_per_path_integrate(self, system, chunk_size,
+    def test_ensemble_matches_per_path_integrate(self, monkeypatch, system, chunk_size,
                                                  benchmark_system):
         spec = {"ou": make_ou(), "builtin": benchmark_system, "affine-ou": _affine_ou(),
                 "ou-per-state": dataclasses.replace(make_ou(), vectorized=False)}[system]
         cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state)
-        paths = ensemble(spec, cfg, 7, chunk_size=chunk_size)
-        for i, p in enumerate(paths):
-            solo = integrate(spec, cfg, path_index=i)
-            assert np.array_equal(p.states, solo.states)
+        _set_chunk(monkeypatch, spec, cfg, chunk_size)
+        shapes = _spy_noise(monkeypatch)
+        paths = ensemble(spec, cfg, 7)
+        assert max(s[-1] for s in shapes) == chunk_size
+        _assert_paths_equal(paths, [integrate(spec, cfg, path_index=i) for i in range(7)])
 
-    def test_chunking_irrelevant(self):
+    def test_chunking_irrelevant(self, monkeypatch):
         spec = make_ou()
         cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,))
-        a = ensemble(spec, cfg, 10, chunk_size=10)
-        b = ensemble(spec, cfg, 10, chunk_size=4)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.states, pb.states)
+        _set_chunk(monkeypatch, spec, cfg, 10)
+        a = ensemble(spec, cfg, 10)
+        _set_chunk(monkeypatch, spec, cfg, 4)
+        b = ensemble(spec, cfg, 10)
+        _assert_paths_equal(a, b)
 
     def test_thread_cap_irrelevant(self, monkeypatch, benchmark_system):
         cfg = SimConfig(t_end=0.2, dt=1e-2, seed=6, x0=(0.1, 0.1))
@@ -209,18 +249,12 @@ class TestReproducibility:
         # the affine scan, at chunk sizes 1, 3 and 7
         ou_cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,))
         for chunk_size in (1, 3, 7):
+            _set_chunk(monkeypatch, _affine_ou(), ou_cfg, chunk_size)
             monkeypatch.setenv("NSS_LAB_THREADS", "1")
-            a = ensemble(_affine_ou(), ou_cfg, 7, chunk_size=chunk_size)
+            a = ensemble(_affine_ou(), ou_cfg, 7)
             monkeypatch.setenv("NSS_LAB_THREADS", "4")
-            b = ensemble(_affine_ou(), ou_cfg, 7, chunk_size=chunk_size)
-            for pa, pb in zip(a, b):
-                assert np.array_equal(pa.states, pb.states), chunk_size
-
-    @pytest.mark.parametrize("chunk_size", [0, -2])
-    def test_chunk_size_below_one_rejected(self, chunk_size):
-        cfg = SimConfig(t_end=0.2, dt=1e-2, seed=6, x0=(0.1,))
-        with pytest.raises(ValueError, match="chunk_size"):
-            ensemble(make_ou(), cfg, 5, chunk_size=chunk_size)
+            b = ensemble(_affine_ou(), ou_cfg, 7)
+            _assert_paths_equal(a, b)
 
     def test_non_integer_thread_cap_named(self, monkeypatch):
         cfg = SimConfig(t_end=0.2, dt=1e-2, seed=6, x0=(0.1,))
@@ -230,20 +264,19 @@ class TestReproducibility:
 
     def test_many_workers_fill_their_own_rows(self, monkeypatch):
         # more workers than cores, switching threads often: every chunk must
-        # land in its own rows of the shared states array
+        # land in its own rows of the shared states, V and norm arrays
         spec = make_ou()
         cfg = SimConfig(t_end=0.2, dt=1e-2, seed=9, x0=(0.2,))
         solo = [integrate(spec, cfg, i) for i in range(40)]
+        _set_chunk(monkeypatch, spec, cfg, 1)
         monkeypatch.setenv("NSS_LAB_THREADS", "8")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            paths = ensemble(spec, cfg, 40, chunk_size=1)
+            paths = ensemble(spec, cfg, 40)
         finally:
             sys.setswitchinterval(interval)
-        assert len(paths) == 40
-        for p, q in zip(paths, solo):
-            assert np.array_equal(p.states, q.states)
+        _assert_paths_equal(paths, solo)
 
     def test_nonvectorized_matches_vectorized(self):
         base = make_ou()
@@ -307,35 +340,16 @@ class TestAffineScan:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     @pytest.mark.parametrize("kernel", ["affine", "sequential"])
-    def test_ensemble_blow_up_matches_integrate(self, kernel):
+    def test_ensemble_blow_up_matches_integrate(self, monkeypatch, kernel):
         spec = _unstable() if kernel == "affine" else _sequential(_unstable())
         cfg = SimConfig(t_end=400.0, dt=1.0, seed=14, x0=(1.0, 1.0), save_every=2)
         with pytest.raises(NonFiniteStateError) as solo:
             integrate(spec, cfg, 0)
+        _set_chunk(monkeypatch, spec, cfg, 2)
         with pytest.raises(NonFiniteStateError) as exc:
-            ensemble(spec, cfg, 5, chunk_size=2)
+            ensemble(spec, cfg, 5)
         assert exc.value.path_index == solo.value.path_index == 0
         assert exc.value.step == solo.value.step
-
-
-def _spy_noise(monkeypatch):
-    """Record the shape of every noise buffer the kernels build."""
-    shapes = []
-    real = sim._noise
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        shapes.append(out.shape)
-        return out
-
-    monkeypatch.setattr(sim, "_noise", spy)
-    return shapes
-
-
-def _one_path_noise(spec, cfg):
-    """Bytes of one path's noise, padded to the affine scan's whole blocks."""
-    span = block_length(cfg.n_steps)
-    return 8 * spec.dim_noise * (cfg.n_steps // span + 1) * span
 
 
 class TestNoiseBudget:
@@ -387,6 +401,29 @@ class TestNoiseBudget:
         assert sorted(s[-1] for s in shapes) == [2, 3, 3]
         for i, p in enumerate(paths):
             assert np.array_equal(p.states, integrate(spec, cfg, i).states)
+
+    def test_peak_memory_is_saved_arrays_noise_and_one_chunk(self, monkeypatch,
+                                                              benchmark_system):
+        # each worker computes its chunk's V and norms, so no temporary spans
+        # the whole ensemble; a chunk's temporaries are its kernel output, its
+        # V and norm intermediates and its Philox generators
+        spec = _sequential(benchmark_system)
+        cfg = SimConfig(t_end=1.0, dt=1e-3, seed=3, x0=(0.5, -0.5), save_every=10)
+        n_paths, chunk = 600, 100
+        _set_chunk(monkeypatch, spec, cfg, chunk)
+        budget = 8 * spec.dim_noise * chunk * 100  # time segments of 100 steps
+        monkeypatch.setattr(sim, "_NOISE_BYTES", budget)
+        monkeypatch.setenv("NSS_LAB_THREADS", "1")
+        n_saved = len(cfg.saved_times())
+        saved = 8 * n_paths * n_saved * (spec.dim_state + 2)  # states, V and norms
+        one_chunk = 8 * chunk * n_saved * spec.dim_state
+        tracemalloc.start()
+        try:
+            ensemble(spec, cfg, n_paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= saved + budget + 4 * one_chunk
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     def test_lowest_failing_path_across_chunks(self, monkeypatch):
@@ -440,7 +477,7 @@ class TestFailureModes:
         states[4, 1, 0] = np.nan
         states[3, 2, 0] = np.inf
         with pytest.raises(NonFiniteStateError) as exc:
-            _trajectories(spec, cfg, states, lo=10)
+            _finalize(spec, cfg, states, lo=10)
         assert (exc.value.path_index, exc.value.step) == (13, 2)
         assert exc.value.t == pytest.approx(0.2)
 
