@@ -26,7 +26,7 @@ __all__ = [
     "dominated_coupling_lower",
 ]
 
-_BISECT_TOL = 1e-12
+_TOL = 1e-12
 _BRACKET_BUDGET = 200
 
 
@@ -66,7 +66,13 @@ class ConditionalCdf:
 
 @dataclass(frozen=True)
 class DominatingLaw:
-    """A fixed law given by its CDF."""
+    """A fixed law given by its CDF.
+
+    ``cdf`` must be nondecreasing in floating point, and give the same value
+    at every call for the same s: the inversion brackets each edge by
+    comparing CDF values, keeps values it has already computed, and carries
+    a point known to lie outside one level's set over to every higher level.
+    """
 
     cdf: Callable[[float], float]
 
@@ -97,87 +103,192 @@ def uniformize(x_n: float, history: Sequence[float], xi_n: float,
     return lo + xi_n * (hi - lo)
 
 
-def _expand_bracket(predicate, start: float, direction: float) -> float:
-    """Geometric expansion from start until predicate holds; returns the point."""
+def _expand_bracket(cdf, inside, start: float,
+                    direction: float) -> Tuple[float, float]:
+    """Geometric expansion from start until ``inside(F(s))`` holds; returns
+    the point and its CDF value."""
     s = start
     for _ in range(_BRACKET_BUDGET):
-        if predicate(s):
-            return s
+        v = cdf(s)
+        if inside(v):
+            return s, v
         s = s * 2.0 if s * direction > 0 else direction
     raise RuntimeError("bracket expansion budget exhausted (pathological CDF)")
 
 
-def _bisect_edge(y: float, f: DominatingLaw, tol: float,
-                 strict: bool) -> Tuple[float, float]:
-    """Bracket ``(lo, hi)`` of the lower edge of ``{s | F(s) >= y}``, or of
-    ``{s | F(s) > y}`` when ``strict``: ``hi`` is in the set and ``lo`` is not.
+def _edges(levels: Sequence[float], f: DominatingLaw, tol: float,
+           strict: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Brackets ``(lo, hi)`` of the lower edge of ``{s | F(s) >= y}``, or of
+    ``{s | F(s) > y}`` when ``strict``, for every level y in (0, 1):
+    ``hi[i]`` is in level i's set, ``lo[i]`` is not, and ``hi - lo <= tol``
+    unless the two are adjacent floats.
+
+    The levels are swept in ascending order.  Only the first expands a
+    bracket from ``[-1, 1]``.  The sets shrink as y grows, so each later
+    level keeps its predecessor's bracket: the low end stays outside the
+    set, and the high end is checked against the CDF value already known
+    there.  If the high end has left the set, it becomes the low end, and
+    a new high end is sought by a secant step that doubles until it is back
+    in the set.  The bracket is then narrowed by a safeguarded Illinois
+    regula falsi.  A level's bracket thus depends, within tol, on the levels
+    swept before it.
     """
-    if not (0.0 < y < 1.0):
-        raise ValueError(f"y={y!r} outside (0, 1)")
+    levels = np.asarray(levels, dtype=float)
+    lo = np.empty(len(levels))
+    hi = np.empty(len(levels))
+    if not len(levels):
+        return lo, hi
+    order = np.argsort(levels, kind="stable")
     cdf = f.cdf
-
-    def in_set(s: float) -> bool:
-        return cdf(s) > y if strict else cdf(s) >= y
-
-    hi = _expand_bracket(in_set, 1.0, 1.0)
-    lo = _expand_bracket(lambda s: not in_set(s), -1.0, -1.0)
-    for _ in range(_BRACKET_BUDGET):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        # in_set inlined: this loop is the hot path of every coupling
-        fm = cdf(mid)
-        if fm > y if strict else fm >= y:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol:
-            break
+    quarter = 0.25 * tol
+    y = float(levels[order[0]])
+    b, fb = _expand_bracket(cdf, lambda v: v > y if strict else v >= y, 1.0, 1.0)
+    a, fa = _expand_bracket(cdf, lambda v: not (v > y if strict else v >= y),
+                            -1.0, -1.0)
+    pace = math.inf
+    # memoryview yields Python numbers one at a time, without a list of all.
+    for i, y in zip(memoryview(order), memoryview(levels[order])):
+        b0, f0 = b, fb
+        if not (fb > y if strict else fb >= y):
+            # Twice the secant distance from b to the edge, at most doubling
+            # the magnitude, as the first bracket's expansion does.  The
+            # slope is the lesser of the bracket's and the last move's: at
+            # an atom the bracket's is as steep as the jump over tol.  It
+            # underflows to 0 only where F is subnormal.
+            slope = min((fb - fa) / (b - a), pace)
+            step = 2.0 * (y - fb) / slope if slope > 0.0 else math.inf
+            step = min(max(step, tol), max(1.0, abs(b)))
+            for _ in range(_BRACKET_BUDGET):
+                a, fa = b, fb
+                b = a + step
+                fb = cdf(b)
+                if fb > y if strict else fb >= y:
+                    break
+                step *= 2.0
+            else:
+                raise RuntimeError(
+                    "bracket expansion budget exhausted (pathological CDF)")
+        # Illinois regula falsi on F - y.  ``wa`` and ``wb`` are the
+        # distances of F(a) and F(b) from y; the one at an end kept twice in
+        # a row is halved.  A trial that leaves F unchanged at the end it
+        # replaces has met a flat stretch or an atom, where the secant says
+        # nothing, so the next trial bisects; so does the trial after three
+        # that have not halved the bracket, and any trial once the weights
+        # have halved to 0 (possible only where F is subnormal).
+        wa, wb = y - fa, fb - y
+        side = 0
+        width = b - a
+        slow = 0
+        flat = False
+        for _ in range(_BRACKET_BUDGET):
+            mid = 0.5 * (a + b)
+            if b - a <= tol or mid == a or mid == b:
+                break
+            s = mid
+            if not flat and slow < 3 and wa + wb > 0.0:
+                s = min(max(a + (b - a) * (wa / (wa + wb)), a + quarter),
+                        b - quarter)
+                if not a < s < b:
+                    s = mid
+            fs = cdf(s)
+            if fs > y if strict else fs >= y:
+                flat = fs == fb
+                b, fb, wb = s, fs, fs - y
+                if side == 1:
+                    wa *= 0.5
+                side = 1
+            else:
+                flat = fs == fa
+                a, fa, wa = s, fs, y - fs
+                if side == -1:
+                    wb *= 0.5
+                side = -1
+            if b - a <= 0.5 * width:
+                width = b - a
+                slow = 0
+            else:
+                slow += 1
+        if b > b0:
+            pace = (fb - f0) / (b - b0)
+        lo[i] = a
+        hi[i] = b
     return lo, hi
 
 
-def inverse_cdf_inf(y: float, f: DominatingLaw, tol: float = _BISECT_TOL) -> float:
-    """Generalized inverse ``inf{s | F(s) >= y}`` by monotone bisection."""
-    return _bisect_edge(y, f, tol, strict=False)[1]
+def _edge(y: float, f: DominatingLaw, tol: float,
+          strict: bool) -> Tuple[float, float]:
+    if not (0.0 < y < 1.0):
+        raise ValueError(f"y={y!r} outside (0, 1)")
+    lo, hi = _edges([y], f, tol, strict)
+    return float(lo[0]), float(hi[0])
 
 
-def inverse_cdf_sup(y: float, f: DominatingLaw, tol: float = _BISECT_TOL) -> float:
-    """Generalized inverse ``sup{s | F(s) <= y}``.
+def inverse_cdf_inf(y: float, f: DominatingLaw, tol: float = _TOL) -> float:
+    """Generalized inverse ``inf{s | F(s) >= y}``, to within tol above it.
 
+    The upper end of the bracket that :func:`_edges` narrows for one level.
+    """
+    return _edge(y, f, tol, strict=False)[1]
+
+
+def inverse_cdf_sup(y: float, f: DominatingLaw, tol: float = _TOL) -> float:
+    """Generalized inverse ``sup{s | F(s) <= y}``, to within tol below it.
+
+    The lower end of the bracket that :func:`_edges` narrows for one level.
     Agrees with :func:`inverse_cdf_inf` except where the CDF has a flat
     stretch exactly at level y (a probability-zero event for uniform y).
     """
-    return _bisect_edge(y, f, tol, strict=True)[0]
+    return _edge(y, f, tol, strict=True)[0]
 
 
 def _coupled_sequence(xs: Sequence[float], g: ConditionalCdf, f: DominatingLaw,
                       seed: int, upper: bool) -> np.ndarray:
-    rng = np.random.default_rng(seed)
     # A read-only view, so g cannot alter the elements still to be coupled;
     # the caller's array keeps its own flags.
     view = np.asarray(xs, dtype=float).view()
     view.flags.writeable = False
-    out = np.empty(len(view))
-    for n, x in enumerate(view.tolist()):
-        xi = float(rng.uniform())
-        y = uniformize(x, view[:n], xi, g)
-        if upper:
-            z = inverse_cdf_sup(y, f)
-            # F(x) <= y makes x a member of {s | F(s) <= y}, so the true
-            # supremum is >= x; taking the max removes bisection round-off
-            # without changing the mathematical value.
-            if math.isfinite(x) and f.cdf(x) <= y:
-                z = max(z, x)
-            if z < x:
-                raise CouplingViolationError(n, x, z, "upper")
+    nan = np.flatnonzero(np.isnan(view))
+    if len(nan):
+        raise ValueError(f"xs[{nan[0]}]={float(view[nan[0]])!r} is not a number")
+    # Pass 1, in index order: the levels.  One draw of all xi gives the same
+    # bits as one scalar draw per element; ys holds each xi until its level
+    # replaces it.  An error stops the pass; it is raised after the elements
+    # before it are checked, so the lowest index is reported first.
+    ys = np.random.default_rng(seed).uniform(size=len(view))
+    error = None
+    for n, (x, xi) in enumerate(zip(memoryview(view), memoryview(ys))):
+        try:
+            y = uniformize(x, view[:n], xi, g)
+        except ValueError as exc:
+            error = exc
         else:
-            z = inverse_cdf_inf(y, f)
-            if math.isfinite(x) and f.cdf(x) >= y:
-                z = min(z, x)
-            if z > x:
-                raise CouplingViolationError(n, x, z, "lower")
-        out[n] = z
-    return out
+            if not (0.0 < y < 1.0):
+                error = ValueError(
+                    f"level y={y!r} of xs[{n}]={x!r} outside (0, 1)")
+        if error is not None:
+            ys = ys[:n]
+            break
+        ys[n] = y
+    # Pass 2: invert the dominating law at every level in one sorted sweep.
+    lo, hi = _edges(ys, f, _TOL, strict=upper)
+    # Pass 3, in index order: the pathwise check, on the elements where z is
+    # on the wrong side of x.  F(x) <= y makes x a member of {s | F(s) <= y},
+    # so the true supremum is >= x and only the sweep's round-off put z
+    # below it: z becomes x (mirrored for the lower side).  Otherwise the
+    # dominance hypothesis fails.
+    zs = lo if upper else hi
+    head = view[:len(zs)]
+    cdf = f.cdf
+    for n in np.flatnonzero(zs < head if upper else zs > head).tolist():
+        x, y = float(head[n]), float(ys[n])
+        if math.isfinite(x) and (cdf(x) <= y if upper else cdf(x) >= y):
+            zs[n] = x
+        else:
+            raise CouplingViolationError(n, x, float(zs[n]),
+                                         "upper" if upper else "lower")
+    if error is not None:
+        raise error
+    return zs
 
 
 def dominated_coupling_upper(xs: Sequence[float], g: ConditionalCdf,
@@ -186,12 +297,21 @@ def dominated_coupling_upper(xs: Sequence[float], g: ConditionalCdf,
 
     Valid when the conditional survival of every X_n is dominated by the
     survival of f (light-tail hypothesis); a pathwise violation raises
-    :class:`CouplingViolationError` with the offending index.
+    :class:`CouplingViolationError` with the offending index.  A NaN element,
+    or a level outside (0, 1), raises ``ValueError`` naming its index.
+
+    Each Z_n is within 1e-12 of ``sup{s | F(s) <= U_n}`` at its uniform
+    level U_n.  All levels are inverted in one sorted sweep, so below that
+    tolerance Z_n depends on the other elements' levels.
     """
     return _coupled_sequence(xs, g, f, seed, upper=True)
 
 
 def dominated_coupling_lower(xs: Sequence[float], g: ConditionalCdf,
                              f: DominatingLaw, seed: int) -> np.ndarray:
-    """Mirror coupling with Z_n <= X_n; supports +inf entries in xs."""
+    """Mirror coupling with Z_n <= X_n; supports +inf entries in xs.
+
+    Each Z_n is within 1e-12 of ``inf{s | F(s) >= U_n}``, from the same
+    sorted sweep over all levels as :func:`dominated_coupling_upper`.
+    """
     return _coupled_sequence(xs, g, f, seed, upper=False)

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from nss_lab.slln import (
     ConditionalCdf,
     CouplingViolationError,
     DominatingLaw,
+    _edges,
     dominated_coupling_lower,
     dominated_coupling_upper,
     inverse_cdf_inf,
@@ -236,3 +238,209 @@ class TestCouplings:
         g = ConditionalCdf.from_marginal(lambda s: min(1.0, max(0.0, 2.0 * s)))
         zs = dominated_coupling_upper(xs, g, UNIT_UNIFORM, seed=65)
         assert sps.kstest(zs, "uniform").pvalue > 0.01
+
+
+def _reference_expand_bracket(predicate, start, direction):
+    s = start
+    for _ in range(200):
+        if predicate(s):
+            return s
+        s = s * 2.0 if s * direction > 0 else direction
+    raise RuntimeError("bracket expansion budget exhausted (pathological CDF)")
+
+
+def _reference_bisect_edge(y, f, tol, strict):
+    """The per-level bisection the sorted sweep replaced, kept as the
+    reference: ``(lo, hi)`` brackets the lower edge of ``{s | F(s) >= y}``
+    (``{s | F(s) > y}`` when ``strict``)."""
+    cdf = f.cdf
+
+    def in_set(s):
+        return cdf(s) > y if strict else cdf(s) >= y
+
+    hi = _reference_expand_bracket(in_set, 1.0, 1.0)
+    lo = _reference_expand_bracket(lambda s: not in_set(s), -1.0, -1.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = cdf(mid)
+        if fm > y if strict else fm >= y:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= tol:
+            break
+    return lo, hi
+
+
+def _flat_stretch_cdf(s):
+    # rises to 0.4 at s=1, flat on [1, 2], rises to 1 at s=3.5
+    if s < 0.0:
+        return 0.0
+    if s < 1.0:
+        return 0.4 * s
+    if s <= 2.0:
+        return 0.4
+    if s < 3.5:
+        return 0.4 + 0.4 * (s - 2.0)
+    return 1.0
+
+
+def _subnormal_atoms_cdf(s):
+    # atoms of the least subnormal mass at 0 and 1000, the rest at 2000
+    if s < 0.0:
+        return 0.0
+    if s < 1000.0:
+        return 5e-324
+    return 1e-323 if s < 2000.0 else 1.0
+
+
+def _normal_cdf(mu, sd):
+    return lambda s: 0.5 * math.erfc(-(s - mu) / (sd * math.sqrt(2.0)))
+
+
+_ATOMS = np.sort(np.random.default_rng(5).uniform(size=1000)).tolist()
+_UNIFORM_LEVELS = np.random.default_rng(1).uniform(size=200).tolist()
+_SWEEP_LAWS = {
+    "exponential": (EXP1.cdf, _UNIFORM_LEVELS),
+    "unit-uniform": (UNIT_UNIFORM.cdf, _UNIFORM_LEVELS),
+    "point-mass-3": (lambda s: 1.0 if s >= 3.0 else 0.0, _UNIFORM_LEVELS),
+    "flat-stretch": (_flat_stretch_cdf, _UNIFORM_LEVELS + [0.4]),
+    "cauchy-tails": (lambda s: 0.5 + math.atan(s) / math.pi, [1e-12, 1.0 - 1e-12]),
+    "1000-atoms": (lambda s: bisect.bisect_right(_ATOMS, s) / 1000.0, _UNIFORM_LEVELS),
+    "normal-5-1e-12": (_normal_cdf(5.0, 1e-12), _UNIFORM_LEVELS),
+    "normal-0-1e12": (_normal_cdf(0.0, 1e12), _UNIFORM_LEVELS),
+    # levels where F is subnormal, so F differences and slopes underflow
+    "normal-subnormal-tail": (_normal_cdf(0.0, 1.0),
+                              [1e-320, 3e-320, 2e-310, 1e-300, 0.25, 0.5]),
+    "subnormal-atoms": (_subnormal_atoms_cdf, [5e-324, 1e-323, 1.5e-323, 0.5]),
+}
+
+
+class TestSortedSweep:
+    @pytest.mark.parametrize("strict", [False, True], ids=["inf", "sup"])
+    @pytest.mark.parametrize("name", sorted(_SWEEP_LAWS))
+    def test_matches_bisection_with_fewer_cdf_calls(self, name, strict):
+        cdf, levels = _SWEEP_LAWS[name]
+        levels = list(levels)
+        np.random.default_rng(2).shuffle(levels)
+        calls = [0]
+
+        def counted(s):
+            calls[0] += 1
+            return cdf(s)
+
+        law = DominatingLaw.from_cdf(counted)
+        tol = 1e-12
+        lo, hi = _edges(levels, law, tol, strict)
+        sweep_calls, calls[0] = calls[0], 0
+        refs = [_reference_bisect_edge(y, law, tol, strict) for y in levels]
+        assert sweep_calls <= calls[0]
+
+        def in_set(s, y):
+            return cdf(s) > y if strict else cdf(s) >= y
+
+        for y, a, b, (ref_lo, ref_hi) in zip(levels, lo.tolist(), hi.tolist(), refs):
+            assert in_set(b, y) and not in_set(a, y)
+            z, z_ref = (a, ref_lo) if strict else (b, ref_hi)
+            resolution = math.ulp(max(abs(z), abs(z_ref)))
+            assert abs(z - z_ref) <= max(tol, resolution)
+
+
+def _half_unit_cdf(s):
+    return min(1.0, max(0.0, 2.0 * s))
+
+
+class TestCouplingInputs:
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+    def test_matches_per_element_bisection(self, upper):
+        # X_n is conditionally exponential at rate 1 + tanh(X_{n-1}) / 2, in
+        # [1, 1.5): Exp(1/2) dominates it from above and Exp(2) from below.
+        # The reference is the per-element loop the three passes replaced:
+        # one scalar xi draw, one uniformize and one bisection per element.
+        def cdf(s, h):
+            rate = 1.0 + 0.5 * math.tanh(h[-1] if len(h) else 0.0)
+            return -math.expm1(-rate * s) if s > 0.0 else 0.0
+
+        g = ConditionalCdf(eval=cdf, left_limit=cdf)
+        rate = 0.5 if upper else 2.0
+        f = DominatingLaw.from_cdf(lambda s: -math.expm1(-rate * s) if s > 0.0 else 0.0)
+        xs = np.random.default_rng(15).exponential(size=500)
+        couple = dominated_coupling_upper if upper else dominated_coupling_lower
+        zs = couple(xs, g, f, seed=15).tolist()
+        rng = np.random.default_rng(15)
+        for n, (x, z) in enumerate(zip(xs.tolist(), zs)):
+            y = uniformize(x, xs[:n], rng.uniform(), g)
+            lo, hi = _reference_bisect_edge(y, f, 1e-12, strict=upper)
+            assert abs(z - (lo if upper else hi)) <= 1e-12
+            assert z >= x if upper else z <= x
+
+    @pytest.mark.parametrize("couple", [dominated_coupling_upper, dominated_coupling_lower])
+    def test_empty_sequence(self, couple):
+        g = ConditionalCdf.from_marginal(_half_unit_cdf)
+        for xs in ([], np.array([])):
+            assert couple(xs, g, UNIT_UNIFORM, seed=1).shape == (0,)
+
+    def test_single_element_equals_scalar_inverse(self):
+        xi = np.random.default_rng(70).uniform()
+        g_up = ConditionalCdf.from_marginal(_half_unit_cdf)
+        z = dominated_coupling_upper([0.2], g_up, EXP1, seed=70)
+        assert z.shape == (1,)
+        assert z[0] == inverse_cdf_sup(uniformize(0.2, [], xi, g_up), EXP1)
+        g_lo = ConditionalCdf.from_marginal(lambda s: min(1.0, max(0.0, 2.0 * (s - 0.5))))
+        z = dominated_coupling_lower([0.7], g_lo, UNIT_UNIFORM, seed=70)
+        assert z[0] == inverse_cdf_inf(uniformize(0.7, [], xi, g_lo), UNIT_UNIFORM)
+
+    @pytest.mark.parametrize("couple", [dominated_coupling_upper, dominated_coupling_lower])
+    def test_nan_element_named_before_any_inversion(self, couple):
+        xs = np.random.default_rng(12).uniform(0.5, 1.0, size=1000)
+        xs[500] = math.nan
+        inverted = []
+
+        def cdf(s):
+            inverted.append(s)
+            return min(1.0, max(0.0, s))
+
+        g = ConditionalCdf.from_marginal(lambda s: min(1.0, max(0.0, 2.0 * (s - 0.5))))
+        with pytest.raises(ValueError, match=r"xs\[500\]=nan"):
+            couple(xs, g, DominatingLaw.from_cdf(cdf), seed=12)
+        assert inverted == []
+
+    def test_level_outside_unit_interval_named(self):
+        xs = np.array([0.2, 0.3, -0.5, 0.1])
+        g = ConditionalCdf.from_marginal(_half_unit_cdf)
+        with pytest.raises(ValueError, match=r"level y=0\.0 of xs\[2\]=-0\.5"):
+            dominated_coupling_upper(xs, g, UNIT_UNIFORM, seed=13)
+
+    @pytest.mark.parametrize("kind", ["bad-level", "non-monotone"])
+    @pytest.mark.parametrize("violation_at, error_at", [(3, 7), (7, 3)])
+    def test_first_error_by_index(self, kind, violation_at, error_at):
+        # Elements are conditionally U(0, 1/2), dominated by U(0, 1), except
+        # one that is conditionally U(1, 2) and so violates the coupling; a
+        # second element has an error of the given kind.
+        def cdf(s, h):
+            if len(h) == violation_at:
+                return min(1.0, max(0.0, s - 1.0))
+            if kind == "non-monotone" and len(h) == error_at:
+                return 0.1
+            return _half_unit_cdf(s)
+
+        def left(s, h):
+            if kind == "non-monotone" and len(h) == error_at:
+                return 0.9
+            return cdf(s, h)
+
+        xs = np.random.default_rng(14).uniform(0.0, 0.5, size=10)
+        xs[violation_at] = 1.5
+        if kind == "bad-level":
+            xs[error_at] = -0.5
+        g = ConditionalCdf(eval=cdf, left_limit=left)
+        if violation_at < error_at:
+            with pytest.raises(CouplingViolationError) as exc:
+                dominated_coupling_upper(xs, g, UNIT_UNIFORM, seed=14)
+            assert exc.value.index == violation_at
+        else:
+            match = "level" if kind == "bad-level" else "not monotone"
+            with pytest.raises(ValueError, match=match):
+                dominated_coupling_upper(xs, g, UNIT_UNIFORM, seed=14)
