@@ -28,9 +28,10 @@ __all__ = [
 ]
 
 _BRANCH_POINT = -math.exp(-1.0)
+_BISECT_ITERS = 200
 
 
-def lambert_w_lower(x: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def lambert_w_lower(x: float, tol: float = 1e-12) -> float:
     """Lower branch of the Lambert W function on [-1/e, 0).
 
     Solves ``w * exp(w) = x`` for ``w <= -1`` by bracketed bisection on the
@@ -66,7 +67,7 @@ def lambert_w_lower(x: float, tol: float = 1e-12, max_iter: int = 200) -> float:
         if expansions > 64:
             raise RuntimeError("failed to bracket the lower branch")
 
-    for _ in range(max_iter):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -96,20 +97,13 @@ def lambert_w_lower(x: float, tol: float = 1e-12, max_iter: int = 200) -> float:
     return w
 
 
-_W_M2: float | None = None
-
-
-def _w_at_minus_e2() -> float:
-    """W_{-1}(-e^{-2}), the constant appearing in every occupancy bound."""
-    global _W_M2
-    if _W_M2 is None:
-        _W_M2 = lambert_w_lower(-math.exp(-2.0))
-    return _W_M2
+# W_{-1}(-e^{-2}), the constant appearing in every occupancy bound
+_W_M2 = lambert_w_lower(-math.exp(-2.0))
 
 
 def beta_star() -> float:
     """Level ratio maximizing the occupancy lower bound: -1 / W_{-1}(-e^{-2})."""
-    return -1.0 / _w_at_minus_e2()
+    return -1.0 / _W_M2
 
 
 @dataclass(frozen=True)
@@ -219,7 +213,7 @@ def bound_b(
     if a <= g:
         return 0.0
     log_ratio = math.log(a / g)
-    return log_ratio / (-_w_at_minus_e2() + log_ratio)
+    return log_ratio / (-_W_M2 + log_ratio)
 
 
 def fractile_q(
@@ -229,7 +223,7 @@ def fractile_q(
     if not (0.0 < k < 1.0):
         raise ValueError(f"k={k!r} outside (0, 1)")
     g = gamma_max / c
-    return alpha1_inv(g * math.exp(-(k / (1.0 - k)) * _w_at_minus_e2()))
+    return alpha1_inv(g * math.exp(-(k / (1.0 - k)) * _W_M2))
 
 
 def occupancy_ratio_bound(levels: LevelPair) -> float:
@@ -243,13 +237,9 @@ def occupancy_ratio_bound(levels: LevelPair) -> float:
 
 @dataclass(frozen=True)
 class BoundSet:
-    """All derived quantities for one level pair and alpha1 envelope."""
+    """The radius bound b(r) and fractile q(k) for one level pair and alpha1 envelope."""
 
     levels: LevelPair
-    t_uc: float
-    t_dc: float
-    ratio_bound: float
-    beta_star: float
     b: Callable[[float], float] = field(repr=False)
     q: Callable[[float], float] = field(repr=False)
 
@@ -259,13 +249,9 @@ def make_bound_set(
     alpha1: Callable[[float], float],
     alpha1_inv: Callable[[float], float],
 ) -> BoundSet:
-    """Bundle the closed-form quantities derived from one LevelPair."""
+    """Bind b(r) and q(k) to one LevelPair and alpha1 envelope."""
     return BoundSet(
         levels=levels,
-        t_uc=expected_up_cross(levels),
-        t_dc=expected_down_cross(levels),
-        ratio_bound=occupancy_ratio_bound(levels),
-        beta_star=beta_star(),
         b=lambda r: bound_b(r, levels.c, levels.gamma_max, alpha1),
         q=lambda k: fractile_q(k, levels.c, levels.gamma_max, alpha1_inv),
     )

@@ -94,6 +94,8 @@ class ExperimentConfig:
     dump_trajectory: bool = False
 
     def r_grid(self) -> np.ndarray:
+        if not self.r_min > 0.0:
+            raise ValueError(f"grid.r_min must be positive, got {self.r_min!r}")
         if self.r_count < 1:
             raise ValueError(f"grid.count must be >= 1, got {self.r_count!r}")
         if not self.r_max > self.r_min:
@@ -196,14 +198,11 @@ class ExperimentReport:
 
     config_echo: str
     integrator: str
-    rng_algorithm: str = RNG_ALGORITHM
-    version: str = __version__
     tables: dict = field(default_factory=dict)  # name -> (header, rows)
     trajectory: Optional[Trajectory] = None  # the long path, when it is dumped
     checks: List[Tuple[str, str, str]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     premises_verified: bool = True
-    exit_code: int = EXIT_OK
 
     def add_check(self, name: str, passed: bool, detail: str, skipped: bool = False):
         status = "skip" if skipped else ("pass" if passed else "FLAG")
@@ -217,10 +216,15 @@ class ExperimentReport:
             return "flagged"
         return "pass"
 
+    @property
+    def exit_code(self) -> int:
+        return {"premises-unverified": EXIT_PREMISES, "flagged": EXIT_FLAGGED,
+                "pass": EXIT_OK}[self.verdict]
+
     def summary_text(self) -> str:
         lines = [
-            f"nss-lab {self.version}",
-            f"rng: {self.rng_algorithm}",
+            f"nss-lab {__version__}",
+            f"rng: {RNG_ALGORITHM}",
             f"integrator: {self.integrator}",
             "",
             "checks:",
@@ -272,7 +276,10 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     b_grid = [bset.b(float(r)) for r in grid]
     if not cfg.k_list:
         raise ValueError("fractiles.k must list at least one fraction")
-    q_list = [bset.q(k) for k in cfg.k_list]
+    try:
+        q_list = [bset.q(k) for k in cfg.k_list]
+    except ValueError as exc:
+        raise ValueError(f"fractiles.k: {exc}") from None
     _check_confidence(cfg.confidence)
     if cfg.seed < 0:
         raise ValueError(f"sim.seed must be >= 0, got {cfg.seed}")
@@ -287,15 +294,15 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         if not cfg.check_times:
             raise ValueError("ensemble.check_times must list at least one time")
         max_threads()  # a bad NSS_LAB_THREADS fails here, not after the long path
-        t_hi = max(cfg.check_times)
-        save_every = max(1, int(round(0.1 / cfg.dt)))
-        n_steps = SimConfig(t_end=t_hi, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0).n_steps
-        while n_steps % save_every != 0:
-            save_every -= 1
-        ens_cfg = SimConfig(t_end=t_hi, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0,
-                            save_every=save_every)
-        for t in cfg.check_times:
-            _grid_index(ens_cfg.saved_times(), t)
+        # save only the coarsest grid that holds every check time
+        save_every = math.gcd(*(round(t / cfg.dt) for t in cfg.check_times))
+        try:
+            ens_cfg = SimConfig(t_end=max(cfg.check_times), dt=cfg.dt, seed=cfg.seed,
+                                x0=cfg.x0, save_every=save_every)
+            for t in cfg.check_times:
+                _grid_index(ens_cfg.saved_times(), t)
+        except ValueError as exc:
+            raise ValueError(f"ensemble.check_times: {exc}") from None
 
     # stage: premises
     states, times, gamma_times = _premise_sample(spec, cfg)
@@ -333,19 +340,14 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         header = ["threshold", "empirical", "bound", "ci_low", "ci_high", "flag"]
         report.tables["up_cross_survival"] = (header, [astuple(r) for r in ct.up_rows])
         report.tables["down_cross_survival"] = (header, [astuple(r) for r in ct.down_rows])
-        if ct.underpowered:
-            report.add_check(
-                "cross-time-bounds", True,
-                f"underpowered: only {record.complete_loops} complete loops", skipped=True,
-            )
-        else:
-            report.add_check(
-                "cross-time-bounds",
-                ct.n_flags == 0,
-                f"{record.complete_loops} loops, {ct.n_flags} flags; "
-                f"mean up {ct.mean_up:.4g} vs t_uc {ct.t_uc:.4g}, "
-                f"mean down {ct.mean_down:.4g} vs t_dc {ct.t_dc:.4g}",
-            )
+        report.add_check(
+            "cross-time-bounds", ct.passed,
+            f"underpowered: only {record.complete_loops} complete loops" if ct.underpowered
+            else f"{record.complete_loops} loops, {ct.n_flags} flags; "
+                 f"mean up {ct.mean_up:.4g} vs t_uc {ct.t_uc:.4g}, "
+                 f"mean down {ct.mean_down:.4g} vs t_dc {ct.t_dc:.4g}",
+            skipped=ct.underpowered,
+        )
 
         # stage: fractile occupancy
         occ = [float(empirical_time_average(traj, [qk], mode="norm").values[0])
@@ -391,11 +393,6 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
                          f"radius {cfg.prob_radius:g} at {len(prob_rows)} times")
     elif cfg.n_paths == 0:
         report.notes.append("ensemble checks skipped: n_paths = 0")
-
-    if not report.premises_verified:
-        report.exit_code = EXIT_PREMISES
-    elif report.verdict == "flagged":
-        report.exit_code = EXIT_FLAGGED
     return report
 
 

@@ -48,6 +48,8 @@ __all__ = [
 
 MIN_LOOPS = 30
 MIN_PATHS = 1000
+# survival-curve points per crossing-time check: sample quantiles 0 to 0.95
+_SURVIVAL_GRID = 25
 
 
 class TailState(enum.Enum):
@@ -365,7 +367,6 @@ def verify_cross_time_bounds(
     record: LoopRecord,
     levels: LevelPair,
     confidence: float = 0.99,
-    n_grid: int = 25,
     min_loops: int = MIN_LOOPS,
 ) -> CrossTimeReport:
     """Check empirical crossing-time statistics against the survival bounds.
@@ -389,7 +390,7 @@ def verify_cross_time_bounds(
     def survival_rows(samples, bound_fn, up_side):
         # up-cross survival is bounded from below, down-cross from above
         n = len(samples)
-        grid = _linear_quantiles(samples, np.linspace(0.0, 0.95, n_grid))
+        grid = _linear_quantiles(samples, np.linspace(0.0, 0.95, _SURVIVAL_GRID))
         rows = []
         for s in grid:
             s = float(s)

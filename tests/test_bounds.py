@@ -278,9 +278,5 @@ class TestBoundSet:
     def test_bundle_consistency(self):
         lv = LevelPair(v0=1.0, v1=2.0, c=1.0, gamma_max=0.5)
         bset = make_bound_set(lv, ALPHA1, ALPHA1_INV)
-        assert bset.t_uc == expected_up_cross(lv)
-        assert bset.t_dc == expected_down_cross(lv)
-        assert bset.ratio_bound == occupancy_ratio_bound(lv)
-        assert bset.beta_star == beta_star()
         assert bset.b(math.e) == bound_b(math.e, 1.0, 0.5, ALPHA1)
         assert bset.q(0.5) == fractile_q(0.5, 1.0, 0.5, ALPHA1_INV)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,9 @@ from nss_lab.cli import (
     run_example,
     write_report,
 )
+from nss_lab.loops import verify_moment_bound
 from nss_lab.model import SystemSpec, builtin_example
-from nss_lab.sim import integrator_name
+from nss_lab.sim import SimConfig, ensemble, integrator_name, write_csv
 
 from conftest import make_ou, quadratic_lyapunov
 
@@ -164,6 +166,38 @@ class TestPipeline:
         assert "probability_bound" in report.tables
         assert report.exit_code == EXIT_OK
 
+    def test_ensemble_saves_only_the_check_time_grid(self, tmp_path, monkeypatch):
+        import nss_lab.cli as cli
+
+        saved = []
+
+        def spy(spec, cfg, n_paths):
+            paths = ensemble(spec, cfg, n_paths)
+            saved.append(len(paths.times))
+            return paths
+
+        monkeypatch.setattr(cli, "ensemble", spy)
+        cfg = load_config(None, ["sim.t_end=20", "ensemble.n_paths=1000",
+                                 f"output.dir={tmp_path}/ens"])
+        assert run_example(cfg).exit_code == EXIT_OK
+        assert saved == [11]  # t = 0, 0.5, ..., 5: the gcd grid of 1, 2.5 and 5
+
+    def test_check_times_need_only_the_dt_grid(self, tmp_path):
+        # 0.25 and 1.05 share no 0.1 s grid; the ensemble saves every 0.05 s
+        cfg = load_config(None, ["sim.t_end=2", "ensemble.n_paths=1000",
+                                 "ensemble.check_times=0.25,1.05",
+                                 f"output.dir={tmp_path}/ens"])
+        report = run_example(cfg)
+        write_report(report, tmp_path / "ens")
+        spec = builtin_example()
+        every_step = ensemble(spec, SimConfig(t_end=1.05, dt=cfg.dt, seed=cfg.seed,
+                                              x0=cfg.x0), cfg.n_paths)
+        mom = verify_moment_bound(every_step, spec, cfg.check_times)
+        header = report.tables["moment_bound"][0]
+        write_csv(tmp_path / "every_step.csv", header, [astuple(r) for r in mom.rows])
+        assert ((tmp_path / "ens" / "moment_bound.csv").read_text()
+                == (tmp_path / "every_step.csv").read_text())
+
     def test_write_report_is_the_only_writer(self, tmp_path):
         out = tmp_path / "files"
         cfg = load_config(None, FAST_OVERRIDES + [
@@ -277,12 +311,13 @@ class TestCommandLine:
         ens = ["ensemble.n_paths=1000"]
         for bad in (["stats.confidence=1.5"], ["stats.confidence=0"],
                     ["ensemble.n_paths=10"], ["ensemble.n_paths=-1"],
-                    ens + ["ensemble.check_times=1.05,5"],
+                    ens + ["ensemble.check_times=1.0005,5"],
                     ens + ["ensemble.prob_radius=0"],
                     ["fractiles.k=1.5"], ["fractiles.k=0"],
                     ["grid.r_min=0", "grid.spacing=linear"],
                     ["grid.r_min=10", "grid.r_max=1.05"], ["grid.r_max=1.05"],
-                    ["grid.count=0"], ["grid.count=-3"], ["system.x0=0,0,0"]):
+                    ["grid.count=0"], ["grid.count=-3"], ["system.x0=0,0,0"],
+                    ["grid.r_min=-1"], ["grid.r_min=-1", "grid.spacing=linear"]):
             argv = ["example", "--set=sim.t_end=20", f"--set=output.dir={tmp_path}/x"]
             assert main(argv + [f"--set={b}" for b in bad]) == EXIT_ERROR, bad
             assert calls == [], bad
@@ -293,6 +328,17 @@ class TestCommandLine:
         (["sim.seed=-1"], None, "sim.seed"),
         (["ensemble.n_paths=1000"], "two", "NSS_LAB_THREADS"),
         (["system.x0=0,0,0"], None, "system.x0"),
+        (["grid.r_min=-1"], None, "grid.r_min"),
+        (["grid.r_min=0", "grid.spacing=linear"], None, "grid.r_min"),
+        (["fractiles.k=1.5"], None, "fractiles.k"),
+        (["fractiles.k=0.5,0"], None, "fractiles.k"),
+        (["ensemble.n_paths=1000", "ensemble.check_times=-1"], None, "ensemble.check_times"),
+        (["ensemble.n_paths=1000", "ensemble.check_times=-1,5"], None, "ensemble.check_times"),
+        (["ensemble.n_paths=1000", "ensemble.check_times=0"], None, "ensemble.check_times"),
+        (["ensemble.n_paths=1000", "ensemble.check_times=1.0005,5"], None,
+         "ensemble.check_times"),
+        (["ensemble.n_paths=1000", "ensemble.check_times=5.0005"], None,
+         "ensemble.check_times"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):
