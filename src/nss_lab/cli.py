@@ -17,6 +17,7 @@ import argparse
 import configparser
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -107,7 +108,7 @@ class ExperimentConfig:
             return np.geomspace(self.r_min, self.r_max, self.r_count)
         if self.r_spacing == "linear":
             return np.linspace(self.r_min, self.r_max, self.r_count)
-        raise ValueError(f"r_spacing must be 'log' or 'linear', got {self.r_spacing!r}")
+        raise ValueError(f"grid.spacing must be 'log' or 'linear', got {self.r_spacing!r}")
 
     def echo_ini(self) -> str:
         """Canonical INI text sufficient to reproduce the run exactly."""
@@ -192,6 +193,16 @@ def load_config(path: Optional[str] = None,
     return replace(ExperimentConfig(), **updates)
 
 
+@contextmanager
+def _config_key(*keys: str):
+    """Re-raise a ValueError of the block as an error of the config ``keys``
+    (``section.key``), which it names before its own message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{', '.join(keys)}: {exc}") from None
+
+
 @dataclass
 class ExperimentReport:
     """Everything one run produced: metadata, tables and a verdict."""
@@ -269,23 +280,25 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     floor = spec.noise_floor
 
     # stage: validate the config, so that a bad one fails before simulating
-    v0 = cfg.v0 if cfg.v0 is not None else optimal_v0(cfg.v1, spec.c, spec.gamma_max)
-    levels = LevelPair(v0=v0, v1=cfg.v1, c=spec.c, gamma_max=spec.gamma_max)
+    with _config_key("levels.v1"):
+        v0 = cfg.v0 if cfg.v0 is not None else optimal_v0(cfg.v1, spec.c, spec.gamma_max)
+    with _config_key("levels.v0", "levels.v1"):
+        levels = LevelPair(v0=v0, v1=cfg.v1, c=spec.c, gamma_max=spec.gamma_max)
     bset = make_bound_set(levels, lyap.alpha1, lyap.alpha1_inv)
     grid = cfg.r_grid()
     b_grid = [bset.b(float(r)) for r in grid]
     if not cfg.k_list:
         raise ValueError("fractiles.k must list at least one fraction")
-    try:
+    with _config_key("fractiles.k"):
         q_list = [bset.q(k) for k in cfg.k_list]
-    except ValueError as exc:
-        raise ValueError(f"fractiles.k: {exc}") from None
-    _check_confidence(cfg.confidence)
+    with _config_key("stats.confidence"):
+        _check_confidence(cfg.confidence)
     if cfg.seed < 0:
         raise ValueError(f"sim.seed must be >= 0, got {cfg.seed}")
     if len(cfg.x0) != spec.dim_state:
         raise ValueError(f"system.x0 must list {spec.dim_state} values, got {len(cfg.x0)}")
-    sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
+    with _config_key("sim.t_end", "sim.dt"):
+        sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
     if cfg.n_paths != 0 and cfg.n_paths < MIN_PATHS:
         raise ValueError(f"ensemble.n_paths must be 0 or >= {MIN_PATHS}, got {cfg.n_paths}")
     if cfg.n_paths > 0:
@@ -296,13 +309,11 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         max_threads()  # a bad NSS_LAB_THREADS fails here, not after the long path
         # save only the coarsest grid that holds every check time
         save_every = math.gcd(*(round(t / cfg.dt) for t in cfg.check_times))
-        try:
+        with _config_key("ensemble.check_times"):
             ens_cfg = SimConfig(t_end=max(cfg.check_times), dt=cfg.dt, seed=cfg.seed,
                                 x0=cfg.x0, save_every=save_every)
             for t in cfg.check_times:
                 _grid_index(ens_cfg.saved_times(), t)
-        except ValueError as exc:
-            raise ValueError(f"ensemble.check_times: {exc}") from None
 
     # stage: premises
     states, times, gamma_times = _premise_sample(spec, cfg)

@@ -43,10 +43,14 @@ RNG_ALGORITHM = "numpy.Philox(SeedSequence(entropy=seed, spawn_key=(path_index,)
 _SEQUENTIAL = "euler-maruyama, sequential steps"
 _AFFINE_SCAN = "euler-maruyama, blocked affine scan (block length isqrt(n_steps))"
 
-# Bytes of noise that one chunk holds at a time: the affine scan, which reads
-# its chunk's whole horizon twice, narrows its chunk to this; the sequential
-# kernel draws its noise in time segments of this.
+# Bytes of noise, with the draws and scratch it is made from, that one chunk
+# holds at a time: the affine scan, which reads its chunk's whole horizon
+# twice, narrows its chunk to this; the sequential kernel draws its noise in
+# time segments of this.
 _NOISE_BYTES = 16 << 20
+# Paths whose rows of noise are summed in one buffer before they are copied
+# into the time-major noise, a group's span of each step at a time.
+_GROUP = 32
 # The sequential kernel steps 1.3-1.7x slower on narrow chunks, so it keeps
 # wide ones and streams its noise instead.
 _SEQUENTIAL_CHUNK = 1000
@@ -147,14 +151,16 @@ def _initial_state(spec: SystemSpec, cfg: SimConfig) -> np.ndarray:
     return x0
 
 
-def _sigma_columns(spec: SystemSpec, cfg: SimConfig) -> list:
-    """``(j, k, Sigma(t_k)[j, k] for every step k)`` of each nonzero entry of Sigma,
-    copied so that the zero entries are not kept: one ``sigma_series`` per
-    integrate or ensemble call, sliced by every chunk and time segment."""
+def _sigma_rows(spec: SystemSpec, cfg: SimConfig) -> list:
+    """``(j, [(k, Sigma(t_k)[j, k] for every step k), ...])`` of each row of Sigma
+    with a nonzero entry, listing that row's nonzero entries, copied so that the
+    zero entries are not kept: one ``sigma_series`` per integrate or ensemble
+    call, sliced by every chunk and time segment."""
     m = spec.dim_noise
     sig = spec.sigma_series(cfg.t0 + np.arange(cfg.n_steps) * cfg.dt)
-    return [(j, k, sig[:, j, k].copy()) for j in range(m) for k in range(m)
-            if sig[:, j, k].any()]
+    rows = [(j, [(k, sig[:, j, k].copy()) for k in range(m) if sig[:, j, k].any()])
+            for j in range(m)]
+    return [(j, cols) for j, cols in rows if cols]
 
 
 def _generators(cfg: SimConfig, lo: int, hi: Optional[int]) -> List[Generator]:
@@ -162,32 +168,64 @@ def _generators(cfg: SimConfig, lo: int, hi: Optional[int]) -> List[Generator]:
     return [path_generator(cfg.seed, i) for i in range(lo, lo + 1 if hi is None else hi)]
 
 
-def _noise(sig_cols: list, gens: List[Generator], dt: float, k0: int, k1: int,
+def _scratch_bytes(m: int, steps: int, paths: int) -> int:
+    """Bytes that :func:`_noise` holds besides its output when it draws ``steps``
+    steps of ``paths`` paths: one path's draws and one term, and for more than
+    one path the row sums of a group of at most ``_GROUP`` paths."""
+    group = min(_GROUP, paths) if paths > 1 else 0
+    return 8 * steps * ((group + 1) * m + 1)
+
+
+def _noise(sig_rows: list, gens: List[Generator], dt: float, k0: int, k1: int,
            shape: tuple) -> np.ndarray:
     """``s[j, k, i] = (Sigma(t_{k0+k}) dW_{k0+k})_j`` of steps [k0, k1) of the path
     drawn by ``gens[i]``, time-major, of ``shape`` = ``(m, length) + batch``, zero
     after step ``k1 - k0``: the next ``k1 - k0`` normal draws of each generator,
-    nonzero Sigma entries summed left to right."""
-    m = shape[0]
+    nonzero Sigma entries summed left to right from 0.0.
+
+    Each path's rows of ``s`` are summed right after its draws, path-major, in
+    one buffer for a group of ``_GROUP`` paths, which is then copied into ``s``
+    transposed: ``s`` is written once, a group's span of each step at a time.
+    A lone path's rows of ``s`` are contiguous and take its sums directly.  The
+    draws, the buffer and one term are the :func:`_scratch_bytes` that the
+    noise budget counts besides ``s``."""
+    m, length = shape[0], k1 - k0
     s = np.zeros(shape)
     per_path = s.reshape(shape[:2] + (len(gens),))
-    for i, gen in enumerate(gens):
-        dw = gen.normal(size=(k1 - k0, m))
-        dw *= math.sqrt(dt)
-        for j, k, col in sig_cols:
-            per_path[j, :k1 - k0, i] += col[k0:k1] * dw[:, k]
+    group = min(_GROUP, len(gens))
+    sums = (per_path[:, :length].transpose(0, 2, 1) if len(gens) == 1
+            else np.empty((m, group, length)))  # (row, path, step)
+    term = np.empty(length)
+    root = math.sqrt(dt)
+    for g0 in range(0, len(gens), group):
+        g1 = min(g0 + group, len(gens))
+        for i, gen in enumerate(gens[g0:g1]):
+            # 0.0 + sqrt(dt) z differs from z sqrt(dt) at most in the sign of a
+            # zero, which the sum from 0.0 drops
+            dw = gen.normal(0.0, root, size=(length, m))
+            for j, cols in sig_rows:
+                acc = np.multiply(dw[:, cols[0][0]], cols[0][1][k0:k1], out=sums[j, i])
+                for k, col in cols[1:]:
+                    acc += np.multiply(dw[:, k], col[k0:k1], out=term)
+            del dw  # so that the next path's draws replace these, not join them
+        for j, _ in sig_rows:
+            part = sums[j, :g1 - g0]
+            part += 0.0  # as if summed from 0.0: -0.0 becomes +0.0, nothing else moves
+            if len(gens) > 1:
+                per_path[j, :length, g0:g1] = part.T
     return s
 
 
-def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_cols: list, lo: int,
+def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
                     hi: Optional[int] = None) -> np.ndarray:
     """Saved states of paths [lo, hi) stepped in lock step, shape (hi-lo, K+1, N).
 
     With ``hi=None`` only path ``lo`` is stepped, on a state of shape (N,), and
     the result has shape (K+1, N).  Every batch shape evaluates the same
     expressions, so path i has the same bits alone as inside any chunk.  The
-    noise is drawn in time segments of at most ``_NOISE_BYTES``; successive
-    draws continue each path's stream, so the segment length moves no bit.
+    noise is drawn in time segments that hold at most ``_NOISE_BYTES`` with
+    their draws and scratch; successive draws continue each path's stream, so
+    the segment length moves no bit.
     """
     n_steps = cfg.n_steps
     dt = cfg.dt
@@ -195,7 +233,7 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_cols: list, lo: int,
     x0 = _initial_state(spec, cfg)
     batch = () if hi is None else (hi - lo,)
     gens = _generators(cfg, lo, hi)
-    seg = max(1, _NOISE_BYTES // (8 * m * len(gens)))
+    seg = max(1, _NOISE_BYTES // (8 * m * len(gens) + _scratch_bytes(m, 1, len(gens))))
 
     drift, diffusion = spec.drift, spec.diffusion
     if batch:  # one state is what every spec's drift and diffusion accept
@@ -207,7 +245,7 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_cols: list, lo: int,
     for k0 in range(0, n_steps, seg):
         k1 = min(k0 + seg, n_steps)
         # (k1 - k0,) + batch + (m,)
-        sdw = np.moveaxis(_noise(sig_cols, gens, dt, k0, k1, (m, k1 - k0) + batch), 0, -1)
+        sdw = np.moveaxis(_noise(sig_rows, gens, dt, k0, k1, (m, k1 - k0) + batch), 0, -1)
         for k in range(k0, k1):
             # np.multiply, unlike `*`, also accepts a drift that returns a list
             x = x + np.multiply(drift(x), dt) + np.einsum(
@@ -232,17 +270,20 @@ def _padded_length(n_steps: int) -> int:
 
 
 def _affine_apply(mat, vec, off=None):
-    """``mat @ vec + off`` on nested lists of arrays, summed left to right."""
+    """``mat @ vec + off`` on nested lists of arrays, summed left to right, in
+    place, into one new array per row."""
     out = []
     for r, row in enumerate(mat):
         acc = row[0] * vec[0]
         for coef, v in zip(row[1:], vec[1:]):
-            acc = acc + coef * v
-        out.append(acc if off is None else acc + off[r])
+            acc += coef * v
+        if off is not None:
+            acc += off[r]
+        out.append(acc)
     return out
 
 
-def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_cols: list, lo: int,
+def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
                  hi: Optional[int] = None) -> np.ndarray:
     """The contract of :func:`_euler_maruyama`, for a spec that declares ``affine``.
 
@@ -250,9 +291,12 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_cols: list, lo: int,
     with ``M_k = I + A dt + [H[i] s_k]_i`` (column i) and ``b_k = H0 s_k``.  The
     steps are cut into blocks of :func:`block_length` steps.  The map of every
     full block is composed, all blocks at once; the block start states are
-    carried from block to block; then the states inside every block are
-    refilled from its start, again all blocks at once.  The last block holds
-    the ``n_steps % block_length`` remaining steps and is never composed.
+    carried from block to block; then the states inside the blocks that hold
+    a saved step are refilled from their starts, all such blocks at once and
+    only up to the furthest saved offset.  The last block holds the
+    ``n_steps % block_length`` remaining steps and is never composed.  The
+    chunk's noise, with its draws and scratch, fits ``_NOISE_BYTES`` when
+    :func:`ensemble` picks the chunk.
     Only elementwise adds and multiplies in a fixed order are used, so path i
     has the same bits alone as inside any chunk.
     """
@@ -265,7 +309,7 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_cols: list, lo: int,
     n_blocks = n_full + 1
 
     # the noise, zero-padded to whole blocks
-    s = _noise(sig_cols, _generators(cfg, lo, hi), dt, 0, n_steps,
+    s = _noise(sig_rows, _generators(cfg, lo, hi), dt, 0, n_steps,
                (m, n_blocks * span) + batch).reshape((m, n_blocks, span) + batch)
 
     a, h0, h = spec.affine
@@ -306,22 +350,28 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_cols: list, lo: int,
     for blk in range(n_full):
         starts[blk + 1] = _affine_apply(p_blk[blk], starts[blk], c_blk[blk])
 
-    # refill the states inside every block and keep every save-th one
+    # refill the blocks that hold a saved step, up to the furthest saved offset;
+    # position p is offset p % span of block p // span
     save = cfg.save_every
     states = np.empty((n_steps // save + 1, n) + batch)
     first = np.arange(n_blocks) * span
-    x = [starts[:, r] for r in range(n)]
-    live = slice(None)
-    for jj in range(span):
-        pos = first[live] + jj
+    last_saved = np.minimum(first + span - 1, n_steps) // save * save
+    blocks = np.flatnonzero(last_saved >= first)  # block 0 and the last block among them
+    first = first[blocks]
+    reach = int(np.max(last_saved[blocks] - first))
+    x = [starts[blocks, r] for r in range(n)]
+    for jj in range(reach + 1):
+        pos = first + jj
         keep = pos % save == 0
         for r in range(n):
             states[pos[keep] // save, r] = x[r][keep]
-        if jj == span - 1:
-            break  # state `span` of a block is the start of the next one
+        if jj == reach:
+            break
         if jj == rem:  # the last block has only `rem` steps
-            live = full
-            x = [xr[full] for xr in x]
+            blocks, first = blocks[:-1], first[:-1]
+            x = [xr[:-1] for xr in x]
+        # blocks 0, 1, ... as a slice: views of the noise, not copies
+        live = slice(len(blocks)) if blocks[-1] < len(blocks) else blocks
         mat, off = step_map(live, jj)
         x = _affine_apply(mat, x, off)
     return np.moveaxis(states, -1, 0) if batch else states
@@ -352,13 +402,14 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
     (P, K+1, N) (paths lo, lo+1, ...).  A non-finite state raises
     :class:`NonFiniteStateError` naming the lowest failing path and that
     path's first non-finite saved step."""
-    bad = ~np.isfinite(states).all(axis=-1)
-    if bad.any():
+    if not np.isfinite(states).all():
+        bad = ~np.isfinite(states).all(axis=-1)
         path, idx = divmod(int(np.argmax(bad)), bad.shape[-1])
         raise NonFiniteStateError(idx * cfg.save_every, float(cfg.saved_times()[idx]),
                                   lo + path)
     flat = states.reshape(-1, states.shape[-1])
-    lyap = np.asarray(spec.batched(spec.lyapunov.v)(flat), dtype=float).reshape(bad.shape)
+    lyap = np.asarray(spec.batched(spec.lyapunov.v)(flat), dtype=float)
+    lyap = lyap.reshape(states.shape[:-1])
     return lyap, np.linalg.norm(states, axis=-1)
 
 
@@ -379,7 +430,7 @@ def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajecto
     (spec, cfg, path_index) on one platform, and bit-identical to path
     ``path_index`` of :func:`ensemble`.
     """
-    states = _kernel(spec)(spec, cfg, _sigma_columns(spec, cfg), path_index)
+    states = _kernel(spec)(spec, cfg, _sigma_rows(spec, cfg), path_index)
     lyap, norms = _finalize(spec, cfg, states, path_index)
     return Trajectory(times=cfg.saved_times(), states=states, lyap=lyap, norms=norms)
 
@@ -390,26 +441,30 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
     Path i, its V and its norms are bit-identical to ``integrate(spec, cfg, i)``
     regardless of chunking or thread schedule.  Every spec is stepped in
     lock-stepped chunks across a thread pool capped by NSS_LAB_THREADS.  A
-    chunk holds at most ``_NOISE_BYTES`` (16 MiB) of noise, or one path's if
-    that is more: the affine scan takes as many paths as fit, the sequential
-    kernel 1000 paths whose noise it draws in time segments.  Each worker
-    fills its chunk's rows of the states, V and norms, so besides those
-    arrays memory holds one chunk's noise and temporaries per worker.  A
-    non-finite state names the lowest failing path.
+    chunk holds at most ``_NOISE_BYTES`` (16 MiB) of noise together with the
+    draws and row sums it is made from, or one path's if that is more: the
+    affine scan takes as many paths as fit beside one path group's scratch,
+    the sequential kernel 1000 paths whose noise it draws in time segments.
+    The affine scan refills only the blocks that hold a saved step.  Each
+    worker fills its chunk's rows of the states, V and norms, so besides
+    those arrays memory holds one chunk's noise and temporaries per worker.
+    A non-finite state names the lowest failing path.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
+    m, n_steps = spec.dim_noise, cfg.n_steps
     chunk = (_SEQUENTIAL_CHUNK if spec.affine is None else max(
-        1, _NOISE_BYTES // (8 * spec.dim_noise * _padded_length(cfg.n_steps))))
+        1, (_NOISE_BYTES - _scratch_bytes(m, n_steps, _GROUP))
+        // (8 * m * _padded_length(n_steps))))
     kernel = _kernel(spec)
-    sig_cols = _sigma_columns(spec, cfg)
+    sig_rows = _sigma_rows(spec, cfg)
     times = cfg.saved_times()
     ens = Ensemble(times=times, states=np.empty((n_paths, len(times), spec.dim_state)),
                    lyap=np.empty((n_paths, len(times))), norms=np.empty((n_paths, len(times))))
 
     def run(lo):
         hi = min(lo + chunk, n_paths)
-        ens.states[lo:hi] = kernel(spec, cfg, sig_cols, lo, hi)
+        ens.states[lo:hi] = kernel(spec, cfg, sig_rows, lo, hi)
         ens.lyap[lo:hi], ens.norms[lo:hi] = _finalize(spec, cfg, ens.states[lo:hi], lo)
 
     starts = range(0, n_paths, chunk)

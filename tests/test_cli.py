@@ -339,6 +339,12 @@ class TestCommandLine:
          "ensemble.check_times"),
         (["ensemble.n_paths=1000", "ensemble.check_times=5.0005"], None,
          "ensemble.check_times"),
+        (["stats.confidence=1.5"], None, "stats.confidence: confidence must lie in (0, 1)"),
+        (["grid.spacing=cubic"], None, "grid.spacing must be 'log' or 'linear', got 'cubic'"),
+        (["levels.v1=0.1"], None, "levels.v1: v1=0.1 must exceed the noise floor"),
+        (["levels.v0=3"], None, "levels.v0, levels.v1: levels must satisfy"),
+        (["sim.t_end=0.0015"], None, "sim.t_end, sim.dt: t_end=0.0015 is not a whole number"),
+        (["sim.dt=0"], None, "sim.t_end, sim.dt: need 0 < dt <= t_end, got dt=0.0"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):

@@ -76,6 +76,36 @@ def _unstable():
                    [[[0.5], [0.0]], [[0.0], [0.0]]])
 
 
+def _mixed_noise():
+    """An affine spec whose Sigma(t) = [[1 + t, sin t], [sin 2t / 2, -sin t]] is
+    time-varying and not diagonal; its second row is all zero at t = 0."""
+    def covariance(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.stack([1.0 + t, np.sin(t)], -1),
+                         np.stack([0.5 * np.sin(2.0 * t), -np.sin(t)], -1)], -2)
+
+    spec = _affine([[-1.0, 0.5], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]],
+                   np.zeros((2, 2, 2)), name="mixed-noise")
+    return dataclasses.replace(spec, covariance=covariance)
+
+
+def _reference_noise(spec, cfg, i):
+    """``0.0 + sum_k Sigma(t)[j, k] * (z_k * sqrt(dt))`` of every step of path i,
+    summed left to right in Python floats, shape (m, n_steps)."""
+    m, n = spec.dim_noise, cfg.n_steps
+    z = path_generator(cfg.seed, i).standard_normal((n, m))
+    sig = spec.covariance(cfg.t0 + np.arange(n) * cfg.dt)
+    root = math.sqrt(cfg.dt)
+    out = np.empty((m, n))
+    for step in range(n):
+        for j in range(m):
+            acc = 0.0
+            for k in range(m):
+                acc = acc + float(sig[step, j, k]) * (float(z[step, k]) * root)
+            out[j, step] = acc
+    return out
+
+
 def _spy_noise(monkeypatch):
     """Record the shape of every noise buffer the kernels build."""
     shapes = []
@@ -96,6 +126,13 @@ def _one_path_noise(spec, cfg):
     return 8 * spec.dim_noise * (cfg.n_steps // span + 1) * span
 
 
+def _chunk_budget(spec, cfg, paths):
+    """The noise budget of an affine-scan chunk of ``paths`` paths: their noise
+    and the draws and row sums of one path group."""
+    return (paths * _one_path_noise(spec, cfg)
+            + sim._scratch_bytes(spec.dim_noise, cfg.n_steps, sim._GROUP))
+
+
 def _set_chunk(monkeypatch, spec, cfg, paths):
     """Make :func:`ensemble` step ``spec`` in chunks of ``paths`` paths: the
     sequential kernel's chunk is a constant, the affine scan's is as many
@@ -103,7 +140,7 @@ def _set_chunk(monkeypatch, spec, cfg, paths):
     if spec.affine is None:
         monkeypatch.setattr(sim, "_SEQUENTIAL_CHUNK", paths)
     else:
-        monkeypatch.setattr(sim, "_NOISE_BYTES", paths * _one_path_noise(spec, cfg))
+        monkeypatch.setattr(sim, "_NOISE_BYTES", _chunk_budget(spec, cfg, paths))
 
 
 def _assert_paths_equal(a, b):
@@ -316,6 +353,22 @@ class TestAffineScan:
             assert np.array_equal(thin.states, full.states[::k])
             assert np.array_equal(thin.times, full.times[::k])
 
+    @pytest.mark.parametrize("save", [100, 500, 1250])
+    def test_thinning_past_the_block_length(self, monkeypatch, benchmark_system, save):
+        # blocks of 70 steps, the last one 30: most blocks hold no saved step
+        full_cfg = SimConfig(t_end=5.0, dt=1e-3, seed=15, x0=(0.5, -0.5))
+        assert (block_length(full_cfg.n_steps), full_cfg.n_steps % 70) == (70, 30)
+        cfg = dataclasses.replace(full_cfg, save_every=save)
+        full = [integrate(benchmark_system, full_cfg, i) for i in range(5)]
+        _set_chunk(monkeypatch, benchmark_system, cfg, 3)
+        shapes = _spy_noise(monkeypatch)
+        thin = ensemble(benchmark_system, cfg, 5)
+        assert sorted(s[-1] for s in shapes) == [2, 3]
+        for i, ref in enumerate(full):
+            for got in (thin[i], integrate(benchmark_system, cfg, i)):
+                assert got.states.tobytes() == ref.states[::save].tobytes()
+                assert got.lyap.tobytes() == ref.lyap[::save].tobytes()
+
     @pytest.mark.parametrize("t_end, last_block", [(0.1, 0), (1.0, 1), (1.4, 2), (3.0, 0)])
     def test_block_edges(self, t_end, last_block):
         spec = _affine([[-0.5, 2.0], [-2.0, -0.5]], [[0.3, 0.0], [0.0, 0.2]],
@@ -352,6 +405,37 @@ class TestAffineScan:
         assert exc.value.step == solo.value.step
 
 
+class TestNoise:
+    """The noise both kernels read against a direct reference, bit for bit."""
+
+    def test_one_path_matches_reference(self):
+        spec = _mixed_noise()
+        cfg = SimConfig(t_end=3.0, dt=0.05, seed=21, x0=(0.0, 0.0))
+        assert spec.covariance(1.0).all() and not spec.covariance(0.0)[1].any()
+        padded = sim._padded_length(cfg.n_steps)
+        got = sim._noise(sim._sigma_rows(spec, cfg), [path_generator(21, 5)], cfg.dt, 0,
+                         cfg.n_steps, (2, padded))
+        ref = _reference_noise(spec, cfg, 5)
+        assert ref[1, 0] == 0.0 and not np.signbit(ref[1, 0])
+        assert got[:, :cfg.n_steps].tobytes() == ref.tobytes()
+        assert got[:, cfg.n_steps:].tobytes() == bytes(8 * 2 * (padded - cfg.n_steps))
+
+    @pytest.mark.parametrize("cut", [None, 23])
+    def test_chunk_matches_reference(self, cut):
+        # one whole path group and 3 paths of the next; with a cut, two
+        # time segments that continue every path's stream
+        spec = _mixed_noise()
+        cfg = SimConfig(t_end=3.0, dt=0.05, seed=22, x0=(0.0, 0.0))
+        n, paths = cfg.n_steps, sim._GROUP + 3
+        sig_rows = sim._sigma_rows(spec, cfg)
+        gens = sim._generators(cfg, 3, 3 + paths)
+        bounds = [0, n] if cut is None else [0, cut, n]
+        got = np.concatenate([sim._noise(sig_rows, gens, cfg.dt, k0, k1, (2, k1 - k0, paths))
+                              for k0, k1 in zip(bounds, bounds[1:])], axis=1)
+        ref = np.stack([_reference_noise(spec, cfg, 3 + i) for i in range(paths)], axis=-1)
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestNoiseBudget:
     """Every kernel holds at most ``_NOISE_BYTES`` of noise per chunk."""
 
@@ -378,8 +462,9 @@ class TestNoiseBudget:
                         save_every=4)
         whole = ensemble(spec, cfg, 7)
         solo = [integrate(spec, cfg, i) for i in range(7)]
-        # 30 steps of one path: 4 segments alone, 25 in a chunk of 7 paths
-        monkeypatch.setattr(sim, "_NOISE_BYTES", 8 * spec.dim_noise * 30, raising=False)
+        # 30 steps of one path with its draws: 4 segments alone, 25 in a chunk of 7 paths
+        step = 8 * spec.dim_noise + sim._scratch_bytes(spec.dim_noise, 1, 1)
+        monkeypatch.setattr(sim, "_NOISE_BYTES", 30 * step)
         shapes = _spy_noise(monkeypatch)
         segmented = ensemble(spec, cfg, 7)
         assert len(shapes) >= 3 and max(s[1] for s in shapes) < cfg.n_steps
@@ -394,8 +479,7 @@ class TestNoiseBudget:
     def test_default_chunk_matches_integrate(self, monkeypatch, benchmark_system, system):
         spec = {"affine-ou": _affine_ou(), "builtin": benchmark_system}[system]
         cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state)
-        monkeypatch.setattr(sim, "_NOISE_BYTES", 3 * _one_path_noise(spec, cfg),
-                            raising=False)
+        monkeypatch.setattr(sim, "_NOISE_BYTES", _chunk_budget(spec, cfg, 3))
         shapes = _spy_noise(monkeypatch)
         paths = ensemble(spec, cfg, 8)
         assert sorted(s[-1] for s in shapes) == [2, 3, 3]
@@ -411,7 +495,7 @@ class TestNoiseBudget:
         cfg = SimConfig(t_end=1.0, dt=1e-3, seed=3, x0=(0.5, -0.5), save_every=10)
         n_paths, chunk = 600, 100
         _set_chunk(monkeypatch, spec, cfg, chunk)
-        budget = 8 * spec.dim_noise * chunk * 100  # time segments of 100 steps
+        budget = 8 * spec.dim_noise * chunk * 100  # time segments of at most 100 steps
         monkeypatch.setattr(sim, "_NOISE_BYTES", budget)
         monkeypatch.setenv("NSS_LAB_THREADS", "1")
         n_saved = len(cfg.saved_times())
@@ -424,6 +508,36 @@ class TestNoiseBudget:
         finally:
             tracemalloc.stop()
         assert peak <= saved + budget + 4 * one_chunk
+
+    def test_affine_chunk_noise_draws_and_scratch_within_budget(self, monkeypatch,
+                                                                 benchmark_system):
+        # one chunk of the ensemble workload's shape at the default budget: while
+        # its noise is made, the noise, one path's draws, one term and the row
+        # sums of a path group are all the memory it adds, and they fit the budget
+        cfg = SimConfig(t_end=5.0, dt=1e-3, seed=3, x0=(0.0, 0.0), save_every=500)
+        m, one_path = benchmark_system.dim_noise, _one_path_noise(benchmark_system, cfg)
+        chunk = (sim._NOISE_BYTES - sim._scratch_bytes(m, cfg.n_steps, sim._GROUP)) // one_path
+        assert chunk > sim._GROUP
+        monkeypatch.setenv("NSS_LAB_THREADS", "1")
+        real, peaks = sim._noise, []
+
+        def traced(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real(*args)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before, out.shape))
+            return out
+
+        monkeypatch.setattr(sim, "_noise", traced)
+        tracemalloc.start()
+        try:
+            ensemble(benchmark_system, cfg, chunk)
+        finally:
+            tracemalloc.stop()
+        [(peak, shape)] = peaks
+        assert shape[-1] == chunk
+        noise = 8 * math.prod(shape)
+        assert noise + sim._scratch_bytes(m, cfg.n_steps, chunk) <= peak <= sim._NOISE_BYTES
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     def test_lowest_failing_path_across_chunks(self, monkeypatch):
@@ -439,14 +553,23 @@ class TestNoiseBudget:
         lowest = min(failing)
         # not in the first chunk of two paths, and a higher path fails sooner
         assert lowest >= 2 and min(failing.values()) < failing[lowest]
-        monkeypatch.setattr(sim, "_NOISE_BYTES", 2 * _one_path_noise(spec, cfg),
-                            raising=False)
+        monkeypatch.setattr(sim, "_NOISE_BYTES", _chunk_budget(spec, cfg, 2))
         monkeypatch.setenv("NSS_LAB_THREADS", "4")
         shapes = _spy_noise(monkeypatch)
+        real, drawn = sim._generators, []
+        monkeypatch.setattr(sim, "_generators",
+                            lambda cfg, lo, hi: drawn.append((lo, hi)) or real(cfg, lo, hi))
         with pytest.raises(NonFiniteStateError) as exc:
             ensemble(spec, cfg, 12)
-        assert [s[-1] for s in shapes] == [2] * 6
         assert (exc.value.path_index, exc.value.step) == (lowest, failing[lowest])
+        # chunks that have not started when the failing one raises are cancelled;
+        # the failing chunk and all below it ran, and every chunk that ran is one
+        # of the six, 2 paths wide, and drew its noise once
+        los = sorted(lo for lo, _ in drawn)
+        assert los[:lowest // 2 + 1] == list(range(0, lowest + 1, 2))
+        assert len(set(los)) == len(los) and set(los) <= set(range(0, 12, 2))
+        assert all(hi == lo + 2 for lo, hi in drawn)
+        assert [s[-1] for s in shapes] == [2] * len(drawn)
 
 
 class TestNoiseStream:
