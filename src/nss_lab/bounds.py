@@ -28,71 +28,45 @@ __all__ = [
 ]
 
 _BRANCH_POINT = -math.exp(-1.0)
-_BISECT_ITERS = 200
+_NEWTON_ITERS = 10
 
 
-def lambert_w_lower(x: float, tol: float = 1e-12) -> float:
+def lambert_w_lower(x: float) -> float:
     """Lower branch of the Lambert W function on [-1/e, 0).
 
-    Solves ``w * exp(w) = x`` for ``w <= -1`` by bracketed bisection on the
-    log-domain residual ``w + ln(-w) - ln(-x)`` (safe against ``exp``
-    underflow for tiny ``|x|``), followed by a short Halley polish.
+    Solves ``w * exp(w) = x`` for ``w <= -1`` by Newton's method on the
+    log-domain residual ``w + ln(-w) - ln(-x)``, which needs no ``exp`` and
+    so cannot underflow for tiny ``|x|``.  The start is the branch-point
+    series near -1/e and the asymptotic series elsewhere (Corless et al.
+    1996, *On the Lambert W function*, section 4).
 
     Raises
     ------
     ValueError
-        If ``x`` lies outside ``[-1/e, 0)`` or ``tol <= 0``.
+        If ``x`` lies outside ``[-1/e, 0)``.
     RuntimeError
-        If the iteration budget is exhausted before ``|w e^w - x| <= tol``.
+        If the result misses ``|w e^w - x| <= 1e-12``.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     if not (_BRANCH_POINT <= x < 0.0):
         raise ValueError(f"x={x!r} outside the lower-branch domain [-1/e, 0)")
     if x == _BRANCH_POINT:
         return -1.0
 
     ln_neg_x = math.log(-x)
-
-    def resid(w: float) -> float:
-        # ln(-x) = w + ln(-w) on the lower branch; increasing in w for w < -1
-        return w + math.log(-w) - ln_neg_x
-
-    hi = -1.0
-    lo = -2.0
-    expansions = 0
-    while resid(lo) > 0.0:
-        lo *= 2.0
-        expansions += 1
-        if expansions > 64:
-            raise RuntimeError("failed to bracket the lower branch")
-
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    p = -math.sqrt(2.0 * (1.0 + math.e * x))
+    if p > -1.0:
+        w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
+    else:
+        ln_ln = math.log(-ln_neg_x)
+        w = ln_neg_x - ln_ln + ln_ln / ln_neg_x
+    for _ in range(_NEWTON_ITERS):
+        # the residual is increasing and concave in w < -1, with slope (w+1)/w
+        step = (w + math.log(-w) - ln_neg_x) * w / (w + 1.0)
+        w = min(w - step, -1.0)
+        if abs(step) <= 4e-16 * abs(w):
             break
-        if resid(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
 
-    w = 0.5 * (lo + hi)
-    if -700.0 < w < -1.01:
-        # Halley refinement on f(w) = w e^w - x; skipped near the branch
-        # point (w + 1 -> 0) and where e^w underflows.
-        for _ in range(3):
-            ew = math.exp(w)
-            f = w * ew - x
-            denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0))
-            if denom == 0.0:
-                break
-            step = f / denom
-            w -= step
-            if abs(step) <= 1e-16 * abs(w):
-                break
-    w = min(w, -1.0)
-
-    if abs(w * math.exp(w) - x) > tol:
+    if abs(w * math.exp(w) - x) > 1e-12:
         raise RuntimeError(f"lambert_w_lower did not converge for x={x!r}")
     return w
 

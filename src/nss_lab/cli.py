@@ -280,6 +280,11 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     floor = spec.noise_floor
 
     # stage: validate the config, so that a bad one fails before simulating
+    for (section, key), (attr, _, _) in _CONFIG_KEYS.items():
+        value = getattr(cfg, attr)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{section}.{key} must be finite, got {value!r}")
     with _config_key("levels.v1"):
         v0 = cfg.v0 if cfg.v0 is not None else optimal_v0(cfg.v1, spec.c, spec.gamma_max)
     with _config_key("levels.v0", "levels.v1"):

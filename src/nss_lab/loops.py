@@ -182,14 +182,18 @@ def wilson_interval(successes: int, n: int,
                     confidence: float) -> Tuple[float, float]:
     """One-sided Wilson score limits ``(lo, hi)`` for a binomial proportion.
 
-    Each end alone holds at ``confidence``, which must lie in (0, 1).
+    Each end alone holds at ``confidence``, which must lie in (0, 1).  The
+    limits are exactly 0 at no successes and exactly 1 at all successes,
+    where the formula's rounding can land just inside the interval.
     """
     z = _normal_quantile(confidence)
     p = successes / n
     denom = 1.0 + z * z / n
     center = p + z * z / (2.0 * n)
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
-    return max(0.0, (center - half) / denom), min(1.0, (center + half) / denom)
+    lo = 0.0 if successes == 0 else max(0.0, (center - half) / denom)
+    hi = 1.0 if successes == n else min(1.0, (center + half) / denom)
+    return lo, hi
 
 
 def _check_confidence(confidence: float) -> None:
@@ -512,7 +516,7 @@ def verify_probability_bound(
     counting the hits in the ensemble's column ``paths.norms[:, idx]``."""
     if len(paths) < MIN_PATHS:
         raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r!r}")
     idx = _grid_index(paths.times, float(t))
     hits = int(np.sum(paths.norms[:, idx] < r))

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_TOL = 1e-9  # slack for round-off in residuals that are analytically zero
 
 
 def _fd_value(v: Callable, x: np.ndarray, eps: float, *steps) -> float:
@@ -62,16 +63,16 @@ def _fd_hessian(v: Callable, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LyapunovSpec:
-    """Lyapunov function with its class-K-infinity envelopes.
+    """Lyapunov function V with its lower class-K-infinity envelope.
 
+    ``alpha1`` bounds V from below, ``alpha1(|x|) <= V(x)``, and
+    ``alpha1_inv`` is its inverse; the bounds need no other envelope.
     ``grad_v`` / ``hess_v`` are optional; central finite differences are used
     when they are absent (the function is assumed C^2 but may be black box).
     """
 
     v: Callable
     alpha1: Callable[[float], float]
-    alpha2: Callable[[float], float]
-    alpha3: Callable[[float], float]
     alpha1_inv: Callable[[float], float]
     grad_v: Optional[Callable] = None
     hess_v: Optional[Callable] = None
@@ -119,7 +120,6 @@ class SystemSpec:
     gamma: Callable[[float], float]
     gamma_max: float
     vectorized: bool = False
-    name: str = "system"
     affine: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, compare=False)
 
@@ -177,19 +177,17 @@ class SystemSpec:
 class ConditionReport:
     """Outcome of a numerical dissipation check on a finite sample.
 
-    ``tol`` absorbs floating-point noise in residuals that are analytically
-    zero (e.g. on the boundary of a tight dissipation inequality).
+    A point passes when its residual is at most ``_TOL`` (1e-9).
     """
 
     points_checked: int
     max_violation: float
     violating_points: list
     gamma_max_violation: float = -math.inf
-    tol: float = 1e-9
 
     @property
     def passed(self) -> bool:
-        return self.max_violation <= self.tol and self.gamma_max_violation <= self.tol
+        return self.max_violation <= _TOL and self.gamma_max_violation <= _TOL
 
 
 def _generator(spec: SystemSpec, x) -> Callable[[np.ndarray], float]:
@@ -238,24 +236,23 @@ def check_enss(
     spec: SystemSpec,
     states: Sequence,
     times: Sequence[float],
-    gamma_times: Optional[Sequence[float]] = None,
-    tol: float = 1e-9,
+    gamma_times: Sequence[float],
 ) -> ConditionReport:
     """Check the exponential dissipation inequality on a state/time sample.
 
     The residual at each point is ``LV(x, t) + c V(x) - gamma(|Sigma Sigma^T|_F)``;
-    nonpositive residuals pass.  The declared ``gamma_max`` is additionally
-    verified against ``gamma`` on ``gamma_times`` (defaulting to ``times``).
+    residuals at most ``_TOL`` (1e-9) pass.  The declared ``gamma_max`` is
+    additionally verified against ``gamma`` on ``gamma_times``.
     Sigma and ``gamma`` are evaluated once per distinct time, and drift,
     diffusion, V and its derivatives once per state.
     """
     states = [np.asarray(x, dtype=float) for x in states]
     times = [float(t) for t in times]
-    if not states or not times:
-        raise ValueError("state and time samples must be non-empty")
+    gamma_times = [float(t) for t in gamma_times]
+    if not states or not times or not gamma_times:
+        raise ValueError("state, time and gamma_times samples must be non-empty")
 
-    scan_times = [] if gamma_times is None else [float(t) for t in gamma_times]
-    sigs = spec.sigma_series(times + scan_times)
+    sigs = spec.sigma_series(times + gamma_times)
     gains = [spec.gamma(s) for s in _noise_magnitudes(sigs).tolist()]
     violating = []
     max_violation = -math.inf
@@ -265,17 +262,15 @@ def check_enss(
         for t, sig, gain in zip(times, sigs, gains):
             residual = lv(sig) + cv - gain
             max_violation = max(max_violation, residual)
-            if residual > tol:
+            if residual > _TOL:
                 violating.append((x, t, residual))
 
-    scan = gains if gamma_times is None else gains[len(times):]
-    gamma_violation = max(g - spec.gamma_max for g in scan)
+    gamma_violation = max(g - spec.gamma_max for g in gains[len(times):])
     return ConditionReport(
         points_checked=len(states) * len(times),
         max_violation=max_violation,
         violating_points=violating,
         gamma_max_violation=gamma_violation,
-        tol=tol,
     )
 
 
@@ -318,8 +313,6 @@ def builtin_example() -> SystemSpec:
     lyap = LyapunovSpec(
         v=v,
         alpha1=lambda r: 0.5 * r * r,
-        alpha2=lambda r: 0.5 * r * r,
-        alpha3=lambda r: 0.5 * r * r,
         alpha1_inv=lambda s: math.sqrt(2.0 * s),
         grad_v=lambda x: np.asarray(x, dtype=float).copy(),
         hess_v=lambda x: np.eye(2),
@@ -340,6 +333,5 @@ def builtin_example() -> SystemSpec:
         gamma=gamma,
         gamma_max=0.5,
         vectorized=True,
-        name="example-2d",
         affine=(a, h0, h),
     )

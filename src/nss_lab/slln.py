@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -56,12 +56,10 @@ class ConditionalCdf:
     left_limit: Callable[[float, Sequence[float]], float]
 
     @classmethod
-    def from_marginal(cls, cdf: Callable[[float], float],
-                      left: Optional[Callable[[float], float]] = None) -> "ConditionalCdf":
-        """History-independent (i.i.d.) conditional CDF from a marginal."""
-        if left is None:
-            left = cdf
-        return cls(eval=lambda s, _h: cdf(s), left_limit=lambda s, _h: left(s))
+    def from_marginal(cls, cdf: Callable[[float], float]) -> "ConditionalCdf":
+        """History-independent (i.i.d.) conditional CDF from a continuous
+        marginal, which serves as its own left limit."""
+        return cls(eval=lambda s, _h: cdf(s), left_limit=lambda s, _h: cdf(s))
 
 
 @dataclass(frozen=True)
@@ -103,16 +101,15 @@ def uniformize(x_n: float, history: Sequence[float], xi_n: float,
     return lo + xi_n * (hi - lo)
 
 
-def _expand_bracket(cdf, inside, start: float,
-                    direction: float) -> Tuple[float, float]:
-    """Geometric expansion from start until ``inside(F(s))`` holds; returns
-    the point and its CDF value."""
-    s = start
+def _expand_bracket(cdf, inside, direction: float) -> Tuple[float, float]:
+    """Geometric expansion from ``direction`` (+1 or -1) until ``inside(F(s))``
+    holds; returns the point and its CDF value."""
+    s = direction
     for _ in range(_BRACKET_BUDGET):
         v = cdf(s)
         if inside(v):
             return s, v
-        s = s * 2.0 if s * direction > 0 else direction
+        s *= 2.0
     raise RuntimeError("bracket expansion budget exhausted (pathological CDF)")
 
 
@@ -142,9 +139,8 @@ def _edges(levels: Sequence[float], f: DominatingLaw, tol: float,
     cdf = f.cdf
     quarter = 0.25 * tol
     y = float(levels[order[0]])
-    b, fb = _expand_bracket(cdf, lambda v: v > y if strict else v >= y, 1.0, 1.0)
-    a, fa = _expand_bracket(cdf, lambda v: not (v > y if strict else v >= y),
-                            -1.0, -1.0)
+    b, fb = _expand_bracket(cdf, lambda v: v > y if strict else v >= y, 1.0)
+    a, fa = _expand_bracket(cdf, lambda v: not (v > y if strict else v >= y), -1.0)
     pace = math.inf
     # memoryview yields Python numbers one at a time, without a list of all.
     for i, y in zip(memoryview(order), memoryview(levels[order])):
@@ -215,30 +211,29 @@ def _edges(levels: Sequence[float], f: DominatingLaw, tol: float,
     return lo, hi
 
 
-def _edge(y: float, f: DominatingLaw, tol: float,
-          strict: bool) -> Tuple[float, float]:
+def _edge(y: float, f: DominatingLaw, strict: bool) -> Tuple[float, float]:
     if not (0.0 < y < 1.0):
         raise ValueError(f"y={y!r} outside (0, 1)")
-    lo, hi = _edges([y], f, tol, strict)
+    lo, hi = _edges([y], f, _TOL, strict)
     return float(lo[0]), float(hi[0])
 
 
-def inverse_cdf_inf(y: float, f: DominatingLaw, tol: float = _TOL) -> float:
-    """Generalized inverse ``inf{s | F(s) >= y}``, to within tol above it.
+def inverse_cdf_inf(y: float, f: DominatingLaw) -> float:
+    """Generalized inverse ``inf{s | F(s) >= y}``, to within 1e-12 above it.
 
     The upper end of the bracket that :func:`_edges` narrows for one level.
     """
-    return _edge(y, f, tol, strict=False)[1]
+    return _edge(y, f, strict=False)[1]
 
 
-def inverse_cdf_sup(y: float, f: DominatingLaw, tol: float = _TOL) -> float:
-    """Generalized inverse ``sup{s | F(s) <= y}``, to within tol below it.
+def inverse_cdf_sup(y: float, f: DominatingLaw) -> float:
+    """Generalized inverse ``sup{s | F(s) <= y}``, to within 1e-12 below it.
 
     The lower end of the bracket that :func:`_edges` narrows for one level.
     Agrees with :func:`inverse_cdf_inf` except where the CDF has a flat
     stretch exactly at level y (a probability-zero event for uniform y).
     """
-    return _edge(y, f, tol, strict=True)[0]
+    return _edge(y, f, strict=True)[0]
 
 
 def _coupled_sequence(xs: Sequence[float], g: ConditionalCdf, f: DominatingLaw,

@@ -13,8 +13,6 @@ def quadratic_lyapunov(dim: int = 1) -> LyapunovSpec:
     return LyapunovSpec(
         v=lambda x: 0.5 * np.sum(np.asarray(x, dtype=float) ** 2, axis=-1),
         alpha1=lambda r: 0.5 * r * r,
-        alpha2=lambda r: 0.5 * r * r,
-        alpha3=lambda r: 0.5 * r * r,
         alpha1_inv=lambda s: math.sqrt(2.0 * s),
         grad_v=lambda x: np.asarray(x, dtype=float).copy(),
         hess_v=lambda x: np.eye(dim),
@@ -34,7 +32,6 @@ def make_ou(sigma: float = 1.0) -> SystemSpec:
         gamma=lambda s: 0.5 * sigma * sigma,
         gamma_max=0.5 * sigma * sigma,
         vectorized=True,
-        name="ou",
     )
 
 

@@ -6,6 +6,7 @@ from scipy import integrate as sci_integrate
 
 from nss_lab.bounds import (
     LevelPair,
+    _W_M2,
     beta_star,
     bound_b,
     down_cross_survival_bound,
@@ -49,6 +50,9 @@ class TestLambertW:
     def test_frozen_values(self):
         assert lambert_w_lower(-math.exp(-2.0)) == pytest.approx(-3.146193, abs=1e-6)
         assert lambert_w_lower(-0.1) == pytest.approx(-3.577152, abs=1e-6)
+        # W_{-1}(-e^{-2}) sets b(r), q_k and beta*; a solver change must not move a bit
+        assert repr(_W_M2) == "-3.1461932206205825"
+        assert repr(beta_star()) == "0.3178444328993727"
 
     def test_against_bisection_oracle(self):
         for x in [-math.exp(-2.0), -0.1, -0.3, -1e-3, -1e-8]:
@@ -56,6 +60,8 @@ class TestLambertW:
 
     def test_defining_equation_on_log_grid(self):
         xs = -np.geomspace(math.exp(-1.0) - 1e-12, 1e-12, 1000)
+        # next to the branch point, where exp(w) underflows, and the least subnormal
+        xs = [*xs, -math.exp(-1.0) + 1e-17, -math.exp(-1.0) + 1e-16, -1e-300, -5e-324]
         for x in xs:
             w = lambert_w_lower(float(x))
             assert w <= -1.0
@@ -71,10 +77,6 @@ class TestLambertW:
     def test_domain_errors(self, x):
         with pytest.raises(ValueError):
             lambert_w_lower(x)
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            lambert_w_lower(-0.1, tol=0.0)
 
 
 class TestBetaStar:

@@ -143,7 +143,7 @@ class TestPipeline:
             covariance=lambda t: np.zeros(np.shape(t) + (1, 1)),
             lyapunov=quadratic_lyapunov(1),
             c=1.0, gamma=lambda s: 0.0, gamma_max=0.0,
-            vectorized=True, name="anti-stable",
+            vectorized=True,
         )
         cfg = ExperimentConfig(system="anti-stable", t_end=0.5, dt=1e-2,
                                seed=1, x0=(0.1,), v1=1.0, v0=0.5,
@@ -317,7 +317,10 @@ class TestCommandLine:
                     ["grid.r_min=0", "grid.spacing=linear"],
                     ["grid.r_min=10", "grid.r_max=1.05"], ["grid.r_max=1.05"],
                     ["grid.count=0"], ["grid.count=-3"], ["system.x0=0,0,0"],
-                    ["grid.r_min=-1"], ["grid.r_min=-1", "grid.spacing=linear"]):
+                    ["grid.r_min=-1"], ["grid.r_min=-1", "grid.spacing=linear"],
+                    ens + ["ensemble.prob_radius=nan"], ["grid.r_max=inf"],
+                    ens + ["ensemble.check_times=nan"], ens + ["ensemble.check_times=inf"],
+                    ["sim.t_end=inf"], ["system.x0=nan,0"]):
             argv = ["example", "--set=sim.t_end=20", f"--set=output.dir={tmp_path}/x"]
             assert main(argv + [f"--set={b}" for b in bad]) == EXIT_ERROR, bad
             assert calls == [], bad
@@ -345,6 +348,15 @@ class TestCommandLine:
         (["levels.v0=3"], None, "levels.v0, levels.v1: levels must satisfy"),
         (["sim.t_end=0.0015"], None, "sim.t_end, sim.dt: t_end=0.0015 is not a whole number"),
         (["sim.dt=0"], None, "sim.t_end, sim.dt: need 0 < dt <= t_end, got dt=0.0"),
+        (["ensemble.n_paths=1000", "ensemble.prob_radius=nan"], None,
+         "ensemble.prob_radius must be finite, got nan"),
+        (["grid.r_max=inf"], None, "grid.r_max must be finite, got inf"),
+        (["ensemble.n_paths=1000", "ensemble.check_times=nan"], None,
+         "ensemble.check_times must be finite, got (nan,)"),
+        (["ensemble.n_paths=1000", "ensemble.check_times=inf"], None,
+         "ensemble.check_times must be finite, got (inf,)"),
+        (["sim.t_end=inf"], None, "sim.t_end must be finite, got inf"),
+        (["system.x0=nan,0"], None, "system.x0 must be finite, got (nan, 0.0)"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):
@@ -360,6 +372,14 @@ class TestCommandLine:
         assert calls == []
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_all_paths_inside_a_huge_radius_pass(self, tmp_path, capsys):
+        # every path lies inside r = 1e8, so the upper Wilson limit is exactly 1
+        # and cannot fall below a floor that rounds to 1
+        argv = ["example", "--set=sim.t_end=5", "--set=ensemble.n_paths=1000",
+                "--set=ensemble.prob_radius=1e8", f"--set=output.dir={tmp_path}/x"]
+        assert main(argv) == EXIT_OK
+        assert "[pass] probability-bound" in capsys.readouterr().out
 
     def test_module_entry_point(self, tmp_path):
         src = Path(__file__).resolve().parent.parent / "src"

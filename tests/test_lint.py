@@ -79,6 +79,45 @@ def test_policy_detector_sees_reads():
     assert _spec_policy_reads(source) == [(2, "vectorized"), (3, "covariance")]
 
 
+def _unread_fields(sources: list, classes: tuple) -> list:
+    """``(class, field)`` of each annotated field of the named classes that no
+    source reads as an attribute (``obj.field``).  Names are matched without
+    types, so a read of the same name on any object counts."""
+    trees = [ast.parse(source) for source in sources]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((cls.name, stmt.target.id)
+                  for tree in trees for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name in classes
+                  for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read)
+
+
+def test_every_spec_field_has_a_reader():
+    # a field that the package never reads is an input that changes nothing
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert _unread_fields(sources, ("LyapunovSpec", "SystemSpec")) == []
+
+
+def test_field_detector_sees_unread_fields():
+    spec = (
+        "class Spec:\n"
+        "    a: int\n"
+        "    b: int = 0\n"
+        "    c: int = 1\n"
+        "    d: int = 2\n"
+        "class Other:\n"
+        "    e: int\n"
+    )
+    use = (
+        "def f(spec, other):\n"
+        "    spec.c = 3\n"
+        "    return spec.a + other.d\n"
+    )
+    assert _unread_fields([spec, use], ("Spec",)) == [("Spec", "b"), ("Spec", "c")]
+
+
 def _scipy_imports(source: str) -> list:
     """Lines that import scipy or one of its submodules."""
     found = []

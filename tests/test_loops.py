@@ -230,6 +230,13 @@ class TestWilson:
         assert lo == pytest.approx(n / (n + z2), rel=1e-12)
         assert hi == pytest.approx(1.0, rel=1e-12)
 
+    def test_limits_exact_at_no_and_all_successes(self):
+        # by the formula alone, hi < 1 at k = n for 495 of these n and lo > 0
+        # at k = 0 for 84
+        for n in range(1, 2001):
+            assert wilson_interval(0, n, 0.99)[0] == 0.0
+            assert wilson_interval(n, n, 0.99)[1] == 1.0
+
     @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
     def test_confidence_outside_unit_interval_rejected(self, confidence):
         with pytest.raises(ValueError, match="confidence"):
@@ -390,7 +397,7 @@ class TestVerifyMomentBound:
             covariance=lambda t: np.zeros(np.shape(t) + (1, 1)),
             lyapunov=quadratic_lyapunov(1),
             c=2.0, gamma=lambda s: 0.0, gamma_max=0.0,
-            vectorized=True, name="contraction",
+            vectorized=True,
         )
         cfg = SimConfig(t_end=2.0, dt=1e-2, seed=1, x0=(1.0,), save_every=10)
         paths = ensemble(spec, cfg, 1000)
@@ -455,5 +462,6 @@ class TestVerifyProbabilityBound:
     def test_bad_radius(self, benchmark_system):
         cfg = SimConfig(t_end=0.1, dt=1e-2, seed=5, x0=(0.0, 0.0))
         paths = ensemble(benchmark_system, cfg, 1000)
-        with pytest.raises(ValueError):
-            verify_probability_bound(paths, benchmark_system, r=-1.0, t=0.1)
+        for r in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                verify_probability_bound(paths, benchmark_system, r=r, t=0.1)

@@ -8,6 +8,7 @@ from nss_lab.cli import ExperimentConfig, _premise_sample
 from nss_lab.model import (
     LyapunovSpec,
     SystemSpec,
+    _TOL,
     builtin_example,
     check_enss,
     generator_v,
@@ -24,7 +25,7 @@ def _example_variant(**overrides):
         name: getattr(base, name)
         for name in (
             "dim_state", "dim_noise", "drift", "diffusion", "covariance",
-            "lyapunov", "c", "gamma", "gamma_max", "vectorized", "name",
+            "lyapunov", "c", "gamma", "gamma_max", "vectorized",
         )
     }
     fields.update(overrides)
@@ -75,8 +76,7 @@ class TestGenerator:
         # same Lyapunov function, derivatives left to central differences
         lyap = benchmark_system.lyapunov
         fd_lyap = LyapunovSpec(
-            v=lyap.v, alpha1=lyap.alpha1, alpha2=lyap.alpha2,
-            alpha3=lyap.alpha3, alpha1_inv=lyap.alpha1_inv,
+            v=lyap.v, alpha1=lyap.alpha1, alpha1_inv=lyap.alpha1_inv,
         )
         spec = _example_variant(lyapunov=fd_lyap)
         rng = np.random.default_rng(11)
@@ -162,10 +162,10 @@ class TestCheckEnss:
     TIMES = np.linspace(0.0, 2.0 * math.pi, 13)
 
     def test_builtin_passes(self, benchmark_system):
-        report = check_enss(benchmark_system, self.GRID, self.TIMES)
+        report = check_enss(benchmark_system, self.GRID, self.TIMES, self.TIMES)
         assert report.passed
         assert report.points_checked == len(self.GRID) * len(self.TIMES)
-        assert report.max_violation <= report.tol
+        assert report.max_violation <= _TOL
         assert report.violating_points == []
 
     def test_anti_stable_reported(self):
@@ -179,9 +179,8 @@ class TestCheckEnss:
             c=1.0,
             gamma=lambda s: 0.0,
             gamma_max=0.0,
-            name="anti-stable",
         )
-        report = check_enss(spec, [np.array([1.0])], [0.0])
+        report = check_enss(spec, [np.array([1.0])], [0.0], [0.0])
         assert not report.passed
         # residual at x=1: LV + cV = 1 + 0.5
         assert report.max_violation == pytest.approx(1.5, rel=1e-12)
@@ -189,7 +188,7 @@ class TestCheckEnss:
 
     def test_zero_gain_variant_violates(self, benchmark_system):
         spec = _example_variant(gamma=lambda s: 0.0, gamma_max=0.0)
-        report = check_enss(spec, self.GRID, self.TIMES)
+        report = check_enss(spec, self.GRID, self.TIMES, self.TIMES)
         assert not report.passed
         # violations exactly where the noise term (x2^2 + sin^2 t)/2 is positive
         assert all(
@@ -199,13 +198,15 @@ class TestCheckEnss:
 
     def test_understated_gamma_max_caught(self, benchmark_system):
         spec = _example_variant(gamma_max=0.1)
-        report = check_enss(spec, self.GRID, self.TIMES)
-        assert report.gamma_max_violation > report.tol
+        report = check_enss(spec, self.GRID, self.TIMES, self.TIMES)
+        assert report.gamma_max_violation > _TOL
         assert not report.passed
 
     def test_empty_sample_rejected(self, benchmark_system):
         with pytest.raises(ValueError):
-            check_enss(benchmark_system, [], [0.0])
+            check_enss(benchmark_system, [], [0.0], [0.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            check_enss(benchmark_system, [np.zeros(2)], [0.0], [])
 
     @staticmethod
     def _reference(spec, states, times, gamma_times):
@@ -236,7 +237,7 @@ class TestCheckEnss:
         residuals, gamma_violation = self._reference(spec, states, times, gamma_times)
         assert report.max_violation == max(r for _, _, r in residuals)
         assert report.gamma_max_violation == gamma_violation
-        flagged = [(x, t, r) for x, t, r in residuals if r > report.tol]
+        flagged = [(x, t, r) for x, t, r in residuals if r > _TOL]
         assert len(report.violating_points) == len(flagged)
         for (x, t, r), (rx, rt, rr) in zip(report.violating_points, flagged):
             assert np.array_equal(x, rx) and t == rt and r == rr
@@ -254,9 +255,6 @@ class TestCheckEnss:
         states, times, gamma_times = _premise_sample(spec, ExperimentConfig())
         check_enss(spec, states, times, gamma_times=gamma_times)
         assert len(calls) == len(times) + len(gamma_times) == 11 + 10_000
-        calls.clear()
-        check_enss(spec, states, times)
-        assert len(calls) == len(times)
 
     def test_state_terms_evaluated_once_per_state(self, benchmark_system):
         calls = dict.fromkeys(("drift", "diffusion", "v", "gamma"), 0)

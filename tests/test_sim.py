@@ -36,11 +36,10 @@ def _deterministic(drift, dim=1):
         c=1.0,
         gamma=lambda s: 0.0,
         gamma_max=0.0,
-        name="deterministic",
     )
 
 
-def _affine(a, h0, h, name="affine"):
+def _affine(a, h0, h):
     """A vectorized spec whose drift/diffusion are the declared affine maps."""
     n, m = np.shape(h0)
     drift, diffusion = _affine_dynamics(a, h0, h)
@@ -55,14 +54,13 @@ def _affine(a, h0, h, name="affine"):
         gamma=lambda s: 0.0,
         gamma_max=0.0,
         vectorized=True,
-        name=name,
         affine=(a, h0, h),
     )
 
 
 def _affine_ou():
     """dx = -x dt + dW, declared affine, so it runs the affine scan."""
-    return _affine([[-1.0]], [[1.0]], np.zeros((1, 1, 1)), name="affine-ou")
+    return _affine([[-1.0]], [[1.0]], np.zeros((1, 1, 1)))
 
 
 def _sequential(spec):
@@ -85,7 +83,7 @@ def _mixed_noise():
                          np.stack([0.5 * np.sin(2.0 * t), -np.sin(t)], -1)], -2)
 
     spec = _affine([[-1.0, 0.5], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]],
-                   np.zeros((2, 2, 2)), name="mixed-noise")
+                   np.zeros((2, 2, 2)))
     return dataclasses.replace(spec, covariance=covariance)
 
 
@@ -320,7 +318,7 @@ class TestReproducibility:
         slow = SystemSpec(
             dim_state=1, dim_noise=1, drift=base.drift, diffusion=base.diffusion,
             covariance=base.covariance, lyapunov=base.lyapunov, c=base.c,
-            gamma=base.gamma, gamma_max=base.gamma_max, vectorized=False, name="ou",
+            gamma=base.gamma, gamma_max=base.gamma_max, vectorized=False,
         )
         cfg = SimConfig(t_end=0.3, dt=1e-2, seed=8, x0=(0.0,))
         a = ensemble(base, cfg, 6)
