@@ -170,7 +170,8 @@ def bound_b(
     """Almost-sure lower bound on the time fraction spent inside radius r.
 
     Returns 0 below the domain edge ``alpha1(r) <= gamma_max / c`` (the
-    vacuous valid bound), so the function is total on positive radii.
+    vacuous valid bound), so the function is total on positive radii, and
+    its limit 1 where ``alpha1(r) / (gamma_max / c)`` overflows to infinity.
 
     Raises
     ------
@@ -187,6 +188,8 @@ def bound_b(
     if a <= g:
         return 0.0
     log_ratio = math.log(a / g)
+    if log_ratio == math.inf:
+        return 1.0
     return log_ratio / (-_W_M2 + log_ratio)
 
 

@@ -230,6 +230,12 @@ class TestOccupancyBounds:
         assert np.all(np.diff(bs) >= 0)
         assert bs[-1] > 0.99
 
+    def test_bound_b_limit_where_alpha1_overflows(self):
+        # alpha1(1e200) is inf, and alpha1(1e150) / 1e-300 overflows
+        assert bound_b(1e200, 1.0, 0.5, ALPHA1) == 1.0
+        assert bound_b(1e150, 1.0, 1e-300, ALPHA1) == 1.0
+        assert bound_b(1e150, 1.0, 0.5, ALPHA1) < 1.0
+
     def test_fractile_values(self):
         assert fractile_q(1.0 / 3.0, 1.0, 0.5, ALPHA1_INV) == pytest.approx(
             2.1958, abs=5e-4

@@ -381,6 +381,19 @@ class TestCommandLine:
         assert main(argv) == EXIT_OK
         assert "[pass] probability-bound" in capsys.readouterr().out
 
+    def test_radii_where_alpha1_overflows_get_the_limit_bound(self, tmp_path, capsys):
+        # alpha1(r) = r^2/2 is inf above r of about 1.3e154; b(r) is then 1
+        out = tmp_path / "x"
+        argv = ["example", "--set=sim.t_end=2", "--set=grid.r_max=1e200",
+                f"--set=output.dir={out}"]
+        assert main(argv) == EXIT_OK
+        assert "[pass] time-average-distribution" in capsys.readouterr().out
+        header, *lines = (out / "distribution.csv").read_text().splitlines()
+        col = header.split(",").index("b_bound")
+        bounds = [float(line.split(",")[col]) for line in lines]
+        assert not any(math.isnan(b) for b in bounds)
+        assert bounds[-1] == 1.0
+
     def test_module_entry_point(self, tmp_path):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))

@@ -444,3 +444,114 @@ class TestCouplingInputs:
             match = "level" if kind == "bad-level" else "not monotone"
             with pytest.raises(ValueError, match=match):
                 dominated_coupling_upper(xs, g, UNIT_UNIFORM, seed=14)
+
+
+def _random_law(rng):
+    """A random monotone CDF: a tail of subnormal mass below the first piece,
+    then pieces in ascending order, each an atom, a uniform stretch or a
+    quadratic one, with gaps (flat stretches) between them.  One uniform
+    stretch is narrower than 1e-9, so F is steep there."""
+    n = int(rng.integers(4, 9))
+    kinds = rng.choice(["atom", "uniform", "quadratic"], size=n).tolist()
+    widths = [0.0 if k == "atom" else float(10.0 ** rng.uniform(-3.0, 1.0))
+              for k in kinds]
+    steep = int(rng.integers(n))
+    kinds[steep], widths[steep] = "uniform", float(10.0 ** rng.uniform(-13.0, -9.0))
+    gaps = 10.0 ** rng.uniform(-2.0, 0.5, size=n)
+    scale = float(10.0 ** rng.uniform(-1.0, 1.0))
+    starts, ends, x = [], [], float(rng.uniform(-20.0, 20.0))
+    for width, gap in zip(widths, gaps.tolist()):
+        x += gap * scale
+        starts.append(x)
+        x += width * scale
+        ends.append(x)
+    tail = float(rng.choice([5e-324, 1e-320, 3e-310]))
+    bases = [tail]
+    for w in (rng.dirichlet(np.ones(n)) * (1.0 - tail)).tolist():
+        bases.append(bases[-1] + w)
+
+    def cdf(s):
+        if s < starts[0]:
+            return tail * math.exp(s - starts[0])
+        k = bisect.bisect_right(starts, s) - 1
+        if s >= ends[k]:
+            return min(bases[k + 1], 1.0)
+        u = (s - starts[k]) / (ends[k] - starts[k])
+        if kinds[k] == "quadratic":
+            u *= u
+        return min(bases[k] + (bases[k + 1] - bases[k]) * u, 1.0)
+
+    # levels at random, on the flat stretches' values, and in the tail
+    levels = rng.uniform(size=40).tolist() + bases[1:-1] + [tail, 2.0 * tail, 1e-300]
+    return cdf, [y for y in levels if 0.0 < y < 1.0]
+
+
+class TestRandomLaws:
+    @pytest.mark.parametrize("strict", [False, True], ids=["inf", "sup"])
+    def test_sweep_brackets_and_matches_bisection(self, strict):
+        rng = np.random.default_rng(16)
+        tol = 1e-12
+        for _ in range(30):
+            cdf, levels = _random_law(rng)
+            rng.shuffle(levels)
+            law = DominatingLaw.from_cdf(cdf)
+            lo, hi = _edges(levels, law, tol, strict)
+            for y, a, b in zip(levels, lo.tolist(), hi.tolist()):
+                assert cdf(b) > y if strict else cdf(b) >= y
+                assert not (cdf(a) > y if strict else cdf(a) >= y)
+                assert b - a <= tol or math.nextafter(a, math.inf) == b
+                ref_lo, ref_hi = _reference_bisect_edge(y, law, tol, strict)
+                z, z_ref = (a, ref_lo) if strict else (b, ref_hi)
+                assert abs(z - z_ref) <= max(tol, math.ulp(max(abs(z), abs(z_ref))))
+
+
+class TestCallCounts:
+    @pytest.mark.parametrize("strict", [False, True], ids=["inf", "sup"])
+    def test_dense_levels_take_few_cdf_calls(self, strict):
+        calls = [0]
+
+        def cdf(s):
+            calls[0] += 1
+            return -math.expm1(-0.5 * s) if s > 0.0 else 0.0
+
+        levels = np.random.default_rng(3).uniform(size=20_000)
+        _edges(levels, DominatingLaw.from_cdf(cdf), 1e-12, strict)
+        assert calls[0] <= 3.5 * len(levels)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["inf", "sup"])
+    def test_probe_stays_near_a_kink(self, strict):
+        # F bends at s = 2 from slope 1/4 to just above the slope at which the
+        # probe's parabola is flat at the prediction for the third level, so
+        # an uncapped correction would jump about 1e12 past the edge at 4.
+        slope = 0.0625 * (1.0 + 1e-12)
+        args = []
+
+        def cdf(s):
+            args.append(s)
+            if s <= 2.0:
+                return max(0.25 * s, 0.0)
+            return min(0.5 + slope * (s - 2.0), 1.0)
+
+        lo, hi = _edges([0.25, 0.5, 0.625], DominatingLaw.from_cdf(cdf), 1e-12, strict)
+        np.testing.assert_allclose(hi, [1.0, 2.0, 4.0], atol=1e-12)
+        assert max(args) < 8.0
+
+    def test_uniformize_calls_each_callable_once(self):
+        calls = []
+
+        def counted(name, cdf):
+            def g(s, h):
+                calls.append(name)
+                return cdf(s, h)
+            return g
+
+        shared = counted("shared", lambda s, _h: _norm_cdf(s))
+        uniformize(0.3, [], 0.5, ConditionalCdf(eval=shared, left_limit=shared))
+        assert calls == ["shared"]
+        coin = _coin_cdf()
+        calls.clear()
+        uniformize(1.0, [], 0.5, ConditionalCdf(eval=counted("eval", coin.eval),
+                                                left_limit=counted("left", coin.left_limit)))
+        assert sorted(calls) == ["eval", "left"]
+        marginal = ConditionalCdf.from_marginal(_norm_cdf)
+        assert marginal.eval is marginal.left_limit
