@@ -38,7 +38,6 @@ __all__ = [
     "MIN_LOOPS",
     "MIN_PATHS",
     "extract_loops",
-    "empirical_survival",
     "empirical_time_average",
     "wilson_interval",
     "verify_cross_time_bounds",
@@ -74,13 +73,6 @@ class LoopRecord:
     complete_loops: int
     tail_state: TailState
     horizon: float
-
-    def up_phase_total(self) -> float:
-        """Total time spent in up phases, including the unfinished tail."""
-        total = float(np.sum(self.up_times))
-        if self.tail_state is TailState.IN_UP_PHASE:
-            total += self.horizon - float(self.taus[-1])
-        return total
 
 
 @dataclass(frozen=True)
@@ -140,16 +132,6 @@ def extract_loops(traj: Trajectory, v0: float, v1: float) -> LoopRecord:
         tail_state=TailState.IN_UP_PHASE if seeking_up else TailState.IN_DOWN_PHASE,
         horizon=traj.horizon,
     )
-
-
-def empirical_survival(samples: Sequence[float]) -> EmpiricalDistribution:
-    """Right-continuous empirical survival evaluated at the sample points."""
-    s = np.sort(np.asarray(samples, dtype=float))
-    n = len(s)
-    if n == 0:
-        raise ValueError("empty sample")
-    counts_gt = n - np.searchsorted(s, s, side="right")
-    return EmpiricalDistribution(thresholds=s, values=counts_gt / n, n_samples=n)
 
 
 def empirical_time_average(

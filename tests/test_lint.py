@@ -171,6 +171,33 @@ def test_cli_runs_leave_scipy_out(tmp_path):
     assert (tmp_path / "1" / "probability_bound.csv").exists()
 
 
+def test_slln_import_leaves_other_modules_out():
+    # the package imports its exports and their modules on first access, so
+    # a coupling does not pay for the simulation's modules or numpy.random
+    probe = (
+        "import sys\n"
+        "import nss_lab.slln\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('nss_lab.', 'numpy.random'))))\n"
+        "import nss_lab\n"
+        "public = [n for n in dir(nss_lab) if not n.startswith('_')]\n"
+        "print(public == sorted(nss_lab.__all__ + ['bounds', 'loops', 'model', 'sim', 'slln']))\n"
+        "from nss_lab import integrate\n"
+        "print(integrate.__module__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["['nss_lab.slln']", "True", "nss_lab.sim"]
+
+
+def test_package_exports_resolve():
+    import nss_lab
+
+    for name in nss_lab.__all__:
+        module = getattr(nss_lab, nss_lab._MODULE_OF[name])
+        assert getattr(nss_lab, name) is getattr(module, name)
+
+
 def _full_precision_formats(source: str) -> list:
     """``(line, enclosing function)`` of each string holding the ``.17g``
     format: the byte format of CSV cells and of echoed config floats."""

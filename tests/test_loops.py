@@ -17,7 +17,6 @@ from nss_lab.loops import (
     _linear_quantiles,
     _normal_quantile,
     _t_quantile,
-    empirical_survival,
     empirical_time_average,
     extract_loops,
     verify_cross_time_bounds,
@@ -134,32 +133,6 @@ class TestExtractLoops:
             extract_loops(traj, v0=2.0, v1=1.0)
 
 
-class TestEmpiricalSurvival:
-    def test_small_sample(self):
-        dist = empirical_survival([1.0, 2.0, 3.0])
-        assert np.allclose(dist.thresholds, [1.0, 2.0, 3.0])
-        assert np.allclose(dist.values, [2.0 / 3.0, 1.0 / 3.0, 0.0])
-
-    def test_single_sample_strictness(self):
-        samples = np.array([5.0])
-        assert float(np.mean(samples > 4.0)) == 1.0
-        assert float(np.mean(samples > 5.0)) == 0.0
-        dist = empirical_survival(samples)
-        assert dist.values[0] == 0.0  # survival evaluated at the sample itself
-
-    def test_exponential_oracle(self):
-        draws = np.random.default_rng(13).exponential(size=100_000)
-        surv_at_1 = float(np.mean(draws > 1.0))
-        assert abs(surv_at_1 - math.exp(-1.0)) <= 0.005
-        dist = empirical_survival(draws)
-        idx = int(np.searchsorted(dist.thresholds, 1.0))
-        assert abs(dist.values[idx] - math.exp(-1.0)) <= 0.005
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_survival([])
-
-
 class TestEmpiricalTimeAverage:
     def test_constant_at_origin(self):
         traj = _traj_from_lyap(np.zeros(10))
@@ -206,7 +179,10 @@ class TestEmpiricalTimeAverage:
         v0, v1 = 0.9, 2.0
         rec = extract_loops(short_trajectory, v0=v0, v1=v1)
         d_v1 = empirical_time_average(short_trajectory, [v1], "lyapunov").values[0]
-        assert d_v1 * short_trajectory.horizon >= rec.up_phase_total() - 1e-9
+        up_total = float(np.sum(rec.up_times))
+        if rec.tail_state is TailState.IN_UP_PHASE:
+            up_total += rec.horizon - float(rec.taus[-1])
+        assert d_v1 * short_trajectory.horizon >= up_total - 1e-9
 
 
 class TestWilson:

@@ -516,7 +516,22 @@ class TestCallCounts:
 
         levels = np.random.default_rng(3).uniform(size=20_000)
         _edges(levels, DominatingLaw.from_cdf(cdf), 1e-12, strict)
-        assert calls[0] <= 3.5 * len(levels)
+        assert calls[0] <= 2.75 * len(levels)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["inf", "sup"])
+    def test_edges_beyond_tol_resolution_take_few_cdf_calls(self, strict):
+        # Edges from 1e4 to 1e6, where an ulp is 2 to 100 tol: the brackets
+        # end on adjacent floats, and tol/4 steps round away.
+        calls = [0]
+
+        def cdf(s):
+            calls[0] += 1
+            return min(1.0, max(0.0, s * 1e-6))
+
+        levels = np.random.default_rng(4).uniform(0.01, 1.0, size=200)
+        lo, hi = _edges(levels, DominatingLaw.from_cdf(cdf), 1e-12, strict)
+        assert np.all(np.nextafter(lo, np.inf) == hi)
+        assert calls[0] <= 5 * len(levels)
 
     @pytest.mark.parametrize("strict", [False, True], ids=["inf", "sup"])
     def test_probe_stays_near_a_kink(self, strict):
@@ -535,6 +550,25 @@ class TestCallCounts:
         lo, hi = _edges([0.25, 0.5, 0.625], DominatingLaw.from_cdf(cdf), 1e-12, strict)
         np.testing.assert_allclose(hi, [1.0, 2.0, 4.0], atol=1e-12)
         assert max(args) < 8.0
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["inf", "sup"])
+    def test_cubic_prediction_stays_near_a_kink(self, strict):
+        # F steepens at s = 1.5 from slope 1/4 to 5/2.  The cubic through the
+        # edges on both sides of the bend predicts the last edge, 1.73, near
+        # 221; the probes may go at most one expansion step past the bracket.
+        args = []
+
+        def cdf(s):
+            args.append(s)
+            if s <= 1.5:
+                return max(0.25 * s, 0.0)
+            return min(0.375 + 2.5 * (s - 1.5), 1.0)
+
+        levels = [0.05, 0.2, 0.37, 0.3701, 0.39, 0.46, 0.95]
+        lo, hi = _edges(levels, DominatingLaw.from_cdf(cdf), 1e-12, strict)
+        np.testing.assert_allclose(hi, [0.2, 0.8, 1.48, 1.4804, 1.506, 1.534, 1.73],
+                                   atol=1e-12)
+        assert max(args) < 4.0
 
     def test_uniformize_calls_each_callable_once(self):
         calls = []
