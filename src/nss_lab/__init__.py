@@ -32,7 +32,6 @@ _MODULES = {
         "SystemSpec",
         "builtin_example",
         "check_enss",
-        "generator_v",
     ),
     "sim": (
         "RNG_ALGORITHM",

@@ -277,7 +277,6 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(config_echo=cfg.echo_ini(),
                               integrator=integrator_name(spec))
     lyap = spec.lyapunov
-    floor = spec.noise_floor
 
     # stage: validate the config, so that a bad one fails before simulating
     for (section, key), (attr, _, _) in _CONFIG_KEYS.items():

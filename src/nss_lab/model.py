@@ -10,7 +10,8 @@ sample of states and times and reports every violating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +20,6 @@ __all__ = [
     "LyapunovSpec",
     "SystemSpec",
     "ConditionReport",
-    "generator_v",
     "check_enss",
     "builtin_example",
 ]
@@ -90,42 +90,49 @@ class LyapunovSpec:
         return _fd_hessian(self.v, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class SystemSpec:
     """Full problem statement for one exponentially dissipative SDE.
+
+    The dynamics are declared once: as ``drift`` and ``diffusion``, or as
+    ``affine=(A, H0, H)``, meaning ``f(x) = A x`` and ``h(x) = H0 + sum_i
+    x_i H[i]`` with shapes ``(N, N)``, ``(N, m)`` and ``(N, N, m)``; the
+    simulator steps those by the blocked affine scan.  The premise check and
+    the step loop take the maps from :attr:`dynamics`, so the premise check
+    reads the system that is simulated.
 
     ``vectorized=True`` declares that ``drift``, ``diffusion`` and the Lyapunov
     ``v`` accept state batches ``(..., N)`` (returning ``(..., N)``,
     ``(..., N, m)`` and ``(...)``) and ``covariance`` time arrays; otherwise
-    they are called once per state or time.  Only :meth:`batched` and
-    :meth:`sigma_series` read the flag.  The ensemble steps chunks of paths
-    either way, and ``integrate(spec, cfg, i)`` equals path ``i`` of
-    ``ensemble`` bit for bit.
-
-    ``affine=(A, H0, H)`` declares linear drift ``f(x) = A x`` and affine
-    diffusion ``h(x) = H0 + sum_i x_i H[i]``, with shapes ``(N, N)``,
-    ``(N, m)`` and ``(N, N, m)``.  It is trusted, not checked against
-    ``drift``/``diffusion`` (the built-in system builds those from it); the
-    simulator then runs the blocked affine scan instead of the sequential
-    step loop, and only ``covariance`` is called.
+    they are called once per state or time.  The maps of ``affine`` accept
+    batches either way, so for an affine spec the flag governs ``covariance``
+    and ``v``.  Only :meth:`batched` and :meth:`sigma_series` read it.  The
+    ensemble steps chunks of paths either way, and ``integrate(spec, cfg, i)``
+    equals path ``i`` of ``ensemble`` bit for bit.
     """
 
     dim_state: int
     dim_noise: int
-    drift: Callable
-    diffusion: Callable
+    drift: Optional[Callable] = None
+    diffusion: Optional[Callable] = None
     covariance: Callable
     lyapunov: LyapunovSpec
     c: float
     gamma: Callable[[float], float]
     gamma_max: float
     vectorized: bool = False
-    affine: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, compare=False)
+    affine: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.dim_state < 1 or self.dim_noise < 1:
             raise ValueError("state and noise dimensions must be positive")
+        given = [name for name, fn in (("drift", self.drift), ("diffusion", self.diffusion))
+                 if fn is not None]
+        if self.affine is not None and given:
+            raise ValueError("declare the dynamics once: affine=(A, H0, H) or "
+                             f"drift and diffusion, not affine and {' and '.join(given)}")
+        if self.affine is None and len(given) < 2:
+            raise ValueError("the dynamics need drift and diffusion, or affine=(A, H0, H)")
         if self.affine is not None:
             n, m = self.dim_state, self.dim_noise
             arrays = tuple(np.array(a, dtype=float) for a in self.affine)
@@ -146,6 +153,16 @@ class SystemSpec:
     @property
     def noise_floor(self) -> float:
         return self.gamma_max / self.c
+
+    @cached_property
+    def dynamics(self) -> Tuple[Callable, Callable]:
+        """``(drift, diffusion)``: the declared maps, or those of ``affine``,
+        ``x -> A x`` and ``x -> H0 + sum_i x_i H[i]``, for states and batches."""
+        if self.affine is None:
+            return self.drift, self.diffusion
+        a, h0, h = self.affine
+        return (lambda x: np.asarray(x, dtype=float) @ a.T,
+                lambda x: h0 + np.einsum("...i,inj->...nj", np.asarray(x, dtype=float), h))
 
     def batched(self, fn: Callable) -> Callable:
         """A state function such as ``drift`` as a map over a (P, N) batch of
@@ -191,14 +208,16 @@ class ConditionReport:
 
 
 def _generator(spec: SystemSpec, x) -> Callable[[np.ndarray], float]:
-    """:func:`generator_v` at x as a function of Sigma; the state terms are taken once."""
+    """LV at state x as a function of S = Sigma(t), the state terms taken once:
+    ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S)`` (V does not depend on t)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim_state,):
         raise ValueError(f"state shape {x.shape} != ({spec.dim_state},)")
-    f = np.asarray(spec.drift(x), dtype=float)
+    drift, diffusion = spec.dynamics
+    f = np.asarray(drift(x), dtype=float)
     if f.shape != x.shape:
         raise ValueError(f"drift returned shape {f.shape}, expected {x.shape}")
-    h = np.asarray(spec.diffusion(x), dtype=float)
+    h = np.asarray(diffusion(x), dtype=float)
     if h.shape != (spec.dim_state, spec.dim_noise):
         raise ValueError(
             f"diffusion returned shape {h.shape}, expected "
@@ -211,25 +230,11 @@ def _generator(spec: SystemSpec, x) -> Callable[[np.ndarray], float]:
     return lv
 
 
-def generator_v(spec: SystemSpec, x, t: float) -> float:
-    """Ito generator of V at state x and time t.
-
-    Computes ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S)`` with
-    ``S = covariance(t)`` (V carries no explicit time dependence here).
-    """
-    return _generator(spec, x)(spec.sigma_series([t])[0])
-
-
 def _noise_magnitudes(sig: np.ndarray) -> np.ndarray:
     """``|Sigma Sigma^T|_F`` over a (K, m, m) series.  The batched dot equals
     ``np.linalg.norm(S, "fro")`` bit for bit; a sum of squares can miss by an ulp."""
     s = (sig @ np.swapaxes(sig, -1, -2)).reshape(len(sig), 1, -1)
     return np.sqrt((s @ np.swapaxes(s, -1, -2))[:, 0, 0])
-
-
-def noise_magnitude(spec: SystemSpec, t: float) -> float:
-    """Frobenius norm of Sigma(t) Sigma(t)^T."""
-    return float(_noise_magnitudes(spec.sigma_series([t]))[0])
 
 
 def check_enss(
@@ -274,14 +279,6 @@ def check_enss(
     )
 
 
-def _affine_dynamics(a, h0, h):
-    """``(drift, diffusion)`` of ``affine=(A, H0, H)``: ``x -> A x`` and
-    ``x -> H0 + sum_i x_i H[i]``, for single states and batches."""
-    a, h0, h = (np.asarray(v, dtype=float) for v in (a, h0, h))
-    return (lambda x: np.asarray(x, dtype=float) @ a.T,
-            lambda x: h0 + np.einsum("...i,inj->...nj", np.asarray(x, dtype=float), h))
-
-
 def builtin_example() -> SystemSpec:
     """The built-in 2-D benchmark system.
 
@@ -321,12 +318,9 @@ def builtin_example() -> SystemSpec:
     a = [[-1.0, 1.0], [-1.0, -1.0]]
     h0 = [[0.0, 0.0], [0.0, 1.0]]
     h = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-    drift, diffusion = _affine_dynamics(a, h0, h)
     return SystemSpec(
         dim_state=2,
         dim_noise=2,
-        drift=drift,
-        diffusion=diffusion,
         covariance=covariance,
         lyapunov=lyap,
         c=1.0,

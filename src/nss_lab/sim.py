@@ -235,7 +235,7 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
     gens = _generators(cfg, lo, hi)
     seg = max(1, _NOISE_BYTES // (8 * m * len(gens) + _scratch_bytes(m, 1, len(gens))))
 
-    drift, diffusion = spec.drift, spec.diffusion
+    drift, diffusion = spec.dynamics
     if batch:  # one state is what every spec's drift and diffusion accept
         drift, diffusion = spec.batched(drift), spec.batched(diffusion)
     save = cfg.save_every

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -154,6 +155,24 @@ class TestPipeline:
         assert report.verdict == "premises-unverified"
         assert "distribution" not in report.tables
         assert any("skipped" in note for note in report.notes)
+
+    def test_premise_check_reads_the_simulated_affine_system(self):
+        # a scaled affine declaration is checked on its own maps, so its
+        # premise failure for large |x| is seen
+        base = builtin_example()
+        a, h0, h = base.affine
+        scaled = (0.2 * a, 1.5 * h0, h)
+        report = run_custom(dataclasses.replace(base, affine=scaled), ExperimentConfig())
+        assert report.verdict == "premises-unverified"
+        assert report.exit_code == EXIT_PREMISES
+        assert report.checks == [(
+            "dissipation-conditions", "FLAG",
+            "max residual 10.4653 over 539 points, gamma margin -1.23395e-08",
+        )]
+        # the old description: the scaled matrices beside the original maps
+        drift, diffusion = base.dynamics
+        with pytest.raises(ValueError, match="not affine and drift and diffusion"):
+            dataclasses.replace(base, affine=scaled, drift=drift, diffusion=diffusion)
 
     def test_ensemble_stage(self, tmp_path):
         cfg = load_config(None, FAST_OVERRIDES + [

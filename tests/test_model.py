@@ -9,10 +9,10 @@ from nss_lab.model import (
     LyapunovSpec,
     SystemSpec,
     _TOL,
+    _generator,
+    _noise_magnitudes,
     builtin_example,
     check_enss,
-    generator_v,
-    noise_magnitude,
 )
 from nss_lab.sim import SimConfig, ensemble
 
@@ -20,26 +20,35 @@ from conftest import quadratic_lyapunov
 
 
 def _example_variant(**overrides):
+    """The built-in system with its dynamics as drift and diffusion maps, or
+    as the overriding ``affine`` alone."""
     base = builtin_example()
     fields = {
         name: getattr(base, name)
         for name in (
-            "dim_state", "dim_noise", "drift", "diffusion", "covariance",
+            "dim_state", "dim_noise", "covariance",
             "lyapunov", "c", "gamma", "gamma_max", "vectorized",
         )
     }
+    if "affine" not in overrides:
+        fields["drift"], fields["diffusion"] = base.dynamics
     fields.update(overrides)
     return SystemSpec(**fields)
+
+
+def _lv(spec, x, t):
+    """LV at state x and time t, by the routines that check_enss runs."""
+    return _generator(spec, x)(spec.sigma_series([t])[0])
 
 
 class TestGenerator:
     def test_example_point(self, benchmark_system):
         # -(x1^2 + x2^2) + (x2^2 + sin^2 t)/2 at x=(1,1), t=pi/2
-        val = generator_v(benchmark_system, (1.0, 1.0), math.pi / 2.0)
+        val = _lv(benchmark_system, (1.0, 1.0), math.pi / 2.0)
         assert val == pytest.approx(-1.0, abs=1e-12)
 
     def test_origin(self, benchmark_system):
-        assert generator_v(benchmark_system, (0.0, 0.0), 0.0) == pytest.approx(
+        assert _lv(benchmark_system, (0.0, 0.0), 0.0) == pytest.approx(
             0.0, abs=1e-15
         )
 
@@ -51,7 +60,7 @@ class TestGenerator:
             expected = -(x[0] ** 2 + x[1] ** 2) + 0.5 * (
                 x[1] ** 2 + math.sin(t) ** 2
             )
-            assert generator_v(benchmark_system, x, t) == pytest.approx(
+            assert _lv(benchmark_system, x, t) == pytest.approx(
                 expected, rel=1e-12, abs=1e-12
             )
 
@@ -64,13 +73,13 @@ class TestGenerator:
             x = rng.uniform(-4.0, 4.0, size=2)
             grad = spec.lyapunov.grad(x)
             f = spec.drift(x)
-            assert generator_v(spec, x, 1.0) == pytest.approx(
+            assert _lv(spec, x, 1.0) == pytest.approx(
                 float(grad @ f), rel=1e-12, abs=1e-12
             )
 
     def test_shape_validation(self, benchmark_system):
-        with pytest.raises(ValueError):
-            generator_v(benchmark_system, (1.0, 2.0, 3.0), 0.0)
+        with pytest.raises(ValueError, match="state shape"):
+            _generator(benchmark_system, (1.0, 2.0, 3.0))
 
     def test_finite_difference_fallback(self, benchmark_system):
         # same Lyapunov function, derivatives left to central differences
@@ -83,8 +92,8 @@ class TestGenerator:
         for _ in range(25):
             x = rng.uniform(-5.0, 5.0, size=2)
             t = rng.uniform(0.0, 10.0)
-            exact = generator_v(benchmark_system, x, t)
-            approx = generator_v(spec, x, t)
+            exact = _lv(benchmark_system, x, t)
+            approx = _lv(spec, x, t)
             assert approx == pytest.approx(exact, rel=1e-4, abs=1e-6)
 
     def test_dynkin_short_time(self, benchmark_system):
@@ -97,7 +106,7 @@ class TestGenerator:
         incr = np.array([(p.lyap[-1] - v0) / h for p in paths])
         mean = float(np.mean(incr))
         se = float(np.std(incr, ddof=1)) / math.sqrt(n)
-        lv = generator_v(benchmark_system, x0, t0)
+        lv = _lv(benchmark_system, x0, t0)
         # d/dt of the noise term is sin(t)cos(t); Euler bias is O(h)
         dt_lv = abs(0.5 * math.sin(2.0 * t0))
         assert abs(mean - lv) <= 3.0 * se + 5.0 * h * (dt_lv + 1.0)
@@ -124,7 +133,8 @@ class TestSigmaSeries:
 
 class TestBatched:
     def test_vectorized_spec_returns_function(self, benchmark_system):
-        assert benchmark_system.batched(benchmark_system.drift) is benchmark_system.drift
+        drift, _ = benchmark_system.dynamics
+        assert benchmark_system.batched(drift) is drift
 
     def test_per_state_loop_matches_batch_call(self, benchmark_system):
         states = np.random.default_rng(5).normal(size=(7, 2))
@@ -140,20 +150,19 @@ class TestNoiseMagnitude:
     def test_equals_frobenius_norm(self, benchmark_system):
         ts = np.random.default_rng(4).uniform(0.0, 100.0, 200)
         for spec in (benchmark_system, _example_variant(vectorized=False)):
-            for t in ts:
+            mags = _noise_magnitudes(spec.sigma_series(ts))
+            for t, mag in zip(ts, mags.tolist()):
                 sig = benchmark_system.covariance(float(t))
-                assert noise_magnitude(spec, float(t)) == float(
-                    np.linalg.norm(sig @ sig.T, "fro"))
+                assert mag == float(np.linalg.norm(sig @ sig.T, "fro"))
 
     def test_builtin_range(self, benchmark_system):
         # |Sigma Sigma^T|_F = sqrt(1 + sin^4 t) in [1, sqrt(2)]
         ts = np.linspace(0.0, 2.0 * math.pi, 101)
-        mags = np.array([noise_magnitude(benchmark_system, float(t)) for t in ts])
+        mags = _noise_magnitudes(benchmark_system.sigma_series(ts))
         assert np.all(mags >= 1.0 - 1e-12)
         assert np.all(mags <= math.sqrt(2.0) + 1e-12)
-        assert noise_magnitude(benchmark_system, math.pi / 2.0) == pytest.approx(
-            math.sqrt(2.0), rel=1e-12
-        )
+        peak = _noise_magnitudes(benchmark_system.sigma_series([math.pi / 2.0]))
+        assert float(peak[0]) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 class TestCheckEnss:
@@ -216,7 +225,7 @@ class TestCheckEnss:
             return spec.gamma(float(np.linalg.norm(sig @ sig.T, "fro")))
 
         residuals = [
-            (x, float(t), generator_v(spec, x, float(t))
+            (x, float(t), _lv(spec, x, float(t))
              + spec.c * float(spec.lyapunov.v(x)) - gain(t))
             for x in states for t in times
         ]
@@ -266,10 +275,11 @@ class TestCheckEnss:
             return wrapper
 
         base = benchmark_system
+        drift, diffusion = base.dynamics
         spec = _example_variant(
             vectorized=False,
-            drift=counted("drift", base.drift),
-            diffusion=counted("diffusion", base.diffusion),
+            drift=counted("drift", drift),
+            diffusion=counted("diffusion", diffusion),
             lyapunov=dataclasses.replace(base.lyapunov, v=counted("v", base.lyapunov.v)),
             gamma=counted("gamma", base.gamma),
         )
@@ -281,10 +291,12 @@ class TestCheckEnss:
 
 class TestBuiltinExample:
     def test_drift_value(self, benchmark_system):
-        assert np.allclose(benchmark_system.drift(np.array([1.0, 0.0])), [-1.0, -1.0])
+        drift, _ = benchmark_system.dynamics
+        assert np.allclose(drift(np.array([1.0, 0.0])), [-1.0, -1.0])
 
     def test_diffusion_structure(self, benchmark_system):
-        h = benchmark_system.diffusion(np.array([0.5, 2.0]))
+        _, diffusion = benchmark_system.dynamics
+        h = diffusion(np.array([0.5, 2.0]))
         assert np.allclose(h, [[0.0, 0.0], [2.0, 1.0]])
 
     def test_lyapunov_value(self, benchmark_system):
@@ -303,21 +315,23 @@ class TestBuiltinExample:
 
     def test_batched_callables(self, benchmark_system):
         xs = np.random.default_rng(0).uniform(-2.0, 2.0, size=(8, 2))
-        fs = benchmark_system.drift(xs)
-        hs = benchmark_system.diffusion(xs)
+        drift, diffusion = benchmark_system.dynamics
+        fs = drift(xs)
+        hs = diffusion(xs)
         vs = benchmark_system.lyapunov.v(xs)
         assert fs.shape == (8, 2) and hs.shape == (8, 2, 2) and vs.shape == (8,)
         for i, x in enumerate(xs):
-            assert np.allclose(fs[i], benchmark_system.drift(x))
-            assert np.allclose(hs[i], benchmark_system.diffusion(x))
+            assert np.allclose(fs[i], drift(x))
+            assert np.allclose(hs[i], diffusion(x))
             assert vs[i] == pytest.approx(0.5 * float(x @ x))
 
     def test_affine_declaration_reproduces_dynamics(self, benchmark_system):
         a, h0, h = benchmark_system.affine
+        drift, diffusion = benchmark_system.dynamics
         xs = np.random.default_rng(1).normal(scale=3.0, size=(64, 2))
-        assert np.allclose(xs @ a.T, benchmark_system.drift(xs), rtol=1e-15, atol=0.0)
+        assert np.allclose(xs @ a.T, drift(xs), rtol=1e-15, atol=0.0)
         declared = h0 + np.einsum("...i,inj->...nj", xs, h)
-        assert np.allclose(declared, benchmark_system.diffusion(xs), rtol=1e-15, atol=0.0)
+        assert np.allclose(declared, diffusion(xs), rtol=1e-15, atol=0.0)
 
     def test_dynamics_equal_closed_form_bits(self, benchmark_system):
         # drift (-x1 + x2, -x1 - x2) and diffusion [[0, 0], [x2, 1]], exactly
@@ -327,11 +341,12 @@ class TestBuiltinExample:
         diffusion = np.zeros((64, 2, 2))
         diffusion[:, 1, 0] = x2
         diffusion[:, 1, 1] = 1.0
-        assert benchmark_system.drift(xs).tobytes() == drift.tobytes()
-        assert benchmark_system.diffusion(xs).tobytes() == diffusion.tobytes()
-        for x, f, h in zip(xs, drift, diffusion):
-            assert benchmark_system.drift(x).tobytes() == f.tobytes()
-            assert benchmark_system.diffusion(x).tobytes() == h.tobytes()
+        f, h = benchmark_system.dynamics
+        assert f(xs).tobytes() == drift.tobytes()
+        assert h(xs).tobytes() == diffusion.tobytes()
+        for x, fx, hx in zip(xs, drift, diffusion):
+            assert f(x).tobytes() == fx.tobytes()
+            assert h(x).tobytes() == hx.tobytes()
 
 
 class TestSpecValidation:
@@ -350,5 +365,29 @@ class TestSpecValidation:
         (np.eye(2), np.full((2, 2), np.nan), np.zeros((2, 2, 2))),
     ])
     def test_affine_declaration_checked(self, affine):
-        with pytest.raises(ValueError):
+        # the variant passes affine alone, so only its shape or finiteness fails
+        with pytest.raises(ValueError,
+                           match=r"^affine=\(A, H0, H\) (needs shapes|must be finite)"):
             _example_variant(affine=affine)
+
+    @pytest.mark.parametrize("given", [("drift", "diffusion"), ("drift",), ("diffusion",)])
+    def test_dynamics_declared_once(self, given):
+        base = builtin_example()
+        maps = dict(zip(("drift", "diffusion"), base.dynamics))
+        with pytest.raises(ValueError, match=f"not affine and {' and '.join(given)}$"):
+            dataclasses.replace(base, **{name: maps[name] for name in given})
+
+    @pytest.mark.parametrize("missing", [("drift", "diffusion"), ("drift",), ("diffusion",)])
+    def test_dynamics_required(self, missing):
+        with pytest.raises(ValueError, match="need drift and diffusion, or affine"):
+            _example_variant(**dict.fromkeys(missing))
+
+    def test_replace_keeps_affine_spec(self):
+        base = builtin_example()
+        spec = dataclasses.replace(base, c=2.0)
+        assert spec.c == 2.0 and spec.drift is None and spec.diffusion is None
+        for got, want in zip(spec.affine, base.affine):
+            assert np.array_equal(got, want)
+        xs = np.random.default_rng(2).normal(size=(5, 2))
+        for f, g in zip(spec.dynamics, base.dynamics):
+            assert f(xs).tobytes() == g(xs).tobytes()

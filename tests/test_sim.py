@@ -9,7 +9,7 @@ from scipy import stats as sps
 
 import nss_lab.sim as sim
 from nss_lab.loops import extract_loops
-from nss_lab.model import SystemSpec, _affine_dynamics
+from nss_lab.model import SystemSpec
 from nss_lab.sim import (
     NonFiniteStateError,
     SimConfig,
@@ -40,14 +40,11 @@ def _deterministic(drift, dim=1):
 
 
 def _affine(a, h0, h):
-    """A vectorized spec whose drift/diffusion are the declared affine maps."""
+    """A vectorized spec whose dynamics are the declared affine maps."""
     n, m = np.shape(h0)
-    drift, diffusion = _affine_dynamics(a, h0, h)
     return SystemSpec(
         dim_state=n,
         dim_noise=m,
-        drift=drift,
-        diffusion=diffusion,
         covariance=lambda t: np.ones(np.shape(t) + (m, m)) * np.eye(m),
         lyapunov=quadratic_lyapunov(n),
         c=1.0,
@@ -64,8 +61,9 @@ def _affine_ou():
 
 
 def _sequential(spec):
-    """The same system without its declaration: the reference kernel."""
-    return dataclasses.replace(spec, affine=None)
+    """The same system as drift and diffusion maps: the reference kernel."""
+    drift, diffusion = spec.dynamics
+    return dataclasses.replace(spec, drift=drift, diffusion=diffusion, affine=None)
 
 
 def _unstable():
