@@ -299,8 +299,10 @@ def builtin_example() -> SystemSpec:
         return out
 
     def v(x):
+        """(x1^2 + x2^2) / 2 over the last axis, summed by columns: the bits of
+        ``0.5 * np.sum(x * x, axis=-1)``, which is far slower on that axis."""
         x = np.asarray(x, dtype=float)
-        return 0.5 * np.sum(x * x, axis=-1)
+        return 0.5 * (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1])
 
     def gamma(s: float) -> float:
         if s < 1.0 - 1e-9:

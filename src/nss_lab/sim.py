@@ -271,7 +271,8 @@ def _padded_length(n_steps: int) -> int:
 
 def _affine_apply(mat, vec, off=None):
     """``mat @ vec + off`` on nested lists of arrays, summed left to right, in
-    place, into one new array per row."""
+    place, into one new array per row.  Each product broadcasts, so an entry
+    of ``vec`` may stack several columns along a leading axis."""
     out = []
     for r, row in enumerate(mat):
         acc = row[0] * vec[0]
@@ -281,6 +282,36 @@ def _affine_apply(mat, vec, off=None):
             acc += off[r]
         out.append(acc)
     return out
+
+
+def _refill_plan(n_steps: int, span: int, save: int) -> list:
+    """``plan[jj]``, for each block offset jj up to the furthest one that holds
+    a saved step: None, or the refill's rows that hold a saved state at
+    offset jj and the saved indices they fill, as two slices.
+
+    Saved index q is step q*save, at offset q*save % span of block
+    q*save // span.  With g = gcd(save, span), the q at offset jj are none
+    unless g divides jj, else every (span/g)-th from the least.  If
+    ``save <= span`` every block holds a saved step and the rows are the
+    blocks, every (save/g)-th; otherwise a block holds at most one and the
+    rows are the saved indices."""
+    g = math.gcd(save, span)
+    period, last = span // g, n_steps // save
+    inv = pow(save // g, -1, period)  # save/g and span/g are coprime
+    plan = [None] * span
+    for jj in range(0, span, g):
+        q0 = jj // g * inv % period
+        if q0 > last:
+            continue
+        saved = slice(q0, last + 1, period)
+        if save > span:
+            plan[jj] = saved, saved
+        else:
+            r0, r_step = q0 * save // span, save // g
+            plan[jj] = slice(r0, r0 + (last - q0) // period * r_step + 1, r_step), saved
+    while plan[-1] is None:  # offset 0 always holds saved index 0
+        plan.pop()
+    return plan
 
 
 def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
@@ -293,10 +324,12 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
     full block is composed, all blocks at once; the block start states are
     carried from block to block; then the states inside the blocks that hold
     a saved step are refilled from their starts, all such blocks at once and
-    only up to the furthest saved offset.  The last block holds the
-    ``n_steps % block_length`` remaining steps and is never composed.  The
-    chunk's noise, with its draws and scratch, fits ``_NOISE_BYTES`` when
-    :func:`ensemble` picks the chunk.
+    only up to the furthest saved offset: one row per block if every block
+    holds a saved step, else one row per saved step, whose saved states at
+    each offset are one slice of the rows (:func:`_refill_plan`).  The last
+    block holds the ``n_steps % block_length`` remaining steps and is never
+    composed.  The chunk's noise, with its draws and scratch, fits
+    ``_NOISE_BYTES`` when :func:`ensemble` picks the chunk.
     Only elementwise adds and multiplies in a fixed order are used, so path i
     has the same bits alone as inside any chunk.
     """
@@ -329,20 +362,21 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
                for r in range(n)]
         return mat, [entry(0.0, b_terms[r], blocks, jj) for r in range(n)]
 
-    # compose each full block's map: columns of P and the offset c
+    # compose each full block's map: y[r] is row r of [P c], one array over
+    # the n + 1 columns, so that one multiply steps a whole row
     full = slice(None, n_full)
-    mat, c = step_map(full, 0)
-    p_cols = [[mat[r][i] for r in range(n)] for i in range(n)]
+    mat, off = step_map(full, 0)
+    y = [np.empty((n + 1, n_full) + batch) for _ in range(n)]
+    for r, row in enumerate(y):
+        for i, value in enumerate(mat[r] + [off[r]]):
+            row[i] = value
     for jj in range(1, span):
         mat, off = step_map(full, jj)
-        p_cols = [_affine_apply(mat, col) for col in p_cols]
-        c = _affine_apply(mat, c, off)
-    p_blk = np.empty((n_full, n, n) + batch)
-    c_blk = np.empty((n_full, n) + batch)
-    for r in range(n):
-        c_blk[:, r] = c[r]
-        for i in range(n):
-            p_blk[:, r, i] = p_cols[i][r]
+        y = _affine_apply(mat, y)
+        for r in range(n):
+            y[r][n] += off[r]
+    pc = np.moveaxis(np.stack(y), 2, 0)  # (block, row, column) + batch
+    p_blk, c_blk = pc[:, :, :n], pc[:, :, n]
 
     # carry the block start states
     starts = np.empty((n_blocks, n) + batch)
@@ -350,25 +384,23 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
     for blk in range(n_full):
         starts[blk + 1] = _affine_apply(p_blk[blk], starts[blk], c_blk[blk])
 
-    # refill the blocks that hold a saved step, up to the furthest saved offset;
-    # position p is offset p % span of block p // span
+    # refill from the block starts, one row per block or per saved step; the
+    # last row is the last block's
     save = cfg.save_every
-    states = np.empty((n_steps // save + 1, n) + batch)
-    first = np.arange(n_blocks) * span
-    last_saved = np.minimum(first + span - 1, n_steps) // save * save
-    blocks = np.flatnonzero(last_saved >= first)  # block 0 and the last block among them
-    first = first[blocks]
-    reach = int(np.max(last_saved[blocks] - first))
+    plan = _refill_plan(n_steps, span, save)
+    blocks = (np.arange(n_blocks) if save <= span
+              else np.arange(n_steps // save + 1) * save // span)
     x = [starts[blocks, r] for r in range(n)]
-    for jj in range(reach + 1):
-        pos = first + jj
-        keep = pos % save == 0
-        for r in range(n):
-            states[pos[keep] // save, r] = x[r][keep]
-        if jj == reach:
+    states = np.empty((n_steps // save + 1, n) + batch)
+    for jj, fill in enumerate(plan):
+        if fill is not None:
+            rows, saved = fill
+            for r in range(n):
+                states[saved, r] = x[r][rows]
+        if jj == len(plan) - 1:
             break
         if jj == rem:  # the last block has only `rem` steps
-            blocks, first = blocks[:-1], first[:-1]
+            blocks = blocks[:-1]
             x = [xr[:-1] for xr in x]
         # blocks 0, 1, ... as a slice: views of the noise, not copies
         live = slice(len(blocks)) if blocks[-1] < len(blocks) else blocks
@@ -401,7 +433,12 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
     """V and the norm of saved states of shape (K+1, N) (path ``lo``) or
     (P, K+1, N) (paths lo, lo+1, ...).  A non-finite state raises
     :class:`NonFiniteStateError` naming the lowest failing path and that
-    path's first non-finite saved step."""
+    path's first non-finite saved step.
+
+    For N <= 7 the norm is the square root of the squares added column by
+    column, left to right: the bits of ``np.linalg.norm(states, axis=-1)``,
+    whose sum along the last axis adds in that order up to 7 terms and
+    regroups from 8 on, where ``np.linalg.norm`` itself is called."""
     if not np.isfinite(states).all():
         bad = ~np.isfinite(states).all(axis=-1)
         path, idx = divmod(int(np.argmax(bad)), bad.shape[-1])
@@ -410,7 +447,13 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
     flat = states.reshape(-1, states.shape[-1])
     lyap = np.asarray(spec.batched(spec.lyapunov.v)(flat), dtype=float)
     lyap = lyap.reshape(states.shape[:-1])
-    return lyap, np.linalg.norm(states, axis=-1)
+    if states.shape[-1] >= 8:
+        return lyap, np.linalg.norm(states, axis=-1)
+    cols = np.moveaxis(states, -1, 0)
+    acc = cols[0] * cols[0]
+    for col in cols[1:]:
+        acc += col * col
+    return lyap, np.sqrt(acc, out=acc)
 
 
 def _kernel(spec: SystemSpec):

@@ -325,6 +325,15 @@ class TestBuiltinExample:
             assert np.allclose(hs[i], diffusion(x))
             assert vs[i] == pytest.approx(0.5 * float(x @ x))
 
+    def test_lyapunov_has_the_bits_of_the_sum(self, benchmark_system):
+        v = benchmark_system.lyapunov.v
+        rng = np.random.default_rng(3)
+        for shape in ((2,), (40, 2), (3, 40, 2)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+            want = 0.5 * np.sum(x * x, axis=-1)
+            assert np.shape(v(x)) == shape[:-1]
+            assert np.asarray(v(x)).tobytes() == np.asarray(want).tobytes()
+
     def test_affine_declaration_reproduces_dynamics(self, benchmark_system):
         a, h0, h = benchmark_system.affine
         drift, diffusion = benchmark_system.dynamics

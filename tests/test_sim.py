@@ -365,6 +365,45 @@ class TestAffineScan:
                 assert got.states.tobytes() == ref.states[::save].tobytes()
                 assert got.lyap.tobytes() == ref.lyap[::save].tobytes()
 
+    @pytest.mark.parametrize("t_end, save", [(4.9, 70), (4.9, 14), (4.9, 35), (4.9, 28),
+                                             (4.9, 49), (4.9, 245), (5.0, 50)])
+    def test_thinning_by_refill_slices(self, monkeypatch, benchmark_system, t_end, save):
+        # blocks of 70 steps: thinning by the block length, by less with
+        # gcd(save, 70) > 1, dividing 70 (14, 35) or not (28, 49, 50), and by
+        # more (245); 4900 steps leave the last block empty, 5000 leave it 30
+        full_cfg = SimConfig(t_end=t_end, dt=1e-3, seed=16, x0=(0.5, -0.5))
+        assert block_length(full_cfg.n_steps) == 70
+        cfg = dataclasses.replace(full_cfg, save_every=save)
+        full = [integrate(benchmark_system, full_cfg, i) for i in range(5)]
+        _set_chunk(monkeypatch, benchmark_system, cfg, 3)
+        shapes = _spy_noise(monkeypatch)
+        thin = ensemble(benchmark_system, cfg, 5)
+        assert sorted(s[-1] for s in shapes) == [2, 3]
+        for i, ref in enumerate(full):
+            for got in (thin[i], integrate(benchmark_system, cfg, i)):
+                assert got.states.tobytes() == ref.states[::save].tobytes()
+                assert got.lyap.tobytes() == ref.lyap[::save].tobytes()
+
+    @pytest.mark.parametrize("n_steps", [4900, 5000, 997, 12, 2])
+    def test_refill_plan_fills_every_saved_index_once(self, n_steps):
+        span = block_length(n_steps)
+        for save in (d for d in range(1, n_steps + 1) if n_steps % d == 0):
+            plan = sim._refill_plan(n_steps, span, save)
+            filled = []
+            for jj, fill in enumerate(plan):
+                if fill is None:
+                    continue
+                rows, saved = fill
+                q = np.arange(n_steps // save + 1)[saved]
+                pos = q * save
+                assert (pos % span == jj).all()
+                # a row per block, or per saved index if a block holds at most one
+                row_of = pos // span if save <= span else q
+                assert np.array_equal(np.arange(n_steps + 1)[rows], row_of)
+                filled.extend(q.tolist())
+            assert sorted(filled) == list(range(n_steps // save + 1)), save
+            assert plan[-1] is not None
+
     @pytest.mark.parametrize("t_end, last_block", [(0.1, 0), (1.0, 1), (1.4, 2), (3.0, 0)])
     def test_block_edges(self, t_end, last_block):
         spec = _affine([[-0.5, 2.0], [-2.0, -0.5]], [[0.3, 0.0], [0.0, 0.2]],
@@ -609,6 +648,20 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             Trajectory(times=np.arange(3.0), states=np.zeros((3, 1)),
                        lyap=np.zeros(2), norms=np.zeros(3))
+
+
+class TestFinalize:
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_norms_have_the_bits_of_linalg_norm(self, dim):
+        # summed by columns up to 7 components, by np.linalg.norm from 8 on
+        spec = _deterministic(lambda x: x, dim)
+        cfg = SimConfig(t_end=0.3, dt=0.1, seed=1, x0=(0.0,) * dim)
+        rng = np.random.default_rng(dim)
+        for shape in ((50, dim), (3, 20, dim)):
+            states = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+            lyap, norms = _finalize(spec, cfg, states, 0)
+            assert norms.shape == lyap.shape == shape[:-1]
+            assert norms.tobytes() == np.linalg.norm(states, axis=-1).tobytes()
 
 
 class TestCsvDump:
