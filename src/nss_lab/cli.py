@@ -94,22 +94,6 @@ class ExperimentConfig:
     output_dir: str = "nss-lab-out"
     dump_trajectory: bool = False
 
-    def r_grid(self) -> np.ndarray:
-        if not self.r_min > 0.0:
-            raise ValueError(f"grid.r_min must be positive, got {self.r_min!r}")
-        if self.r_count < 1:
-            raise ValueError(f"grid.count must be >= 1, got {self.r_count!r}")
-        if not self.r_max > self.r_min:
-            raise ValueError(
-                f"grid.r_max must exceed grid.r_min, got r_min={self.r_min!r}, "
-                f"r_max={self.r_max!r}"
-            )
-        if self.r_spacing == "log":
-            return np.geomspace(self.r_min, self.r_max, self.r_count)
-        if self.r_spacing == "linear":
-            return np.linspace(self.r_min, self.r_max, self.r_count)
-        raise ValueError(f"grid.spacing must be 'log' or 'linear', got {self.r_spacing!r}")
-
     def echo_ini(self) -> str:
         """Canonical INI text sufficient to reproduce the run exactly."""
         sections = {}
@@ -259,26 +243,22 @@ def write_report(report: ExperimentReport, outdir) -> None:
     (out / "config_echo.ini").write_text(report.config_echo, encoding="utf-8")
 
 
-def _premise_sample(spec: SystemSpec, cfg: ExperimentConfig):
-    """State/time grids for the dissipation check (box around the origin)."""
-    n = spec.dim_state
-    per_axis = 7 if n <= 3 else 3
-    axes = [np.linspace(-3.0, 3.0, per_axis)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    states = np.stack([m.ravel() for m in mesh], axis=-1)
-    t_hi = min(cfg.t_end, 2.0 * math.pi)
-    times = np.linspace(0.0, t_hi, 11)
-    gamma_times = np.linspace(0.0, t_hi, 10_000)
-    return states, times, gamma_times
+@dataclass(frozen=True)
+class _Plan:
+    """Every value the stages read, validated and derived before any runs."""
+
+    levels: LevelPair
+    grid: np.ndarray  # radii of the time-average distribution
+    b_grid: List[float]  # b(r) on the grid
+    q_list: List[float]  # q_k of each fractiles.k
+    sim_cfg: SimConfig  # the long path
+    ens_cfg: Optional[SimConfig]  # None when ensemble.n_paths = 0
+    premise: tuple  # (states, times, gamma_times) of the dissipation check
 
 
-def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
-    """Run the pipeline on a user-supplied system specification."""
-    report = ExperimentReport(config_echo=cfg.echo_ini(),
-                              integrator=integrator_name(spec))
-    lyap = spec.lyapunov
-
-    # stage: validate the config, so that a bad one fails before simulating
+def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
+    """Check ``cfg`` against ``spec``, naming the ``section.key`` at fault, and
+    derive the plan; it simulates nothing and creates no file."""
     for (section, key), (attr, _, _) in _CONFIG_KEYS.items():
         value = getattr(cfg, attr)
         if any(isinstance(v, float) and not math.isfinite(v)
@@ -288,9 +268,22 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         v0 = cfg.v0 if cfg.v0 is not None else optimal_v0(cfg.v1, spec.c, spec.gamma_max)
     with _config_key("levels.v0", "levels.v1"):
         levels = LevelPair(v0=v0, v1=cfg.v1, c=spec.c, gamma_max=spec.gamma_max)
-    bset = make_bound_set(levels, lyap.alpha1, lyap.alpha1_inv)
-    grid = cfg.r_grid()
-    b_grid = [bset.b(float(r)) for r in grid]
+    bset = make_bound_set(levels, spec.lyapunov.alpha1, spec.lyapunov.alpha1_inv)
+    if not cfg.r_min > 0.0:
+        raise ValueError(f"grid.r_min must be positive, got {cfg.r_min!r}")
+    if cfg.r_count < 1:
+        raise ValueError(f"grid.count must be >= 1, got {cfg.r_count!r}")
+    if not cfg.r_max > cfg.r_min:
+        raise ValueError(
+            f"grid.r_max must exceed grid.r_min, got r_min={cfg.r_min!r}, "
+            f"r_max={cfg.r_max!r}"
+        )
+    spacing = {"log": np.geomspace, "linear": np.linspace}.get(cfg.r_spacing)
+    if spacing is None:
+        raise ValueError(f"grid.spacing must be 'log' or 'linear', got {cfg.r_spacing!r}")
+    grid = spacing(cfg.r_min, cfg.r_max, cfg.r_count)
+    with _config_key("grid.r_min"):  # alpha1 increases, so r_min is the first to fail
+        b_grid = [bset.b(float(r)) for r in grid]
     if not cfg.k_list:
         raise ValueError("fractiles.k must list at least one fraction")
     with _config_key("fractiles.k"):
@@ -305,6 +298,7 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
     if cfg.n_paths != 0 and cfg.n_paths < MIN_PATHS:
         raise ValueError(f"ensemble.n_paths must be 0 or >= {MIN_PATHS}, got {cfg.n_paths}")
+    ens_cfg = None
     if cfg.n_paths > 0:
         if cfg.prob_radius <= 0.0:
             raise ValueError(f"ensemble.prob_radius must be positive, got {cfg.prob_radius!r}")
@@ -318,10 +312,30 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
                                 x0=cfg.x0, save_every=save_every)
             for t in cfg.check_times:
                 _grid_index(ens_cfg.saved_times(), t)
+    out = Path(cfg.output_dir)
+    while not out.exists():  # the nearest existing ancestor; write_report makes the rest
+        out = out.parent
+    if not out.is_dir():
+        raise ValueError(f"output.dir: {out} is not a directory")
+    # the premise sample: the box [-3, 3]^n, at times in [0, min(t_end, 2 pi)]
+    n = spec.dim_state
+    axes = [np.linspace(-3.0, 3.0, 7 if n <= 3 else 3)] * n
+    states = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    t_hi = min(cfg.t_end, 2.0 * math.pi)
+    premise = (states, np.linspace(0.0, t_hi, 11), np.linspace(0.0, t_hi, 10_000))
+    return _Plan(levels, grid, b_grid, q_list, sim_cfg, ens_cfg, premise)
+
+
+def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
+    """Run the pipeline on a user-supplied system specification.
+
+    Every check of the config runs in :func:`_plan`, before any stage."""
+    plan = _plan(spec, cfg)
+    report = ExperimentReport(config_echo=cfg.echo_ini(),
+                              integrator=integrator_name(spec))
 
     # stage: premises
-    states, times, gamma_times = _premise_sample(spec, cfg)
-    cond = check_enss(spec, states, times, gamma_times=gamma_times)
+    cond = check_enss(spec, *plan.premise)
     report.add_check(
         "dissipation-conditions",
         cond.passed,
@@ -331,17 +345,17 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     report.premises_verified = cond.passed
 
     # stage: simulate
-    traj = integrate(spec, sim_cfg)
+    traj = integrate(spec, plan.sim_cfg)
     if cfg.dump_trajectory:
         report.trajectory = traj
 
     if report.premises_verified:
         # stage: time-average distribution vs closed-form bound
-        dist = empirical_time_average(traj, grid, mode="norm")
-        flags = dist.values < b_grid
+        dist = empirical_time_average(traj, plan.grid, mode="norm")
+        flags = dist.values < plan.b_grid
         report.tables["distribution"] = (
             ["r", "D_empirical", "b_bound", "flag"],
-            np.column_stack([dist.thresholds, dist.values, b_grid, flags]),
+            np.column_stack([dist.thresholds, dist.values, plan.b_grid, flags]),
         )
         report.add_check(
             "time-average-distribution",
@@ -350,8 +364,8 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         )
 
         # stage: crossing-time bounds
-        record = extract_loops(traj, v0=v0, v1=cfg.v1)
-        ct = verify_cross_time_bounds(record, levels, confidence=cfg.confidence)
+        record = extract_loops(traj, v0=plan.levels.v0, v1=cfg.v1)
+        ct = verify_cross_time_bounds(record, plan.levels, confidence=cfg.confidence)
         header = ["threshold", "empirical", "bound", "ci_low", "ci_high", "flag"]
         report.tables["up_cross_survival"] = (header, [astuple(r) for r in ct.up_rows])
         report.tables["down_cross_survival"] = (header, [astuple(r) for r in ct.down_rows])
@@ -366,21 +380,23 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
 
         # stage: fractile occupancy
         occ = [float(empirical_time_average(traj, [qk], mode="norm").values[0])
-               for qk in q_list]
+               for qk in plan.q_list]
         flags = ~np.greater_equal(occ, cfg.k_list)
         report.tables["occupancy"] = (["k", "q_k", "occupied_fraction", "flag"],
-                                      np.column_stack([cfg.k_list, q_list, occ, flags]))
+                                      np.column_stack([cfg.k_list, plan.q_list, occ, flags]))
         report.add_check(
             "fractile-occupancy", not flags.any(),
             "; ".join(f"k={k:.4g}: {o:.4g} at q={q:.4g}"
-                      for k, q, o in zip(cfg.k_list, q_list, occ)),
+                      for k, q, o in zip(cfg.k_list, plan.q_list, occ)),
         )
     else:
         report.notes.append("bound checks skipped: dissipation premises unverified")
 
     # stage: ensemble checks
-    if cfg.n_paths > 0 and report.premises_verified:
-        paths = ensemble(spec, ens_cfg, cfg.n_paths)
+    if plan.ens_cfg is None:
+        report.notes.append("ensemble checks skipped: n_paths = 0")
+    elif report.premises_verified:
+        paths = ensemble(spec, plan.ens_cfg, cfg.n_paths)
         mom = verify_moment_bound(paths, spec, cfg.check_times)
         report.tables["moment_bound"] = (
             ["t", "mean_V", "bound", "ci_low", "ci_high", "flag"],
@@ -406,8 +422,6 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         )
         report.add_check("probability-bound", prob_ok,
                          f"radius {cfg.prob_radius:g} at {len(prob_rows)} times")
-    elif cfg.n_paths == 0:
-        report.notes.append("ensemble checks skipped: n_paths = 0")
     return report
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from nss_lab.cli import (
     EXIT_OK,
     EXIT_PREMISES,
     ExperimentConfig,
+    _plan,
     load_config,
     main,
     run_custom,
@@ -21,7 +23,7 @@ from nss_lab.cli import (
     write_report,
 )
 from nss_lab.loops import verify_moment_bound
-from nss_lab.model import SystemSpec, builtin_example
+from nss_lab.model import SystemSpec, builtin_example, check_enss
 from nss_lab.sim import SimConfig, ensemble, integrator_name, write_csv
 
 from conftest import make_ou, quadratic_lyapunov
@@ -89,12 +91,12 @@ class TestConfig:
                 load_config(*args)
 
     def test_r_grid_spacing(self):
-        log_grid = ExperimentConfig(r_spacing="log").r_grid()
-        lin_grid = ExperimentConfig(r_spacing="linear").r_grid()
+        log_grid = _plan(builtin_example(), ExperimentConfig(r_spacing="log")).grid
+        lin_grid = _plan(builtin_example(), ExperimentConfig(r_spacing="linear")).grid
         assert np.allclose(np.diff(np.log(log_grid)), np.diff(np.log(log_grid))[0])
         assert np.allclose(np.diff(lin_grid), np.diff(lin_grid)[0])
         with pytest.raises(ValueError):
-            ExperimentConfig(r_spacing="cubic").r_grid()
+            _plan(builtin_example(), ExperimentConfig(r_spacing="cubic")).grid
 
     def test_echo_round_trips(self, tmp_path):
         cfg = ExperimentConfig(t_end=77.0, seed=3, v0=1.25, k_list=(0.2, 0.4))
@@ -173,6 +175,23 @@ class TestPipeline:
         drift, diffusion = base.dynamics
         with pytest.raises(ValueError, match="not affine and drift and diffusion"):
             dataclasses.replace(base, affine=scaled, drift=drift, diffusion=diffusion)
+
+    def test_premise_check_reads_the_plan(self, monkeypatch):
+        import nss_lab.cli as cli
+
+        plans, calls = [], []
+        monkeypatch.setattr(cli, "_plan", lambda *a: plans.append(_plan(*a)) or plans[-1])
+
+        def spy(*args, **kwargs):
+            calls.append(inspect.signature(check_enss).bind(*args, **kwargs).arguments)
+            return check_enss(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_enss", spy)
+        run_custom(builtin_example(), ExperimentConfig(t_end=2.0))
+        (plan,), (args,) = plans, calls
+        sample = (args["states"], args["times"], args["gamma_times"])
+        assert len(plan.premise) == 3
+        assert all(got is want for got, want in zip(sample, plan.premise))
 
     def test_ensemble_stage(self, tmp_path):
         cfg = load_config(None, FAST_OVERRIDES + [
@@ -376,6 +395,8 @@ class TestCommandLine:
          "ensemble.check_times must be finite, got (inf,)"),
         (["sim.t_end=inf"], None, "sim.t_end must be finite, got inf"),
         (["system.x0=nan,0"], None, "system.x0 must be finite, got (nan, 0.0)"),
+        (["grid.r_min=1e-300"], None, "grid.r_min: alpha1(1e-300) = 0.0 is not positive"),
+        ([f"output.dir={__file__}/out"], None, f"output.dir: {__file__} is not a directory"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):

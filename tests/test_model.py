@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nss_lab.cli import ExperimentConfig, _premise_sample
+from nss_lab.cli import ExperimentConfig, _plan
 from nss_lab.model import (
     LyapunovSpec,
     SystemSpec,
@@ -239,7 +239,7 @@ class TestCheckEnss:
     def test_equals_pointwise_reference(self, variant, sample):
         spec = _example_variant(**variant)
         if sample == "cli":
-            states, times, gamma_times = _premise_sample(spec, ExperimentConfig(t_end=2.0))
+            states, times, gamma_times = _plan(spec, ExperimentConfig(t_end=2.0)).premise
         else:
             states, times, gamma_times = self.GRID, self.TIMES, self.TIMES
         report = check_enss(spec, states, times, gamma_times=gamma_times)
@@ -261,7 +261,7 @@ class TestCheckEnss:
             return benchmark_system.gamma(s)
 
         spec = _example_variant(gamma=gamma)
-        states, times, gamma_times = _premise_sample(spec, ExperimentConfig())
+        states, times, gamma_times = _plan(spec, ExperimentConfig()).premise
         check_enss(spec, states, times, gamma_times=gamma_times)
         assert len(calls) == len(times) + len(gamma_times) == 11 + 10_000
 
@@ -283,7 +283,7 @@ class TestCheckEnss:
             lyapunov=dataclasses.replace(base.lyapunov, v=counted("v", base.lyapunov.v)),
             gamma=counted("gamma", base.gamma),
         )
-        states, times, gamma_times = _premise_sample(spec, ExperimentConfig(t_end=2.0))
+        states, times, gamma_times = _plan(spec, ExperimentConfig(t_end=2.0)).premise
         check_enss(spec, states, times, gamma_times=gamma_times)
         assert len(states) == 49
         assert calls == {"drift": 49, "diffusion": 49, "v": 49, "gamma": 11 + 10_000}
