@@ -59,7 +59,6 @@ _MODULES = {
         "LoopRecord",
         "MomentReport",
         "ProbabilityReport",
-        "TailState",
         "empirical_time_average",
         "extract_loops",
         "verify_cross_time_bounds",

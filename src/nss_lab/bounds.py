@@ -216,7 +216,6 @@ def occupancy_ratio_bound(levels: LevelPair) -> float:
 class BoundSet:
     """The radius bound b(r) and fractile q(k) for one level pair and alpha1 envelope."""
 
-    levels: LevelPair
     b: Callable[[float], float] = field(repr=False)
     q: Callable[[float], float] = field(repr=False)
 
@@ -228,7 +227,6 @@ def make_bound_set(
 ) -> BoundSet:
     """Bind b(r) and q(k) to one LevelPair and alpha1 envelope."""
     return BoundSet(
-        levels=levels,
         b=lambda r: bound_b(r, levels.c, levels.gamma_max, alpha1),
         q=lambda k: fractile_q(k, levels.c, levels.gamma_max, alpha1_inv),
     )

@@ -259,6 +259,12 @@ class _Plan:
 def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
     """Check ``cfg`` against ``spec``, naming the ``section.key`` at fault, and
     derive the plan; it simulates nothing and creates no file."""
+    builtin = spec is builtin_example()
+    if builtin and cfg.system != "example-2d":
+        raise ValueError(f"system.name: unknown built-in system {cfg.system!r}; custom "
+                         "systems are supplied through the library API (run_custom)")
+    if not builtin and cfg.system == "example-2d":
+        raise ValueError("system.name: 'example-2d' names the built-in system, not this spec")
     for (section, key), (attr, _, _) in _CONFIG_KEYS.items():
         value = getattr(cfg, attr)
         if any(isinstance(v, float) and not math.isfinite(v)
@@ -329,7 +335,8 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
 def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     """Run the pipeline on a user-supplied system specification.
 
-    Every check of the config runs in :func:`_plan`, before any stage."""
+    Every check of the config runs in :func:`_plan`, before any stage; its
+    ``system.name`` is ``example-2d`` only for :func:`builtin_example`."""
     plan = _plan(spec, cfg)
     report = ExperimentReport(config_echo=cfg.echo_ini(),
                               integrator=integrator_name(spec))
@@ -379,8 +386,7 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         )
 
         # stage: fractile occupancy
-        occ = [float(empirical_time_average(traj, [qk], mode="norm").values[0])
-               for qk in plan.q_list]
+        occ = empirical_time_average(traj, plan.q_list, mode="norm").values
         flags = ~np.greater_equal(occ, cfg.k_list)
         report.tables["occupancy"] = (["k", "q_k", "occupied_fraction", "flag"],
                                       np.column_stack([cfg.k_list, plan.q_list, occ, flags]))
@@ -427,13 +433,7 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_example(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """Run the full pipeline on the built-in 2-D benchmark system."""
-    cfg = cfg or ExperimentConfig()
-    if cfg.system != "example-2d":
-        raise ValueError(
-            f"unknown built-in system {cfg.system!r}; custom systems are supplied "
-            "through the library API (run_custom)"
-        )
-    return run_custom(builtin_example(), cfg)
+    return run_custom(builtin_example(), cfg or ExperimentConfig())
 
 
 def _cmd_run(args) -> int:

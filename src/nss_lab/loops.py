@@ -10,7 +10,6 @@ implementation or discretization error, not a falsification of the theory.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -28,7 +27,6 @@ from .model import SystemSpec
 from .sim import Ensemble, Trajectory
 
 __all__ = [
-    "TailState",
     "LoopRecord",
     "EmpiricalDistribution",
     "CheckRow",
@@ -51,37 +49,28 @@ MIN_PATHS = 1000
 _SURVIVAL_GRID = 25
 
 
-class TailState(enum.Enum):
-    """Phase of the unfinished loop segment at the end of the horizon."""
-
-    IN_UP_PHASE = "in_up_phase"
-    IN_DOWN_PHASE = "in_down_phase"
-
-
 @dataclass(frozen=True)
 class LoopRecord:
     """Alternating crossing times extracted from one trajectory.
 
     ``taus[0] = 0``; odd entries are up-crossings of v1, even entries (from
     index 2) are returns to v0.  ``up_times`` and ``down_times`` are the
-    successive differences and reconstruct ``taus`` exactly.
+    successive differences and reconstruct ``taus`` exactly.  An odd
+    ``len(taus)`` means the path ends in an up phase.
     """
 
     taus: np.ndarray
     up_times: np.ndarray
     down_times: np.ndarray
     complete_loops: int
-    tail_state: TailState
-    horizon: float
 
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Step-function estimate of a distribution or survival function."""
+    """Time fraction ``values[i]`` below each ``thresholds[i]``."""
 
     thresholds: np.ndarray
     values: np.ndarray
-    n_samples: int
 
     def __post_init__(self) -> None:
         if len(self.thresholds) != len(self.values):
@@ -129,8 +118,6 @@ def extract_loops(traj: Trajectory, v0: float, v1: float) -> LoopRecord:
         up_times=up_times,
         down_times=down_times,
         complete_loops=len(down_times),
-        tail_state=TailState.IN_UP_PHASE if seeking_up else TailState.IN_DOWN_PHASE,
-        horizon=traj.horizon,
     )
 
 
@@ -141,7 +128,7 @@ def empirical_time_average(
 
     Uses left-endpoint weighting: each grid interval contributes its full
     step with the value at its left endpoint, which keeps the occupancy
-    accounting consistent with grid-detected crossings.
+    accounting consistent with grid-detected crossings, for thresholds in any order.
     """
     if mode == "norm":
         vals = traj.norms
@@ -150,14 +137,9 @@ def empirical_time_average(
     else:
         raise ValueError(f"mode must be 'norm' or 'lyapunov', got {mode!r}")
     thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(np.diff(thresholds) < 0):
-        raise ValueError("thresholds must be sorted ascending")
     left = np.sort(vals[:-1])
-    n_intervals = len(left)
     counts = np.searchsorted(left, thresholds, side="left")
-    return EmpiricalDistribution(
-        thresholds=thresholds, values=counts / n_intervals, n_samples=n_intervals
-    )
+    return EmpiricalDistribution(thresholds=thresholds, values=counts / len(left))
 
 
 def wilson_interval(successes: int, n: int,
@@ -320,9 +302,6 @@ class CheckRow:
 class CrossTimeReport:
     """Survival-curve and mean comparisons for one loop record."""
 
-    n_up: int
-    n_down: int
-    confidence: float
     underpowered: bool
     up_rows: List[CheckRow]
     down_rows: List[CheckRow]
@@ -404,10 +383,8 @@ def verify_cross_time_bounds(
     mean_up = float(np.mean(up)) if len(up) else math.nan
     mean_down = float(np.mean(down)) if len(down) else math.nan
     return CrossTimeReport(
-        n_up=len(up), n_down=len(down), confidence=confidence,
         underpowered=underpowered, up_rows=up_rows, down_rows=down_rows,
-        t_uc=t_uc, t_dc=t_dc,
-        mean_up=mean_up, mean_down=mean_down,
+        t_uc=t_uc, t_dc=t_dc, mean_up=mean_up, mean_down=mean_down,
         mean_up_halfwidth=up_hw, mean_down_halfwidth=down_hw,
         mean_up_flag=mean_up + up_hw < t_uc,
         mean_down_flag=mean_down - down_hw > t_dc,
@@ -419,7 +396,6 @@ class MomentReport:
     """Ensemble-mean Lyapunov values against the exponential decay envelope."""
 
     rows: List[CheckRow]
-    n_paths: int
 
     @property
     def passed(self) -> bool:
@@ -465,16 +441,14 @@ def verify_moment_bound(
             CheckRow(t, mean, bound, mean - 3.0 * se, mean + 3.0 * se,
                      flag=mean - 3.0 * se > bound)
         )
-    return MomentReport(rows=rows, n_paths=len(paths))
+    return MomentReport(rows=rows)
 
 
 @dataclass(frozen=True)
 class ProbabilityReport:
     """Empirical frequency of {|x(t)| < r} against its theoretical floor."""
 
-    radius: float
     time: float
-    n_paths: int
     frequency: float
     floor: float
     ci_low: float
@@ -507,7 +481,6 @@ def verify_probability_bound(
     lo, hi = wilson_interval(hits, n, confidence)
     vacuous = floor <= 0.0
     return ProbabilityReport(
-        radius=float(r), time=float(t), n_paths=n, frequency=hits / n,
-        floor=floor, ci_low=lo, ci_high=hi, vacuous=vacuous,
-        flag=(not vacuous) and hi < floor,
+        time=float(t), frequency=hits / n, floor=floor, ci_low=lo, ci_high=hi,
+        vacuous=vacuous, flag=(not vacuous) and hi < floor,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -144,6 +144,8 @@ class SystemSpec:
                 )
             if not all(np.isfinite(a).all() for a in arrays):
                 raise ValueError("affine=(A, H0, H) must be finite")
+            for a in arrays:
+                a.setflags(write=False)
             object.__setattr__(self, "affine", arrays)
         if self.c <= 0.0:
             raise ValueError(f"c must be positive, got {self.c!r}")
@@ -279,8 +281,9 @@ def check_enss(
     )
 
 
+@cache
 def builtin_example() -> SystemSpec:
-    """The built-in 2-D benchmark system.
+    """The built-in 2-D benchmark system, one shared instance.
 
     Rotation-plus-contraction drift ``(-x1 + x2, -x1 - x2)`` driven by a
     singular noise channel ``h(x) = [[0, 0], [x2, 1]]`` with periodic

@@ -104,6 +104,11 @@ class TestConfig:
         ini.write_text(cfg.echo_ini())
         assert load_config(str(ini)) == cfg
 
+    def test_readme_shows_the_default_echo(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        assert readme.split("```ini\n")[1].split("```")[0] == ExperimentConfig().echo_ini()
+
 
 class TestPipeline:
     def test_example_passes(self, tmp_path):
@@ -164,7 +169,8 @@ class TestPipeline:
         base = builtin_example()
         a, h0, h = base.affine
         scaled = (0.2 * a, 1.5 * h0, h)
-        report = run_custom(dataclasses.replace(base, affine=scaled), ExperimentConfig())
+        report = run_custom(dataclasses.replace(base, affine=scaled),
+                            ExperimentConfig(system="scaled-affine"))
         assert report.verdict == "premises-unverified"
         assert report.exit_code == EXIT_PREMISES
         assert report.checks == [(
@@ -397,6 +403,8 @@ class TestCommandLine:
         (["system.x0=nan,0"], None, "system.x0 must be finite, got (nan, 0.0)"),
         (["grid.r_min=1e-300"], None, "grid.r_min: alpha1(1e-300) = 0.0 is not positive"),
         ([f"output.dir={__file__}/out"], None, f"output.dir: {__file__} is not a directory"),
+        (["system.name=warp-drive"], None,
+         "system.name: unknown built-in system 'warp-drive'"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):
@@ -412,6 +420,21 @@ class TestCommandLine:
         assert calls == []
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_system_name_matches_the_spec(self, monkeypatch):
+        # a custom spec echoed as example-2d would rerun the built-in system
+        import nss_lab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "check_enss", lambda *a, **k: calls.append("check_enss"))
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append("integrate"))
+        custom = dataclasses.replace(builtin_example(), c=2.0)
+        with pytest.raises(ValueError, match=r"^system\.name: 'example-2d' names the built-in "
+                                             r"system, not this spec$"):
+            run_custom(custom, ExperimentConfig())
+        with pytest.raises(ValueError, match=r"^system\.name: unknown built-in system 'ou'"):
+            run_custom(builtin_example(), ExperimentConfig(system="ou"))
+        assert calls == []
 
     def test_all_paths_inside_a_huge_radius_pass(self, tmp_path, capsys):
         # every path lies inside r = 1e8, so the upper Wilson limit is exactly 1

@@ -239,7 +239,8 @@ class TestCheckEnss:
     def test_equals_pointwise_reference(self, variant, sample):
         spec = _example_variant(**variant)
         if sample == "cli":
-            states, times, gamma_times = _plan(spec, ExperimentConfig(t_end=2.0)).premise
+            cfg = ExperimentConfig(system="variant", t_end=2.0)
+            states, times, gamma_times = _plan(spec, cfg).premise
         else:
             states, times, gamma_times = self.GRID, self.TIMES, self.TIMES
         report = check_enss(spec, states, times, gamma_times=gamma_times)
@@ -261,7 +262,7 @@ class TestCheckEnss:
             return benchmark_system.gamma(s)
 
         spec = _example_variant(gamma=gamma)
-        states, times, gamma_times = _plan(spec, ExperimentConfig()).premise
+        states, times, gamma_times = _plan(spec, ExperimentConfig(system="variant")).premise
         check_enss(spec, states, times, gamma_times=gamma_times)
         assert len(calls) == len(times) + len(gamma_times) == 11 + 10_000
 
@@ -283,13 +284,20 @@ class TestCheckEnss:
             lyapunov=dataclasses.replace(base.lyapunov, v=counted("v", base.lyapunov.v)),
             gamma=counted("gamma", base.gamma),
         )
-        states, times, gamma_times = _plan(spec, ExperimentConfig(t_end=2.0)).premise
+        cfg = ExperimentConfig(system="variant", t_end=2.0)
+        states, times, gamma_times = _plan(spec, cfg).premise
         check_enss(spec, states, times, gamma_times=gamma_times)
         assert len(states) == 49
         assert calls == {"drift": 49, "diffusion": 49, "v": 49, "gamma": 11 + 10_000}
 
 
 class TestBuiltinExample:
+    def test_one_shared_read_only_instance(self, benchmark_system):
+        assert builtin_example() is benchmark_system
+        for array in benchmark_system.affine:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_drift_value(self, benchmark_system):
         drift, _ = benchmark_system.dynamics
         assert np.allclose(drift(np.array([1.0, 0.0])), [-1.0, -1.0])
