@@ -164,6 +164,14 @@ def down_cross_survival_bound(s: float, levels: LevelPair) -> float:
     return math.exp(log_ratio - cs)
 
 
+def _positive_alpha1(alpha1: Callable[[float], float], r: float) -> float:
+    """``alpha1(r)``, raising a ValueError where it is not positive."""
+    a = alpha1(r)
+    if a <= 0.0:
+        raise ValueError(f"alpha1({r!r}) = {a!r} is not positive")
+    return a
+
+
 def bound_b(
     r: float, c: float, gamma_max: float, alpha1: Callable[[float], float]
 ) -> float:
@@ -179,9 +187,7 @@ def bound_b(
         If ``alpha1(r)`` is not positive, which indicates a misuse (radii
         are positive and alpha1 is a class-K function).
     """
-    a = alpha1(r)
-    if a <= 0.0:
-        raise ValueError(f"alpha1({r!r}) = {a!r} is not positive")
+    a = _positive_alpha1(alpha1, r)
     g = gamma_max / c
     if g == 0.0:
         return 1.0
@@ -196,11 +202,16 @@ def bound_b(
 def fractile_q(
     k: float, c: float, gamma_max: float, alpha1_inv: Callable[[float], float]
 ) -> float:
-    """The radius within which at least fraction k of time is spent."""
+    """The radius within which at least fraction k of time is spent, or its
+    limit ``inf`` where the level ``alpha1(q)`` overflows."""
     if not (0.0 < k < 1.0):
         raise ValueError(f"k={k!r} outside (0, 1)")
     g = gamma_max / c
-    return alpha1_inv(g * math.exp(-(k / (1.0 - k)) * _W_M2))
+    try:
+        level = g * math.exp(-(k / (1.0 - k)) * _W_M2)
+    except OverflowError:
+        return math.inf
+    return math.inf if level == math.inf else alpha1_inv(level)
 
 
 def occupancy_ratio_bound(levels: LevelPair) -> float:

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bounds import LevelPair, beta_star, make_bound_set, optimal_v0
+from .bounds import LevelPair, _positive_alpha1, beta_star, make_bound_set, optimal_v0
 from .loops import (
     MIN_PATHS,
     _check_confidence,
@@ -308,6 +308,8 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
     if cfg.n_paths > 0:
         if cfg.prob_radius <= 0.0:
             raise ValueError(f"ensemble.prob_radius must be positive, got {cfg.prob_radius!r}")
+        with _config_key("ensemble.prob_radius"):
+            _positive_alpha1(spec.lyapunov.alpha1, cfg.prob_radius)
         if not cfg.check_times:
             raise ValueError("ensemble.check_times must list at least one time")
         max_threads()  # a bad NSS_LAB_THREADS fails here, not after the long path
@@ -357,12 +359,15 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         report.trajectory = traj
 
     if report.premises_verified:
+        # one sort of the norms for the radius grid and the q_k
+        fractions = empirical_time_average(traj, [*plan.grid, *plan.q_list], mode="norm")
+        dist, occ = np.split(fractions.values, [len(plan.grid)])
+
         # stage: time-average distribution vs closed-form bound
-        dist = empirical_time_average(traj, plan.grid, mode="norm")
-        flags = dist.values < plan.b_grid
+        flags = dist < plan.b_grid
         report.tables["distribution"] = (
             ["r", "D_empirical", "b_bound", "flag"],
-            np.column_stack([dist.thresholds, dist.values, plan.b_grid, flags]),
+            np.column_stack([plan.grid, dist, plan.b_grid, flags]),
         )
         report.add_check(
             "time-average-distribution",
@@ -386,7 +391,6 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         )
 
         # stage: fractile occupancy
-        occ = empirical_time_average(traj, plan.q_list, mode="norm").values
         flags = ~np.greater_equal(occ, cfg.k_list)
         report.tables["occupancy"] = (["k", "q_k", "occupied_fraction", "flag"],
                                       np.column_stack([cfg.k_list, plan.q_list, occ, flags]))
@@ -412,22 +416,18 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
             "moment-bound", mom.passed,
             f"{len(mom.rows)} times, {sum(r.flag for r in mom.rows)} flags",
         )
-        prob_rows = []
-        prob_ok = True
-        for t in cfg.check_times:
-            pr = verify_probability_bound(paths, spec, cfg.prob_radius, t,
+        probs = [verify_probability_bound(paths, spec, cfg.prob_radius, t,
                                           confidence=cfg.confidence)
-            prob_ok = prob_ok and pr.passed
-            prob_rows.append([pr.time, pr.frequency, pr.floor, pr.ci_low,
-                              pr.ci_high, pr.vacuous, pr.flag])
-            if pr.vacuous:
-                report.notes.append(f"probability bound vacuous at t={t:g}")
+                 for t in cfg.check_times]
+        report.notes += [f"probability bound vacuous at t={t:g}"
+                         for t, pr in zip(cfg.check_times, probs) if pr.vacuous]
         report.tables["probability_bound"] = (
             ["t", "frequency", "floor", "ci_low", "ci_high", "vacuous", "flag"],
-            prob_rows,
+            [[t, pr.frequency, pr.floor, pr.ci_low, pr.ci_high, pr.vacuous, pr.flag]
+             for t, pr in zip(cfg.check_times, probs)],
         )
-        report.add_check("probability-bound", prob_ok,
-                         f"radius {cfg.prob_radius:g} at {len(prob_rows)} times")
+        report.add_check("probability-bound", all(pr.passed for pr in probs),
+                         f"radius {cfg.prob_radius:g} at {len(probs)} times")
     return report
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .bounds import (
     LevelPair,
+    _positive_alpha1,
     down_cross_survival_bound,
     expected_down_cross,
     expected_up_cross,
@@ -80,36 +81,20 @@ class EmpiricalDistribution:
 def extract_loops(traj: Trajectory, v0: float, v1: float) -> LoopRecord:
     """Scan a trajectory's Lyapunov series for alternating level crossings.
 
-    Crossings are detected at grid points: an up-crossing is the first index
-    after the previous crossing with ``lyap >= v1``, a down-crossing the
-    first with ``lyap <= v0`` (an exact hit has probability zero, so grid
-    semantics use inequalities).  If the path starts at or above v1 the
-    first up-crossing is recorded at time 0.
+    Crossings are detected at grid points outside the band: each is marked
+    up (``lyap >= v1``) or down (``lyap <= v0``; an exact hit has probability
+    zero, so grid semantics use inequalities).  A crossing is the first point
+    of each run of one mark, and a leading run of down points crosses
+    nothing.  So a path that starts at or above v1 crosses up at time 0.
     """
     if not (0.0 < v0 < v1):
         raise ValueError(f"need 0 < v0 < v1, got v0={v0!r}, v1={v1!r}")
     lyap = traj.lyap
-    up_idx = np.flatnonzero(lyap >= v1)
-    down_idx = np.flatnonzero(lyap <= v0)
-
-    tau_indices = [0]
-    seeking_up = True
-    cursor = 0
-    if lyap[0] >= v1:
-        tau_indices.append(0)
-        seeking_up = False
-    while True:
-        pool = up_idx if seeking_up else down_idx
-        pos = int(np.searchsorted(pool, cursor, side="right"))
-        if pos >= len(pool):
-            break
-        cursor = int(pool[pos])
-        tau_indices.append(cursor)
-        seeking_up = not seeking_up
-
-    # a path starting at or above v1 contributes a zero-length first up
-    # segment via the duplicated index 0, so the alternation below is uniform
-    taus = traj.times[tau_indices] - traj.times[0]
+    above = lyap >= v1
+    out = np.flatnonzero(above | (lyap <= v0))
+    # indexing the mask, not lyap, keeps the marks from copying out's floats
+    starts = np.flatnonzero(np.diff(above[out], prepend=False))
+    taus = traj.times[np.concatenate([[0], out[starts]])] - traj.times[0]
     diffs = np.diff(taus)
     up_times = diffs[0::2]
     down_times = diffs[1::2]
@@ -448,7 +433,6 @@ def verify_moment_bound(
 class ProbabilityReport:
     """Empirical frequency of {|x(t)| < r} against its theoretical floor."""
 
-    time: float
     frequency: float
     floor: float
     ci_low: float
@@ -477,10 +461,11 @@ def verify_probability_bound(
     idx = _grid_index(paths.times, float(t))
     hits = int(np.sum(paths.norms[:, idx] < r))
     n = len(paths)
-    floor = 1.0 - _moment_envelope(spec, float(paths.lyap[0, 0]), t) / spec.lyapunov.alpha1(r)
+    floor = 1.0 - (_moment_envelope(spec, float(paths.lyap[0, 0]), t)
+                   / _positive_alpha1(spec.lyapunov.alpha1, r))
     lo, hi = wilson_interval(hits, n, confidence)
     vacuous = floor <= 0.0
     return ProbabilityReport(
-        time=float(t), frequency=hits / n, floor=floor, ci_low=lo, ci_high=hi,
+        frequency=hits / n, floor=floor, ci_low=lo, ci_high=hi,
         vacuous=vacuous, flag=(not vacuous) and hi < floor,
     )

@@ -98,7 +98,6 @@ class SimConfig:
     dt: float
     seed: int
     x0: Sequence[float]
-    t0: float = 0.0
     save_every: int = 1
 
     def __post_init__(self) -> None:
@@ -122,7 +121,7 @@ class SimConfig:
     def saved_times(self) -> np.ndarray:
         """The uniform time grid of the saved states."""
         save = self.save_every
-        return self.t0 + np.arange(self.n_steps // save + 1) * (self.dt * save)
+        return np.arange(self.n_steps // save + 1) * (self.dt * save)
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def _sigma_rows(spec: SystemSpec, cfg: SimConfig) -> list:
     zero entries are not kept: one ``sigma_series`` per integrate or ensemble
     call, sliced by every chunk and time segment."""
     m = spec.dim_noise
-    sig = spec.sigma_series(cfg.t0 + np.arange(cfg.n_steps) * cfg.dt)
+    sig = spec.sigma_series(np.arange(cfg.n_steps) * cfg.dt)
     rows = [(j, [(k, sig[:, j, k].copy()) for k in range(m) if sig[:, j, k].any()])
             for j in range(m)]
     return [(j, cols) for j, cols in rows if cols]

@@ -243,6 +243,11 @@ class TestOccupancyBounds:
         assert fractile_q(0.5, 1.0, 0.5, ALPHA1_INV) == pytest.approx(4.8215, abs=5e-4)
         assert fractile_q(1e-12, 1.0, 0.5, ALPHA1_INV) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [0.996, 1.0 - 1e-12])
+    def test_fractile_limit_where_the_level_overflows(self, k):
+        # k/(1-k) |W_{-1}(-e^-2)| exceeds the largest exponent of a float
+        assert fractile_q(k, 1.0, 0.5, ALPHA1_INV) == math.inf
+
     @pytest.mark.parametrize("k", [0.0, 1.0, -0.2, 1.3])
     def test_fractile_domain(self, k):
         with pytest.raises(ValueError):

@@ -356,7 +356,7 @@ class TestCommandLine:
         for bad in (["stats.confidence=1.5"], ["stats.confidence=0"],
                     ["ensemble.n_paths=10"], ["ensemble.n_paths=-1"],
                     ens + ["ensemble.check_times=1.0005,5"],
-                    ens + ["ensemble.prob_radius=0"],
+                    ens + ["ensemble.prob_radius=0"], ens + ["ensemble.prob_radius=1e-300"],
                     ["fractiles.k=1.5"], ["fractiles.k=0"],
                     ["grid.r_min=0", "grid.spacing=linear"],
                     ["grid.r_min=10", "grid.r_max=1.05"], ["grid.r_max=1.05"],
@@ -405,6 +405,8 @@ class TestCommandLine:
         ([f"output.dir={__file__}/out"], None, f"output.dir: {__file__} is not a directory"),
         (["system.name=warp-drive"], None,
          "system.name: unknown built-in system 'warp-drive'"),
+        (["ensemble.n_paths=1000", "ensemble.prob_radius=1e-300"], None,
+         "ensemble.prob_radius: alpha1(1e-300) = 0.0 is not positive"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):
@@ -456,6 +458,13 @@ class TestCommandLine:
         bounds = [float(line.split(",")[col]) for line in lines]
         assert not any(math.isnan(b) for b in bounds)
         assert bounds[-1] == 1.0
+
+    def test_fractile_near_one_gets_the_limit_radius(self, tmp_path, capsys):
+        # q_k overflows for k above about 0.9956, and every path lies inside q = inf
+        argv = ["example", "--set=sim.t_end=2", "--set=fractiles.k=0.996",
+                f"--set=output.dir={tmp_path}/x"]
+        assert main(argv) == EXIT_OK
+        assert "[pass] fractile-occupancy: k=0.996: 1 at q=inf" in capsys.readouterr().out
 
     def test_module_entry_point(self, tmp_path):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -23,7 +23,7 @@ from nss_lab.loops import (
     verify_probability_bound,
     wilson_interval,
 )
-from nss_lab.sim import SimConfig, Trajectory, ensemble
+from nss_lab.sim import SimConfig, Trajectory, ensemble, integrate
 from nss_lab.slln import DominatingLaw, inverse_cdf_inf
 
 from conftest import make_ou
@@ -116,6 +116,24 @@ class TestExtractLoops:
             oracle = _scan_oracle(lyap, 0.1, 0.5, 2.0)
             assert np.allclose(rec.taus, oracle)
             assert len(rec.up_times) + len(rec.down_times) == len(rec.taus) - 1
+
+    @pytest.mark.parametrize("start", [0.2, 0.5, 1.0, 2.0])  # below v0, at v0, in band, at v1
+    def test_exact_level_hits_match_scan_oracle(self, start):
+        # values on a lattice of 0.5 hit v0 = 0.5 and v1 = 2 exactly
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            lyap = np.concatenate([[start], rng.integers(0, 6, size=30) * 0.5])
+            rec = extract_loops(_traj_from_lyap(lyap, dt=0.5), v0=0.5, v1=2.0)
+            assert np.array_equal(rec.taus, _scan_oracle(lyap, 0.5, 0.5, 2.0))
+
+    def test_builtin_path_started_above_v1(self, benchmark_system):
+        cfg = SimConfig(t_end=20.0, dt=1e-3, seed=3, x0=(3.0, 0.0))
+        traj = integrate(benchmark_system, cfg)
+        assert traj.lyap[0] == 4.5
+        rec = extract_loops(traj, v0=0.9, v1=2.0)
+        assert rec.taus[1] == 0.0
+        assert rec.complete_loops > 0
+        assert np.allclose(rec.taus, _scan_oracle(traj.lyap, 1e-3, 0.9, 2.0))
 
     def test_reconstruction_invariant(self, short_trajectory):
         rec = extract_loops(short_trajectory, v0=0.9, v1=2.0)
@@ -437,6 +455,6 @@ class TestVerifyProbabilityBound:
     def test_bad_radius(self, benchmark_system):
         cfg = SimConfig(t_end=0.1, dt=1e-2, seed=5, x0=(0.0, 0.0))
         paths = ensemble(benchmark_system, cfg, 1000)
-        for r in (-1.0, math.nan):
+        for r in (-1.0, math.nan, 1e-300):  # alpha1(1e-300) underflows to 0
             with pytest.raises(ValueError):
                 verify_probability_bound(paths, benchmark_system, r=r, t=0.1)

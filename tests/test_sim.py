@@ -90,7 +90,7 @@ def _reference_noise(spec, cfg, i):
     summed left to right in Python floats, shape (m, n_steps)."""
     m, n = spec.dim_noise, cfg.n_steps
     z = path_generator(cfg.seed, i).standard_normal((n, m))
-    sig = spec.covariance(cfg.t0 + np.arange(n) * cfg.dt)
+    sig = spec.covariance(np.arange(n) * cfg.dt)
     root = math.sqrt(cfg.dt)
     out = np.empty((m, n))
     for step in range(n):
@@ -181,8 +181,8 @@ class TestDeterministicDynamics:
 
     def test_time_grid(self):
         spec = _deterministic(lambda x: np.zeros(1))
-        traj = integrate(spec, SimConfig(t_end=1.0, dt=0.25, seed=1, x0=(0.0,), t0=2.0))
-        assert np.allclose(traj.times, [2.0, 2.25, 2.5, 2.75, 3.0])
+        traj = integrate(spec, SimConfig(t_end=1.0, dt=0.25, seed=1, x0=(0.0,)))
+        assert np.array_equal(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert traj.horizon == 1.0
 
     def test_save_every_thins_grid(self):
