@@ -359,7 +359,7 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         report.trajectory = traj
 
     if report.premises_verified:
-        # one sort of the norms for the radius grid and the q_k
+        # one pass over the norms for the radius grid and the q_k
         fractions = empirical_time_average(traj, [*plan.grid, *plan.q_list], mode="norm")
         dist, occ = np.split(fractions.values, [len(plan.grid)])
 

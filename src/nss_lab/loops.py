@@ -25,7 +25,7 @@ from .bounds import (
     up_cross_survival_bound,
 )
 from .model import SystemSpec
-from .sim import Ensemble, Trajectory
+from .sim import _BLOCK_ROWS, Ensemble, Trajectory
 
 __all__ = [
     "LoopRecord",
@@ -86,15 +86,22 @@ def extract_loops(traj: Trajectory, v0: float, v1: float) -> LoopRecord:
     zero, so grid semantics use inequalities).  A crossing is the first point
     of each run of one mark, and a leading run of down points crosses
     nothing.  So a path that starts at or above v1 crosses up at time 0.
+    The series is scanned in blocks of ``_BLOCK_ROWS`` points, each carrying
+    the last mark outside the band into the next.
     """
     if not (0.0 < v0 < v1):
         raise ValueError(f"need 0 < v0 < v1, got v0={v0!r}, v1={v1!r}")
-    lyap = traj.lyap
-    above = lyap >= v1
-    out = np.flatnonzero(above | (lyap <= v0))
-    # indexing the mask, not lyap, keeps the marks from copying out's floats
-    starts = np.flatnonzero(np.diff(above[out], prepend=False))
-    taus = traj.times[np.concatenate([[0], out[starts]])] - traj.times[0]
+    crossings, last = [[0]], False
+    for lo in range(0, len(traj.lyap), _BLOCK_ROWS):
+        lyap = traj.lyap[lo:lo + _BLOCK_ROWS]
+        above = lyap >= v1
+        out = np.flatnonzero(above | (lyap <= v0))
+        if len(out):
+            # indexing the mask, not lyap, keeps the marks from copying out's floats
+            marks = above[out]
+            crossings.append(lo + out[np.flatnonzero(np.diff(marks, prepend=last))])
+            last = marks[-1]
+    taus = traj.times[np.concatenate(crossings)] - traj.times[0]
     diffs = np.diff(taus)
     up_times = diffs[0::2]
     down_times = diffs[1::2]
@@ -114,6 +121,8 @@ def empirical_time_average(
     Uses left-endpoint weighting: each grid interval contributes its full
     step with the value at its left endpoint, which keeps the occupancy
     accounting consistent with grid-detected crossings, for thresholds in any order.
+    The values are read in blocks of ``_BLOCK_ROWS``, each sorted on its own,
+    and the counts below each threshold are summed over the blocks.
     """
     if mode == "norm":
         vals = traj.norms
@@ -122,9 +131,12 @@ def empirical_time_average(
     else:
         raise ValueError(f"mode must be 'norm' or 'lyapunov', got {mode!r}")
     thresholds = np.asarray(thresholds, dtype=float)
-    left = np.sort(vals[:-1])
-    counts = np.searchsorted(left, thresholds, side="left")
-    return EmpiricalDistribution(thresholds=thresholds, values=counts / len(left))
+    n = len(vals) - 1
+    counts = np.zeros(len(thresholds), dtype=np.intp)
+    for lo in range(0, n, _BLOCK_ROWS):
+        counts += np.searchsorted(np.sort(vals[lo:min(lo + _BLOCK_ROWS, n)]), thresholds,
+                                  side="left")
+    return EmpiricalDistribution(thresholds=thresholds, values=counts / n)
 
 
 def wilson_interval(successes: int, n: int,

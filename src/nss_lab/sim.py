@@ -54,6 +54,11 @@ _GROUP = 32
 # The sequential kernel steps 1.3-1.7x slower on narrow chunks, so it keeps
 # wide ones and streams its noise instead.
 _SEQUENTIAL_CHUNK = 1000
+# Rows (time steps, or saved states) per block of every pass that reads a
+# whole horizon beside the stored series: Sigma, the normal draws, V and the
+# norms here, the crossings and the time averages in `loops`.  So a long
+# path holds its four series (times, states, V, norms) and blocks of this.
+_BLOCK_ROWS = 1 << 14
 
 
 class NonFiniteStateError(RuntimeError):
@@ -119,9 +124,11 @@ class SimConfig:
         return round(self.t_end / self.dt)
 
     def saved_times(self) -> np.ndarray:
-        """The uniform time grid of the saved states."""
-        save = self.save_every
-        return np.arange(self.n_steps // save + 1) * (self.dt * save)
+        """The uniform time grid of the saved states: saved index q at
+        ``q * (dt * save_every)``, built in place."""
+        times = np.arange(self.n_steps // self.save_every + 1, dtype=float)
+        times *= self.dt * self.save_every
+        return times
 
 
 @dataclass(frozen=True)
@@ -152,14 +159,29 @@ def _initial_state(spec: SystemSpec, cfg: SimConfig) -> np.ndarray:
 
 def _sigma_rows(spec: SystemSpec, cfg: SimConfig) -> list:
     """``(j, [(k, Sigma(t_k)[j, k] for every step k), ...])`` of each row of Sigma
-    with a nonzero entry, listing that row's nonzero entries, copied so that the
-    zero entries are not kept: one ``sigma_series`` per integrate or ensemble
-    call, sliced by every chunk and time segment."""
-    m = spec.dim_noise
-    sig = spec.sigma_series(np.arange(cfg.n_steps) * cfg.dt)
-    rows = [(j, [(k, sig[:, j, k].copy()) for k in range(m) if sig[:, j, k].any()])
-            for j in range(m)]
-    return [(j, cols) for j, cols in rows if cols]
+    with a nonzero entry, listing that row's nonzero entries: evaluated once
+    per integrate or ensemble call and sliced by every chunk and time segment.
+
+    ``sigma_series`` runs on time segments of ``_BLOCK_ROWS`` steps, each
+    written straight into the entries nonzero so far, so the zero entries are
+    never held whole.  An entry is allocated, zero-filled, at its first
+    segment with a nonzero value; a zero that was -0.0 before it adds into
+    the noise as +0.0 does, since :func:`_noise` sums from 0.0."""
+    m, n_steps = spec.dim_noise, cfg.n_steps
+    entries = {}
+    for k0 in range(0, n_steps, _BLOCK_ROWS):
+        k1 = min(k0 + _BLOCK_ROWS, n_steps)
+        sig = spec.sigma_series(np.arange(k0, k1) * cfg.dt)
+        for j in range(m):
+            for k in range(m):
+                if (j, k) not in entries and sig[:, j, k].any():
+                    entries[j, k] = np.zeros(n_steps)
+                if (j, k) in entries:
+                    entries[j, k][k0:k1] = sig[:, j, k]
+    rows = {}
+    for (j, k), col in sorted(entries.items()):
+        rows.setdefault(j, []).append((k, col))
+    return list(rows.items())
 
 
 def _generators(cfg: SimConfig, lo: int, hi: Optional[int]) -> List[Generator]:
@@ -169,10 +191,10 @@ def _generators(cfg: SimConfig, lo: int, hi: Optional[int]) -> List[Generator]:
 
 def _scratch_bytes(m: int, steps: int, paths: int) -> int:
     """Bytes that :func:`_noise` holds besides its output when it draws ``steps``
-    steps of ``paths`` paths: one path's draws and one term, and for more than
-    one path the row sums of a group of at most ``_GROUP`` paths."""
+    steps of ``paths`` paths: one block of one path's draws and one term, and
+    for more than one path the row sums of a group of at most ``_GROUP`` paths."""
     group = min(_GROUP, paths) if paths > 1 else 0
-    return 8 * steps * ((group + 1) * m + 1)
+    return 8 * (group * m * steps + min(steps, _BLOCK_ROWS) * (m + 1))
 
 
 def _noise(sig_rows: list, gens: List[Generator], dt: float, k0: int, k1: int,
@@ -185,7 +207,9 @@ def _noise(sig_rows: list, gens: List[Generator], dt: float, k0: int, k1: int,
     Each path's rows of ``s`` are summed right after its draws, path-major, in
     one buffer for a group of ``_GROUP`` paths, which is then copied into ``s``
     transposed: ``s`` is written once, a group's span of each step at a time.
-    A lone path's rows of ``s`` are contiguous and take its sums directly.  The
+    A lone path's rows of ``s`` are contiguous and take its sums directly.
+    Each path draws in blocks of ``_BLOCK_ROWS`` steps; successive draws
+    continue its stream, so the block length moves no bit.  One block of
     draws, the buffer and one term are the :func:`_scratch_bytes` that the
     noise budget counts besides ``s``."""
     m, length = shape[0], k1 - k0
@@ -194,19 +218,23 @@ def _noise(sig_rows: list, gens: List[Generator], dt: float, k0: int, k1: int,
     group = min(_GROUP, len(gens))
     sums = (per_path[:, :length].transpose(0, 2, 1) if len(gens) == 1
             else np.empty((m, group, length)))  # (row, path, step)
-    term = np.empty(length)
+    term = np.empty(min(length, _BLOCK_ROWS))
     root = math.sqrt(dt)
     for g0 in range(0, len(gens), group):
         g1 = min(g0 + group, len(gens))
         for i, gen in enumerate(gens[g0:g1]):
-            # 0.0 + sqrt(dt) z differs from z sqrt(dt) at most in the sign of a
-            # zero, which the sum from 0.0 drops
-            dw = gen.normal(0.0, root, size=(length, m))
-            for j, cols in sig_rows:
-                acc = np.multiply(dw[:, cols[0][0]], cols[0][1][k0:k1], out=sums[j, i])
-                for k, col in cols[1:]:
-                    acc += np.multiply(dw[:, k], col[k0:k1], out=term)
-            del dw  # so that the next path's draws replace these, not join them
+            for d0 in range(0, length, _BLOCK_ROWS):
+                d1 = min(d0 + _BLOCK_ROWS, length)
+                # 0.0 + sqrt(dt) z differs from z sqrt(dt) at most in the sign
+                # of a zero, which the sum from 0.0 drops
+                dw = gen.normal(0.0, root, size=(d1 - d0, m))
+                for j, cols in sig_rows:
+                    acc = np.multiply(dw[:, cols[0][0]], cols[0][1][k0 + d0:k0 + d1],
+                                      out=sums[j, i, d0:d1])
+                    for k, col in cols[1:]:
+                        acc += np.multiply(dw[:, k], col[k0 + d0:k0 + d1],
+                                           out=term[:d1 - d0])
+                del dw  # so that the next block's draws replace these, not join them
         for j, _ in sig_rows:
             part = sums[j, :g1 - g0]
             part += 0.0  # as if summed from 0.0: -0.0 becomes +0.0, nothing else moves
@@ -215,8 +243,8 @@ def _noise(sig_rows: list, gens: List[Generator], dt: float, k0: int, k1: int,
     return s
 
 
-def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
-                    hi: Optional[int] = None) -> np.ndarray:
+def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_rows: Optional[list],
+                    lo: int, hi: Optional[int] = None) -> np.ndarray:
     """Saved states of paths [lo, hi) stepped in lock step, shape (hi-lo, K+1, N).
 
     With ``hi=None`` only path ``lo`` is stepped, on a state of shape (N,), and
@@ -224,8 +252,12 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
     expressions, so path i has the same bits alone as inside any chunk.  The
     noise is drawn in time segments that hold at most ``_NOISE_BYTES`` with
     their draws and scratch; successive draws continue each path's stream, so
-    the segment length moves no bit.
+    the segment length moves no bit.  ``sig_rows`` is :func:`_sigma_rows` of
+    ``(spec, cfg)``, or None for the kernel to evaluate it and hold the only
+    reference, so that it is freed before V and the norms are computed.
     """
+    if sig_rows is None:
+        sig_rows = _sigma_rows(spec, cfg)
     n_steps = cfg.n_steps
     dt = cfg.dt
     m = spec.dim_noise
@@ -313,7 +345,7 @@ def _refill_plan(n_steps: int, span: int, save: int) -> list:
     return plan
 
 
-def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
+def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: Optional[list], lo: int,
                  hi: Optional[int] = None) -> np.ndarray:
     """The contract of :func:`_euler_maruyama`, for a spec that declares ``affine``.
 
@@ -328,7 +360,9 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
     each offset are one slice of the rows (:func:`_refill_plan`).  The last
     block holds the ``n_steps % block_length`` remaining steps and is never
     composed.  The chunk's noise, with its draws and scratch, fits
-    ``_NOISE_BYTES`` when :func:`ensemble` picks the chunk.
+    ``_NOISE_BYTES`` when :func:`ensemble` picks the chunk.  With ``sig_rows``
+    None the Sigma rows are evaluated for the noise alone and freed once it is
+    drawn, so the scan holds only the noise and the states.
     Only elementwise adds and multiplies in a fixed order are used, so path i
     has the same bits alone as inside any chunk.
     """
@@ -341,7 +375,8 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: list, lo: int,
     n_blocks = n_full + 1
 
     # the noise, zero-padded to whole blocks
-    s = _noise(sig_rows, _generators(cfg, lo, hi), dt, 0, n_steps,
+    s = _noise(_sigma_rows(spec, cfg) if sig_rows is None else sig_rows,
+               _generators(cfg, lo, hi), dt, 0, n_steps,
                (m, n_blocks * span) + batch).reshape((m, n_blocks, span) + batch)
 
     a, h0, h = spec.affine
@@ -434,25 +469,35 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
     :class:`NonFiniteStateError` naming the lowest failing path and that
     path's first non-finite saved step.
 
-    For N <= 7 the norm is the square root of the squares added column by
-    column, left to right: the bits of ``np.linalg.norm(states, axis=-1)``,
+    The states are read as rows, path by path, in blocks of ``_BLOCK_ROWS``:
+    each block is checked, then its V and norms are written into the outputs.
+    So the first non-finite row is the lowest failing path's first failing
+    step.  For N <= 7 the norm is the square root of the squares added column
+    by column, left to right: the bits of ``np.linalg.norm(states, axis=-1)``,
     whose sum along the last axis adds in that order up to 7 terms and
     regroups from 8 on, where ``np.linalg.norm`` itself is called."""
-    if not np.isfinite(states).all():
-        bad = ~np.isfinite(states).all(axis=-1)
-        path, idx = divmod(int(np.argmax(bad)), bad.shape[-1])
-        raise NonFiniteStateError(idx * cfg.save_every, float(cfg.saved_times()[idx]),
-                                  lo + path)
-    flat = states.reshape(-1, states.shape[-1])
-    lyap = np.asarray(spec.batched(spec.lyapunov.v)(flat), dtype=float)
-    lyap = lyap.reshape(states.shape[:-1])
-    if states.shape[-1] >= 8:
-        return lyap, np.linalg.norm(states, axis=-1)
-    cols = np.moveaxis(states, -1, 0)
-    acc = cols[0] * cols[0]
-    for col in cols[1:]:
-        acc += col * col
-    return lyap, np.sqrt(acc, out=acc)
+    n = states.shape[-1]
+    flat = states.reshape(-1, n)  # a view of every kernel's states
+    lyap, norms = np.empty(len(flat)), np.empty(len(flat))
+    v = spec.batched(spec.lyapunov.v)
+    for r0 in range(0, len(flat), _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, len(flat))
+        block = flat[r0:r1]
+        if not np.isfinite(block).all():
+            bad = ~np.isfinite(block).all(axis=-1)
+            path, idx = divmod(r0 + int(np.argmax(bad)), states.shape[-2])
+            # saved_times()[idx], without the grid
+            raise NonFiniteStateError(idx * cfg.save_every,
+                                      idx * (cfg.dt * cfg.save_every), lo + path)
+        lyap[r0:r1] = np.asarray(v(block), dtype=float).reshape(-1)
+        if n >= 8:
+            norms[r0:r1] = np.linalg.norm(block, axis=-1)
+            continue
+        acc = np.multiply(block[:, 0], block[:, 0], out=norms[r0:r1])
+        for col in block.T[1:]:
+            acc += col * col
+        np.sqrt(acc, out=acc)
+    return lyap.reshape(states.shape[:-1]), norms.reshape(states.shape[:-1])
 
 
 def _kernel(spec: SystemSpec):
@@ -472,7 +517,7 @@ def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajecto
     (spec, cfg, path_index) on one platform, and bit-identical to path
     ``path_index`` of :func:`ensemble`.
     """
-    states = _kernel(spec)(spec, cfg, _sigma_rows(spec, cfg), path_index)
+    states = _kernel(spec)(spec, cfg, None, path_index)
     lyap, norms = _finalize(spec, cfg, states, path_index)
     return Trajectory(times=cfg.saved_times(), states=states, lyap=lyap, norms=norms)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
@@ -129,6 +130,21 @@ class TestPipeline:
         assert (tmp_path / "out" / "config_echo.ini").read_text() == cfg.echo_ini()
         summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
         assert summary[2] == f"integrator: {integrator_name(builtin_example())}"
+
+    @pytest.mark.parametrize("t_end", [100.0, 200.0])
+    def test_long_path_peak_is_its_series_and_a_constant(self, tmp_path, t_end):
+        # every full-horizon pass works in fixed-size blocks, so the traced
+        # peak of a run is the path's times, states, V and norms plus a
+        # constant, whatever the horizon
+        cfg = ExperimentConfig(t_end=t_end, output_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            run_custom(builtin_example(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = 8 * (round(t_end / cfg.dt) + 1) * (builtin_example().dim_state + 3)
+        assert peak - stored <= 1 << 20
 
     def test_custom_ou_pipeline(self, tmp_path):
         spec = make_ou()

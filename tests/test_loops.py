@@ -5,6 +5,7 @@ import pytest
 from scipy import special as spx
 from scipy import stats as sps
 
+import nss_lab.loops as loops
 from nss_lab.bounds import (
     LevelPair,
     down_cross_survival_bound,
@@ -107,24 +108,34 @@ class TestExtractLoops:
         rec = extract_loops(traj, v0=0.5, v1=2.0)
         assert np.allclose(rec.taus, _scan_oracle(lyap, 0.5, 0.5, 2.0))
 
-    def test_random_series_match_scan_oracle(self):
+    def test_random_series_match_scan_oracle(self, monkeypatch):
         rng = np.random.default_rng(99)
+        one_block = loops._BLOCK_ROWS
         for _ in range(50):
             lyap = np.abs(np.cumsum(rng.normal(scale=0.6, size=200)) + 1.0)
             traj = _traj_from_lyap(lyap, dt=0.1)
-            rec = extract_loops(traj, v0=0.5, v1=2.0)
             oracle = _scan_oracle(lyap, 0.1, 0.5, 2.0)
-            assert np.allclose(rec.taus, oracle)
-            assert len(rec.up_times) + len(rec.down_times) == len(rec.taus) - 1
+            # one block, and blocks of 7 points that runs straddle
+            for rows in (one_block, 7):
+                monkeypatch.setattr(loops, "_BLOCK_ROWS", rows)
+                rec = extract_loops(traj, v0=0.5, v1=2.0)
+                assert np.allclose(rec.taus, oracle)
+                assert len(rec.up_times) + len(rec.down_times) == len(rec.taus) - 1
 
     @pytest.mark.parametrize("start", [0.2, 0.5, 1.0, 2.0])  # below v0, at v0, in band, at v1
-    def test_exact_level_hits_match_scan_oracle(self, start):
-        # values on a lattice of 0.5 hit v0 = 0.5 and v1 = 2 exactly
+    def test_exact_level_hits_match_scan_oracle(self, monkeypatch, start):
+        # values on a lattice of 0.5 hit v0 = 0.5 and v1 = 2 exactly; blocks of
+        # 1 to 3 points cut the leading run (down from 0.2, up from 2.0) and
+        # most later runs
         rng = np.random.default_rng(5)
+        one_block = loops._BLOCK_ROWS
         for _ in range(20):
             lyap = np.concatenate([[start], rng.integers(0, 6, size=30) * 0.5])
-            rec = extract_loops(_traj_from_lyap(lyap, dt=0.5), v0=0.5, v1=2.0)
-            assert np.array_equal(rec.taus, _scan_oracle(lyap, 0.5, 0.5, 2.0))
+            oracle = _scan_oracle(lyap, 0.5, 0.5, 2.0)
+            for rows in (one_block, 1, 2, 3):
+                monkeypatch.setattr(loops, "_BLOCK_ROWS", rows)
+                rec = extract_loops(_traj_from_lyap(lyap, dt=0.5), v0=0.5, v1=2.0)
+                assert np.array_equal(rec.taus, oracle)
 
     def test_builtin_path_started_above_v1(self, benchmark_system):
         cfg = SimConfig(t_end=20.0, dt=1e-3, seed=3, x0=(3.0, 0.0))
@@ -171,12 +182,22 @@ class TestEmpiricalTimeAverage:
         assert np.all(np.diff(dist.values) >= 0)
         assert np.all((dist.values >= 0) & (dist.values <= 1))
 
-    def test_thresholds_in_any_order(self, short_trajectory):
-        thresholds = [2.0, 0.5, 1.0, 0.5, 7.0]
+    def test_thresholds_in_any_order(self, monkeypatch, short_trajectory):
+        # unsorted and repeated, and equal to samples: the first, one inside
+        # and the last, which no interval weighs
+        norms = short_trajectory.norms
+        thresholds = [2.0, 0.5, 1.0, 0.5, 7.0, norms[0], norms[777], norms[-1], norms[777]]
         dist = empirical_time_average(short_trajectory, thresholds)
         assert list(dist.thresholds) == thresholds
         for r, value in zip(thresholds, dist.values):
             assert value == empirical_time_average(short_trajectory, [r]).values[0]
+        # the definition: sort the left endpoints, count those below each threshold
+        left = np.sort(norms[:-1])
+        expected = np.searchsorted(left, thresholds, side="left") / len(left)
+        for rows in (loops._BLOCK_ROWS, 1000, 7):
+            monkeypatch.setattr(loops, "_BLOCK_ROWS", rows)
+            got = empirical_time_average(short_trajectory, thresholds).values
+            assert got.tobytes() == expected.tobytes()
 
     def test_bad_mode_rejected(self, short_trajectory):
         with pytest.raises(ValueError):

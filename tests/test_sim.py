@@ -443,17 +443,23 @@ class TestAffineScan:
 class TestNoise:
     """The noise both kernels read against a direct reference, bit for bit."""
 
-    def test_one_path_matches_reference(self):
+    def test_one_path_matches_reference(self, monkeypatch):
+        # in blocks of 1 or 7 steps, Sigma[0, 1] = sin t and the second row are
+        # zero in the first block (Sigma[1, 1] = -0.0) and nonzero later, and
+        # the draws continue the stream from block to block
         spec = _mixed_noise()
         cfg = SimConfig(t_end=3.0, dt=0.05, seed=21, x0=(0.0, 0.0))
         assert spec.covariance(1.0).all() and not spec.covariance(0.0)[1].any()
+        assert np.signbit(spec.covariance(0.0)[1, 1])
         padded = sim._padded_length(cfg.n_steps)
-        got = sim._noise(sim._sigma_rows(spec, cfg), [path_generator(21, 5)], cfg.dt, 0,
-                         cfg.n_steps, (2, padded))
         ref = _reference_noise(spec, cfg, 5)
         assert ref[1, 0] == 0.0 and not np.signbit(ref[1, 0])
-        assert got[:, :cfg.n_steps].tobytes() == ref.tobytes()
-        assert got[:, cfg.n_steps:].tobytes() == bytes(8 * 2 * (padded - cfg.n_steps))
+        for rows in (sim._BLOCK_ROWS, 1, 7):
+            monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+            got = sim._noise(sim._sigma_rows(spec, cfg), [path_generator(21, 5)], cfg.dt,
+                             0, cfg.n_steps, (2, padded))
+            assert got[:, :cfg.n_steps].tobytes() == ref.tobytes()
+            assert got[:, cfg.n_steps:].tobytes() == bytes(8 * 2 * (padded - cfg.n_steps))
 
     @pytest.mark.parametrize("cut", [None, 23])
     def test_chunk_matches_reference(self, cut):
@@ -628,16 +634,21 @@ class TestFailureModes:
             integrate(spec, SimConfig(t_end=30.0, dt=1.0, seed=1, x0=(10.0,)))
         assert exc.value.step > 0
 
-    def test_lowest_failing_path_named(self):
+    def test_lowest_failing_path_named(self, monkeypatch):
         spec = make_ou()
         cfg = SimConfig(t_end=0.3, dt=0.1, seed=1, x0=(0.0,), save_every=1)
         states = np.zeros((5, 4, 1))
         states[4, 1, 0] = np.nan
         states[3, 2, 0] = np.inf
-        with pytest.raises(NonFiniteStateError) as exc:
-            _finalize(spec, cfg, states, lo=10)
-        assert (exc.value.path_index, exc.value.step) == (13, 2)
-        assert exc.value.t == pytest.approx(0.2)
+        # one block, then blocks of 2 rows: path 3's step 2 is in the chunk's
+        # 8th block and the lone path's 2nd
+        for rows in (sim._BLOCK_ROWS, 2):
+            monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+            for chunk, lo in ((states, 10), (states[3], 13)):
+                with pytest.raises(NonFiniteStateError) as exc:
+                    _finalize(spec, cfg, chunk, lo=lo)
+                assert (exc.value.path_index, exc.value.step) == (13, 2)
+                assert exc.value.t == cfg.saved_times()[2] == pytest.approx(0.2)
 
     def test_x0_shape_checked(self):
         spec = make_ou()

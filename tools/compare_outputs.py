@@ -32,6 +32,7 @@ RUNS = [
     ["sim.t_end=5", "ensemble.n_paths=10000"],
     ["fractiles.k=0.5,0.2,0.9"],
     ["sim.t_end=3", "sim.dump_trajectory=true"],
+    ["sim.t_end=70", "sim.dump_trajectory=true"],  # 70,001 rows: across block edges
     ["system.x0=3,0"],  # starts above v1: a first up segment of length 0
     ["sim.t_end=5", "ensemble.n_paths=1000", "ensemble.prob_radius=0.5"],  # vacuous notes
 ]
