@@ -319,7 +319,7 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
             ens_cfg = SimConfig(t_end=max(cfg.check_times), dt=cfg.dt, seed=cfg.seed,
                                 x0=cfg.x0, save_every=save_every)
             for t in cfg.check_times:
-                _grid_index(ens_cfg.saved_times(), t)
+                _grid_index(ens_cfg.grid_dt, ens_cfg.n_steps // save_every + 1, t)
     out = Path(cfg.output_dir)
     while not out.exists():  # the nearest existing ancestor; write_report makes the rest
         out = out.parent

@@ -101,7 +101,7 @@ def extract_loops(traj: Trajectory, v0: float, v1: float) -> LoopRecord:
             marks = above[out]
             crossings.append(lo + out[np.flatnonzero(np.diff(marks, prepend=last))])
             last = marks[-1]
-    taus = traj.times[np.concatenate(crossings)] - traj.times[0]
+    taus = np.concatenate(crossings) * traj.grid_dt
     diffs = np.diff(taus)
     up_times = diffs[0::2]
     down_times = diffs[1::2]
@@ -399,11 +399,11 @@ class MomentReport:
         return not any(r.flag for r in self.rows)
 
 
-def _grid_index(times: np.ndarray, t: float) -> int:
-    """Index of time t on a uniform saved time grid; raises if t is off it."""
-    dt = float(times[1] - times[0])
-    idx = int(round((t - float(times[0])) / dt))
-    if not (0 <= idx < len(times)) or abs(times[idx] - t) > 1e-9 + 1e-9 * abs(t):
+def _grid_index(grid_dt: float, n: int, t: float) -> int:
+    """Index of time t on the grid of n saved times ``q * grid_dt``; raises if
+    t is off it."""
+    idx = int(round(t / grid_dt))
+    if not (0 <= idx < n) or abs(idx * grid_dt - t) > 1e-9 + 1e-9 * abs(t):
         raise ValueError(f"time {t!r} is not on the saved trajectory grid")
     return idx
 
@@ -429,7 +429,7 @@ def verify_moment_bound(
     rows = []
     for t in times:
         t = float(t)
-        idx = _grid_index(paths.times, t)
+        idx = _grid_index(paths.grid_dt, paths.lyap.shape[1], t)
         vals = paths.lyap[:, idx]
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
@@ -470,7 +470,7 @@ def verify_probability_bound(
         raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r!r}")
-    idx = _grid_index(paths.times, float(t))
+    idx = _grid_index(paths.grid_dt, paths.lyap.shape[1], float(t))
     hits = int(np.sum(paths.norms[:, idx] < r))
     n = len(paths)
     floor = 1.0 - (_moment_envelope(spec, float(paths.lyap[0, 0]), t)

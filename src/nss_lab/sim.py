@@ -57,7 +57,7 @@ _SEQUENTIAL_CHUNK = 1000
 # Rows (time steps, or saved states) per block of every pass that reads a
 # whole horizon beside the stored series: Sigma, the normal draws, V and the
 # norms here, the crossings and the time averages in `loops`.  So a long
-# path holds its four series (times, states, V, norms) and blocks of this.
+# path holds its three series (states, V, norms) and blocks of this.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -123,31 +123,33 @@ class SimConfig:
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
 
-    def saved_times(self) -> np.ndarray:
-        """The uniform time grid of the saved states: saved index q at
-        ``q * (dt * save_every)``, built in place."""
-        times = np.arange(self.n_steps // self.save_every + 1, dtype=float)
-        times *= self.dt * self.save_every
-        return times
+    @property
+    def grid_dt(self) -> float:
+        """Time between saved states: saved index q is at ``q * grid_dt``."""
+        return self.dt * self.save_every
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled path with the derived Lyapunov-value series."""
+    """Path saved at times ``q * grid_dt``, with its Lyapunov-value series."""
 
-    times: np.ndarray
+    grid_dt: float
     states: np.ndarray
     lyap: np.ndarray
     norms: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.times)
-        if not (len(self.states) == len(self.lyap) == len(self.norms) == n):
+        if not (len(self.states) == len(self.lyap) == len(self.norms)):
             raise ValueError("trajectory series must share one length")
 
     @property
+    def times(self) -> np.ndarray:
+        """The saved times, built when read."""
+        return np.arange(len(self.lyap)) * self.grid_dt
+
+    @property
     def horizon(self) -> float:
-        return float(self.times[-1] - self.times[0])
+        return (len(self.lyap) - 1) * self.grid_dt
 
 
 def _initial_state(spec: SystemSpec, cfg: SimConfig) -> np.ndarray:
@@ -258,9 +260,7 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_rows: Optional[list],
     """
     if sig_rows is None:
         sig_rows = _sigma_rows(spec, cfg)
-    n_steps = cfg.n_steps
-    dt = cfg.dt
-    m = spec.dim_noise
+    n_steps, dt, m = cfg.n_steps, cfg.dt, spec.dim_noise
     x0 = _initial_state(spec, cfg)
     batch = () if hi is None else (hi - lo,)
     gens = _generators(cfg, lo, hi)
@@ -445,11 +445,11 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: Optional[list], lo:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Paths 0..P-1 of one ensemble on one time grid, as arrays: ``states`` of
+    """Paths 0..P-1 saved at times ``q * grid_dt``, as arrays: ``states`` of
     shape (P, K+1, N), ``lyap`` and ``norms`` of shape (P, K+1).  ``ens[i]``
     is path i as a :class:`Trajectory` of views into these arrays."""
 
-    times: np.ndarray
+    grid_dt: float
     states: np.ndarray
     lyap: np.ndarray
     norms: np.ndarray
@@ -458,7 +458,7 @@ class Ensemble:
         return len(self.states)
 
     def __getitem__(self, i: int) -> Trajectory:
-        return Trajectory(times=self.times, states=self.states[i],
+        return Trajectory(grid_dt=self.grid_dt, states=self.states[i],
                           lyap=self.lyap[i], norms=self.norms[i])
 
 
@@ -486,9 +486,7 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
         if not np.isfinite(block).all():
             bad = ~np.isfinite(block).all(axis=-1)
             path, idx = divmod(r0 + int(np.argmax(bad)), states.shape[-2])
-            # saved_times()[idx], without the grid
-            raise NonFiniteStateError(idx * cfg.save_every,
-                                      idx * (cfg.dt * cfg.save_every), lo + path)
+            raise NonFiniteStateError(idx * cfg.save_every, idx * cfg.grid_dt, lo + path)
         lyap[r0:r1] = np.asarray(v(block), dtype=float).reshape(-1)
         if n >= 8:
             norms[r0:r1] = np.linalg.norm(block, axis=-1)
@@ -517,9 +515,10 @@ def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajecto
     (spec, cfg, path_index) on one platform, and bit-identical to path
     ``path_index`` of :func:`ensemble`.
     """
-    states = _kernel(spec)(spec, cfg, None, path_index)
-    lyap, norms = _finalize(spec, cfg, states, path_index)
-    return Trajectory(times=cfg.saved_times(), states=states, lyap=lyap, norms=norms)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finalize reports a blow-up
+        states = _kernel(spec)(spec, cfg, None, path_index)
+        lyap, norms = _finalize(spec, cfg, states, path_index)
+    return Trajectory(grid_dt=cfg.grid_dt, states=states, lyap=lyap, norms=norms)
 
 
 def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
@@ -545,14 +544,15 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
         // (8 * m * _padded_length(n_steps))))
     kernel = _kernel(spec)
     sig_rows = _sigma_rows(spec, cfg)
-    times = cfg.saved_times()
-    ens = Ensemble(times=times, states=np.empty((n_paths, len(times), spec.dim_state)),
-                   lyap=np.empty((n_paths, len(times))), norms=np.empty((n_paths, len(times))))
+    n_saved = n_steps // cfg.save_every + 1
+    ens = Ensemble(grid_dt=cfg.grid_dt, states=np.empty((n_paths, n_saved, spec.dim_state)),
+                   lyap=np.empty((n_paths, n_saved)), norms=np.empty((n_paths, n_saved)))
 
     def run(lo):
         hi = min(lo + chunk, n_paths)
-        ens.states[lo:hi] = kernel(spec, cfg, sig_rows, lo, hi)
-        ens.lyap[lo:hi], ens.norms[lo:hi] = _finalize(spec, cfg, ens.states[lo:hi], lo)
+        with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
+            ens.states[lo:hi] = kernel(spec, cfg, sig_rows, lo, hi)
+            ens.lyap[lo:hi], ens.norms[lo:hi] = _finalize(spec, cfg, ens.states[lo:hi], lo)
 
     starts = range(0, n_paths, chunk)
     # map yields in chunk order, so the first error raised is the lowest path's

@@ -79,19 +79,36 @@ def test_policy_detector_sees_reads():
     assert _spec_policy_reads(source) == [(2, "vectorized"), (3, "covariance")]
 
 
+def _declared(cls: ast.ClassDef) -> list:
+    """Names a class body declares as annotated fields or properties."""
+    return ([stmt.target.id for stmt in cls.body
+             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            + [stmt.name for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
+               and any(isinstance(d, ast.Name) and d.id == "property"
+                       for d in stmt.decorator_list)])
+
+
 def _unread_fields(sources: list, classes: tuple) -> list:
-    """``(class, field)`` of each annotated field of the named classes that no
-    source reads as an attribute (``obj.field``).  Names are matched without
-    types, so a read of the same name on any object counts."""
+    """``(class, field, why)`` of each annotated field of the named classes
+    whose reads cannot be told apart: ``"unread"`` if no source reads the name
+    as an attribute (``obj.field``), else ``"shared"`` if another class in the
+    sources declares the same name as a field or a property.  Names are
+    matched without types, so a read of a shared name may be the other
+    class's; each caller pins its shared fields, to review any new one."""
     trees = [ast.parse(source) for source in sources]
     read = {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return sorted((cls.name, stmt.target.id)
+    owners = {}
+    for cls in (c for tree in trees for c in ast.walk(tree) if isinstance(c, ast.ClassDef)):
+        for name in _declared(cls):
+            owners.setdefault(name, set()).add(cls.name)
+    return sorted((cls.name, stmt.target.id,
+                   "unread" if stmt.target.id not in read else "shared")
                   for tree in trees for cls in ast.walk(tree)
                   if isinstance(cls, ast.ClassDef) and cls.name in classes
                   for stmt in cls.body
                   if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                  and stmt.target.id not in read)
+                  and (stmt.target.id not in read or owners[stmt.target.id] != {cls.name}))
 
 
 def test_every_spec_field_has_a_reader():
@@ -99,7 +116,11 @@ def test_every_spec_field_has_a_reader():
     # a spec field, a config key or a value of the validated plan
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     classes = ("LyapunovSpec", "SystemSpec", "ExperimentConfig", "_Plan")
-    assert _unread_fields(sources, classes) == []
+    # reviewed: SimConfig (dt, seed, t_end, x0) and LevelPair hold these too
+    shared = [("ExperimentConfig", name, "shared")
+              for name in ("dt", "seed", "t_end", "v0", "v1", "x0")]
+    assert _unread_fields(sources, classes) == shared + [
+        ("SystemSpec", "c", "shared"), ("SystemSpec", "gamma_max", "shared")]
 
 
 def test_every_result_field_has_a_reader():
@@ -110,7 +131,10 @@ def test_every_result_field_has_a_reader():
     sources = [path.read_text(encoding="utf-8") for path in paths]
     classes = ("LoopRecord", "EmpiricalDistribution", "CrossTimeReport", "MomentReport",
                "ProbabilityReport", "ConditionReport", "BoundSet")
-    assert _unread_fields(sources, classes) == []
+    # reviewed: CheckRow holds these too
+    assert _unread_fields(sources, classes) == [
+        ("ProbabilityReport", name, "shared")
+        for name in ("ci_high", "ci_low", "flag", "floor")]
 
 
 def test_field_detector_sees_unread_fields():
@@ -120,15 +144,25 @@ def test_field_detector_sees_unread_fields():
         "    b: int = 0\n"
         "    c: int = 1\n"
         "    d: int = 2\n"
+        "    e: int = 3\n"
         "class Other:\n"
-        "    e: int\n"
+        "    a: int\n"
+        "    @property\n"
+        "    def e(self) -> int:\n"
+        "        return 4\n"
+        "    def b(self) -> int:\n"
+        "        return 5\n"
     )
     use = (
         "def f(spec, other):\n"
         "    spec.c = 3\n"
-        "    return spec.a + other.d\n"
+        "    return spec.d + other.a + other.e\n"
     )
-    assert _unread_fields([spec, use], ("Spec",)) == [("Spec", "b"), ("Spec", "c")]
+    # Spec.a is read only as Other's field a, Spec.e only as Other's
+    # property e; Other's method b declares no field, and Spec.b is unread
+    assert _unread_fields([spec, use], ("Spec",)) == [
+        ("Spec", "a", "shared"), ("Spec", "b", "unread"), ("Spec", "c", "unread"),
+        ("Spec", "e", "shared")]
 
 
 def _scipy_imports(source: str) -> list:

@@ -33,10 +33,9 @@ from conftest import make_ou
 def _traj_from_lyap(lyap, dt=1.0):
     """Trajectory scaffold whose Lyapunov series is the given array."""
     lyap = np.asarray(lyap, dtype=float)
-    n = len(lyap)
     states = np.sqrt(2.0 * lyap)[:, None]  # V = x^2/2 in one dimension
     return Trajectory(
-        times=np.arange(n) * dt,
+        grid_dt=dt,
         states=states,
         lyap=lyap,
         norms=np.abs(states[:, 0]),
@@ -168,7 +167,7 @@ class TestEmpiricalTimeAverage:
     def test_square_wave(self):
         # norms [1,3,1,3] over four unit intervals; last point is ignored
         traj = Trajectory(
-            times=np.arange(5.0),
+            grid_dt=1.0,
             states=np.array([[1.0], [3.0], [1.0], [3.0], [7.0]]),
             lyap=np.array([0.5, 4.5, 0.5, 4.5, 24.5]),
             norms=np.array([1.0, 3.0, 1.0, 3.0, 7.0]),

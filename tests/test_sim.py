@@ -19,6 +19,7 @@ from nss_lab.sim import (
     integrate,
     path_generator,
     trajectory_to_csv,
+    write_csv,
     _finalize,
 )
 
@@ -349,30 +350,19 @@ class TestAffineScan:
             assert np.array_equal(thin.states, full.states[::k])
             assert np.array_equal(thin.times, full.times[::k])
 
-    @pytest.mark.parametrize("save", [100, 500, 1250])
-    def test_thinning_past_the_block_length(self, monkeypatch, benchmark_system, save):
-        # blocks of 70 steps, the last one 30: most blocks hold no saved step
-        full_cfg = SimConfig(t_end=5.0, dt=1e-3, seed=15, x0=(0.5, -0.5))
-        assert (block_length(full_cfg.n_steps), full_cfg.n_steps % 70) == (70, 30)
-        cfg = dataclasses.replace(full_cfg, save_every=save)
-        full = [integrate(benchmark_system, full_cfg, i) for i in range(5)]
-        _set_chunk(monkeypatch, benchmark_system, cfg, 3)
-        shapes = _spy_noise(monkeypatch)
-        thin = ensemble(benchmark_system, cfg, 5)
-        assert sorted(s[-1] for s in shapes) == [2, 3]
-        for i, ref in enumerate(full):
-            for got in (thin[i], integrate(benchmark_system, cfg, i)):
-                assert got.states.tobytes() == ref.states[::save].tobytes()
-                assert got.lyap.tobytes() == ref.lyap[::save].tobytes()
-
-    @pytest.mark.parametrize("t_end, save", [(4.9, 70), (4.9, 14), (4.9, 35), (4.9, 28),
-                                             (4.9, 49), (4.9, 245), (5.0, 50)])
-    def test_thinning_by_refill_slices(self, monkeypatch, benchmark_system, t_end, save):
+    @pytest.mark.parametrize("t_end, save, seed", [
+        pytest.param(t_end, save, seed, id=f"{t_end}-{save}") for t_end, save, seed in [
+            (5.0, 100, 15), (5.0, 500, 15), (5.0, 1250, 15), (4.9, 70, 16), (4.9, 14, 16),
+            (4.9, 35, 16), (4.9, 28, 16), (4.9, 49, 16), (4.9, 245, 16), (5.0, 50, 16)]])
+    def test_thinning_by_refill_slices(self, monkeypatch, benchmark_system, t_end, save,
+                                       seed):
         # blocks of 70 steps: thinning by the block length, by less with
         # gcd(save, 70) > 1, dividing 70 (14, 35) or not (28, 49, 50), and by
-        # more (245); 4900 steps leave the last block empty, 5000 leave it 30
-        full_cfg = SimConfig(t_end=t_end, dt=1e-3, seed=16, x0=(0.5, -0.5))
-        assert block_length(full_cfg.n_steps) == 70
+        # more (100, 245, 500, 1250: most blocks hold no saved step); 4900
+        # steps leave the last block empty, 5000 leave it 30
+        full_cfg = SimConfig(t_end=t_end, dt=1e-3, seed=seed, x0=(0.5, -0.5))
+        assert (block_length(full_cfg.n_steps), full_cfg.n_steps % 70) == (
+            70, 30 if t_end == 5.0 else 0)
         cfg = dataclasses.replace(full_cfg, save_every=save)
         full = [integrate(benchmark_system, full_cfg, i) for i in range(5)]
         _set_chunk(monkeypatch, benchmark_system, cfg, 3)
@@ -414,7 +404,7 @@ class TestAffineScan:
         ref = integrate(_sequential(spec), cfg).states
         assert np.max(np.abs(got - ref)) <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.filterwarnings("error")
     def test_blow_up_step_matches_reference(self):
         spec = _unstable()
         cfg = SimConfig(t_end=400.0, dt=1.0, seed=14, x0=(1.0, 1.0), save_every=2)
@@ -426,7 +416,7 @@ class TestAffineScan:
         assert steps[0] == steps[1]
         assert steps[0] > 2 * block_length(cfg.n_steps)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kernel", ["affine", "sequential"])
     def test_ensemble_blow_up_matches_integrate(self, monkeypatch, kernel):
         spec = _unstable() if kernel == "affine" else _sequential(_unstable())
@@ -539,7 +529,7 @@ class TestNoiseBudget:
         budget = 8 * spec.dim_noise * chunk * 100  # time segments of at most 100 steps
         monkeypatch.setattr(sim, "_NOISE_BYTES", budget)
         monkeypatch.setenv("NSS_LAB_THREADS", "1")
-        n_saved = len(cfg.saved_times())
+        n_saved = cfg.n_steps // cfg.save_every + 1
         saved = 8 * n_paths * n_saved * (spec.dim_state + 2)  # states, V and norms
         one_chunk = 8 * chunk * n_saved * spec.dim_state
         tracemalloc.start()
@@ -580,7 +570,7 @@ class TestNoiseBudget:
         noise = 8 * math.prod(shape)
         assert noise + sim._scratch_bytes(m, cfg.n_steps, chunk) <= peak <= sim._NOISE_BYTES
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.filterwarnings("error")
     def test_lowest_failing_path_across_chunks(self, monkeypatch):
         # x -> (5.55 + s_k) x: whether and when a path overflows depends on its noise
         spec = _affine([[4.55]], [[0.0]], [[[1.0]]])
@@ -627,7 +617,7 @@ class TestNoiseStream:
 
 
 class TestFailureModes:
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_blow_up_raises(self):
         spec = _deterministic(lambda x: np.asarray(x, dtype=float) ** 3)
         with pytest.raises(NonFiniteStateError) as exc:
@@ -648,7 +638,7 @@ class TestFailureModes:
                 with pytest.raises(NonFiniteStateError) as exc:
                     _finalize(spec, cfg, chunk, lo=lo)
                 assert (exc.value.path_index, exc.value.step) == (13, 2)
-                assert exc.value.t == cfg.saved_times()[2] == pytest.approx(0.2)
+                assert exc.value.t == 2 * cfg.grid_dt == pytest.approx(0.2)
 
     def test_x0_shape_checked(self):
         spec = make_ou()
@@ -657,7 +647,7 @@ class TestFailureModes:
 
     def test_trajectory_length_mismatch(self):
         with pytest.raises(ValueError):
-            Trajectory(times=np.arange(3.0), states=np.zeros((3, 1)),
+            Trajectory(grid_dt=1.0, states=np.zeros((3, 1)),
                        lyap=np.zeros(2), norms=np.zeros(3))
 
 
@@ -699,10 +689,9 @@ class TestCsvDump:
         ])
         rows = np.random.default_rng(8).standard_cauchy(size=(10_000, 5))
         table = np.concatenate([special, rows])
-        traj = Trajectory(times=table[:, 0], states=table[:, 1:3],
-                          lyap=table[:, 3], norms=table[:, 4])
         out = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, out)
+        write_csv(out, ["t", "x1", "x2", "V", "norm"], table[:, 0], table[:, 1:3],
+                  table[:, 3], table[:, 4])
         expected = "t,x1,x2,V,norm\n" + "".join(
             ",".join(f"{c:.17g}" for c in row) + "\n" for row in table)
         assert out.read_bytes() == expected.encode("ascii")

@@ -35,6 +35,7 @@ RUNS = [
     ["sim.t_end=70", "sim.dump_trajectory=true"],  # 70,001 rows: across block edges
     ["system.x0=3,0"],  # starts above v1: a first up segment of length 0
     ["sim.t_end=5", "ensemble.n_paths=1000", "ensemble.prob_radius=0.5"],  # vacuous notes
+    ["sim.t_end=2000", "sim.dt=2"],  # blows up: exit 4 and one error line
 ]
 
 
