@@ -18,7 +18,7 @@ import configparser
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -71,39 +71,6 @@ EXIT_ERROR = 4
 _DEFAULT_SEED = 20240811
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Flat experiment configuration; every field appears in the echo."""
-
-    system: str = "example-2d"
-    t_end: float = 500.0
-    dt: float = 1e-3
-    seed: int = _DEFAULT_SEED
-    x0: Tuple[float, ...] = (0.0, 0.0)
-    v1: float = 2.0
-    v0: Optional[float] = None  # None selects the optimal level ratio
-    r_min: float = 1.05
-    r_max: float = 10.0
-    r_count: int = 50
-    r_spacing: str = "log"
-    k_list: Tuple[float, ...] = (1.0 / 3.0,)
-    n_paths: int = 0
-    check_times: Tuple[float, ...] = (1.0, 2.5, 5.0)
-    prob_radius: float = 3.0
-    confidence: float = 0.99
-    output_dir: str = "nss-lab-out"
-    dump_trajectory: bool = False
-
-    def echo_ini(self) -> str:
-        """Canonical INI text sufficient to reproduce the run exactly."""
-        sections = {}
-        for (section, key), (attr, _, fmt) in _CONFIG_KEYS.items():
-            sections.setdefault(section, []).append(f"{key} = {fmt(getattr(self, attr))}")
-        return "\n\n".join(
-            f"[{section}]\n" + "\n".join(lines) for section, lines in sections.items()
-        ) + "\n"
-
-
 def _parse_floats(raw: str) -> Tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
@@ -123,30 +90,54 @@ def _parse_bool(raw: str) -> bool:
     return states[raw.strip().lower()]
 
 
-# (section, key) -> (ExperimentConfig field, parser, formatter); the echo
-# writes sections and keys in this order.
-_CONFIG_KEYS = {
-    ("system", "name"): ("system", str, str),
-    ("system", "x0"): ("x0", _parse_floats, _format_floats),
-    ("sim", "t_end"): ("t_end", float, _format_float),
-    ("sim", "dt"): ("dt", float, _format_float),
-    ("sim", "seed"): ("seed", int, str),
-    ("sim", "dump_trajectory"): ("dump_trajectory", _parse_bool, lambda b: str(b).lower()),
-    ("levels", "v1"): ("v1", float, _format_float),
-    ("levels", "v0"): ("v0",
-                       lambda s: None if s.strip() == "optimal" else float(s),
-                       lambda v: "optimal" if v is None else _format_float(v)),
-    ("grid", "r_min"): ("r_min", float, _format_float),
-    ("grid", "r_max"): ("r_max", float, _format_float),
-    ("grid", "count"): ("r_count", int, str),
-    ("grid", "spacing"): ("r_spacing", str, str),
-    ("fractiles", "k"): ("k_list", _parse_floats, _format_floats),
-    ("ensemble", "n_paths"): ("n_paths", int, str),
-    ("ensemble", "check_times"): ("check_times", _parse_floats, _format_floats),
-    ("ensemble", "prob_radius"): ("prob_radius", float, _format_float),
-    ("stats", "confidence"): ("confidence", float, _format_float),
-    ("output", "dir"): ("output_dir", str, str),
-}
+def _key(section: str, key: str, default, parse=float, fmt=_format_float):
+    """A config field that ``[section] key`` sets through ``parse`` and the
+    echo writes through ``fmt``."""
+    return field(default=default, metadata={"key": (section, key), "io": (parse, fmt)})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Flat experiment configuration: one field per config key, in the order
+    the echo writes them."""
+
+    system: str = _key("system", "name", "example-2d", str, str)
+    x0: Tuple[float, ...] = _key("system", "x0", (0.0, 0.0), _parse_floats, _format_floats)
+    t_end: float = _key("sim", "t_end", 500.0)
+    dt: float = _key("sim", "dt", 1e-3)
+    seed: int = _key("sim", "seed", _DEFAULT_SEED, int, str)
+    dump_trajectory: bool = _key("sim", "dump_trajectory", False, _parse_bool,
+                                 lambda b: str(b).lower())
+    v1: float = _key("levels", "v1", 2.0)
+    v0: Optional[float] = _key(  # None selects the optimal level ratio
+        "levels", "v0", None, lambda s: None if s.strip() == "optimal" else float(s),
+        lambda v: "optimal" if v is None else _format_float(v))
+    r_min: float = _key("grid", "r_min", 1.05)
+    r_max: float = _key("grid", "r_max", 10.0)
+    r_count: int = _key("grid", "count", 50, int, str)
+    r_spacing: str = _key("grid", "spacing", "log", str, str)
+    k_list: Tuple[float, ...] = _key("fractiles", "k", (1.0 / 3.0,), _parse_floats,
+                                     _format_floats)
+    n_paths: int = _key("ensemble", "n_paths", 0, int, str)
+    check_times: Tuple[float, ...] = _key("ensemble", "check_times", (1.0, 2.5, 5.0),
+                                          _parse_floats, _format_floats)
+    prob_radius: float = _key("ensemble", "prob_radius", 3.0)
+    confidence: float = _key("stats", "confidence", 0.99)
+    output_dir: str = _key("output", "dir", "nss-lab-out", str, str)
+
+    def echo_ini(self) -> str:
+        """Canonical INI text sufficient to reproduce the run exactly."""
+        sections = {}
+        for (section, key), (attr, _, fmt) in _CONFIG_KEYS.items():
+            sections.setdefault(section, []).append(f"{key} = {fmt(getattr(self, attr))}")
+        return "\n\n".join(
+            f"[{section}]\n" + "\n".join(lines) for section, lines in sections.items()
+        ) + "\n"
+
+
+# (section, key) -> (ExperimentConfig field, parser, formatter), in echo order
+_CONFIG_KEYS = {f.metadata["key"]: (f.name, *f.metadata["io"])
+                for f in fields(ExperimentConfig)}
 
 
 def load_config(path: Optional[str] = None,
@@ -414,7 +405,8 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         )
         report.add_check(
             "moment-bound", mom.passed,
-            f"{len(mom.rows)} times, {sum(r.flag for r in mom.rows)} flags",
+            f"{len(mom.rows)} times, {sum(r.flag for r in mom.rows)} flags "
+            "at 3 standard errors",
         )
         probs = [verify_probability_bound(paths, spec, cfg.prob_radius, t,
                                           confidence=cfg.confidence)

@@ -66,7 +66,7 @@ class NonFiniteStateError(RuntimeError):
 
     def __init__(self, step: int, t: float, path_index: int = 0):
         super().__init__(
-            f"non-finite state first recorded at step {step} (t={t:g}, "
+            f"non-finite state, V or norm first recorded at step {step} (t={t:g}, "
             f"path {path_index}); aborting instead of clamping"
         )
         self.step = step
@@ -465,17 +465,19 @@ class Ensemble:
 def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
               lo: int) -> Tuple[np.ndarray, np.ndarray]:
     """V and the norm of saved states of shape (K+1, N) (path ``lo``) or
-    (P, K+1, N) (paths lo, lo+1, ...).  A non-finite state raises
+    (P, K+1, N) (paths lo, lo+1, ...).  A non-finite state, V or norm raises
     :class:`NonFiniteStateError` naming the lowest failing path and that
-    path's first non-finite saved step.
+    path's first failing saved step.
 
     The states are read as rows, path by path, in blocks of ``_BLOCK_ROWS``:
-    each block is checked, then its V and norms are written into the outputs.
-    So the first non-finite row is the lowest failing path's first failing
-    step.  For N <= 7 the norm is the square root of the squares added column
-    by column, left to right: the bits of ``np.linalg.norm(states, axis=-1)``,
-    whose sum along the last axis adds in that order up to 7 terms and
-    regroups from 8 on, where ``np.linalg.norm`` itself is called."""
+    each block's V and norms are written into the outputs, then checked.  A
+    non-finite state makes its norm non-finite, and a finite state above
+    about 1e154 overflows its square.  So the first non-finite row is the
+    lowest failing path's first failing step.  For N <= 7 the norm is the
+    square root of the squares added column by column, left to right: the
+    bits of ``np.linalg.norm(states, axis=-1)``, whose sum along the last
+    axis adds in that order up to 7 terms and regroups from 8 on, where
+    ``np.linalg.norm`` itself is called."""
     n = states.shape[-1]
     flat = states.reshape(-1, n)  # a view of every kernel's states
     lyap, norms = np.empty(len(flat)), np.empty(len(flat))
@@ -483,18 +485,18 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
     for r0 in range(0, len(flat), _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, len(flat))
         block = flat[r0:r1]
-        if not np.isfinite(block).all():
-            bad = ~np.isfinite(block).all(axis=-1)
-            path, idx = divmod(r0 + int(np.argmax(bad)), states.shape[-2])
-            raise NonFiniteStateError(idx * cfg.save_every, idx * cfg.grid_dt, lo + path)
         lyap[r0:r1] = np.asarray(v(block), dtype=float).reshape(-1)
         if n >= 8:
             norms[r0:r1] = np.linalg.norm(block, axis=-1)
-            continue
-        acc = np.multiply(block[:, 0], block[:, 0], out=norms[r0:r1])
-        for col in block.T[1:]:
-            acc += col * col
-        np.sqrt(acc, out=acc)
+        else:
+            acc = np.multiply(block[:, 0], block[:, 0], out=norms[r0:r1])
+            for col in block.T[1:]:
+                acc += col * col
+            np.sqrt(acc, out=acc)
+        bad = ~(np.isfinite(lyap[r0:r1]) & np.isfinite(norms[r0:r1]))
+        if bad.any():
+            path, idx = divmod(r0 + int(np.argmax(bad)), states.shape[-2])
+            raise NonFiniteStateError(idx * cfg.save_every, idx * cfg.grid_dt, lo + path)
     return lyap.reshape(states.shape[:-1]), norms.reshape(states.shape[:-1])
 
 

@@ -100,10 +100,19 @@ class TestConfig:
             _plan(builtin_example(), ExperimentConfig(r_spacing="cubic")).grid
 
     def test_echo_round_trips(self, tmp_path):
-        cfg = ExperimentConfig(t_end=77.0, seed=3, v0=1.25, k_list=(0.2, 0.4))
-        ini = tmp_path / "echo.ini"
-        ini.write_text(cfg.echo_ini())
-        assert load_config(str(ini)) == cfg
+        # the second config sets every field off its default, so each key's
+        # parser must read back what its formatter writes
+        every = ExperimentConfig(
+            system="custom", x0=(0.5, -0.25), t_end=50.0, dt=0.002, seed=9,
+            dump_trajectory=True, v1=1.5, v0=1.2, r_min=1.1, r_max=8.0, r_count=7,
+            r_spacing="linear", k_list=(0.25, 0.5), n_paths=1000, check_times=(1.0, 2.0),
+            prob_radius=2.5, confidence=0.95, output_dir=str(tmp_path / "out"))
+        assert all(getattr(every, f.name) != f.default
+                   for f in dataclasses.fields(ExperimentConfig))
+        for cfg in (ExperimentConfig(t_end=77.0, seed=3, v0=1.25, k_list=(0.2, 0.4)), every):
+            ini = tmp_path / "echo.ini"
+            ini.write_text(cfg.echo_ini())
+            assert load_config(str(ini)) == cfg
 
     def test_readme_shows_the_default_echo(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
@@ -500,8 +509,8 @@ class TestCommandLine:
                 "--set=sim.dt=2", f"--set=output.dir={tmp_path}/blow"]
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert done.returncode == EXIT_ERROR
-        assert done.stderr == ("error: non-finite state first recorded at step 865 "
-                               "(t=1730, path 0); aborting instead of clamping\n")
+        assert done.stderr == ("error: non-finite state, V or norm first recorded at step "
+                               "440 (t=880, path 0); aborting instead of clamping\n")
 
     def test_unknown_system_rejected(self, tmp_path, capsys):
         args = ["example", "--set=system.name=warp-drive",

@@ -574,7 +574,7 @@ class TestNoiseBudget:
     def test_lowest_failing_path_across_chunks(self, monkeypatch):
         # x -> (5.55 + s_k) x: whether and when a path overflows depends on its noise
         spec = _affine([[4.55]], [[0.0]], [[[1.0]]])
-        cfg = SimConfig(t_end=420.0, dt=1.0, seed=2, x0=(1.0,), save_every=2)
+        cfg = SimConfig(t_end=210.0, dt=1.0, seed=8, x0=(1.0,), save_every=2)
         failing = {}
         for i in range(12):
             try:
@@ -623,6 +623,18 @@ class TestFailureModes:
         with pytest.raises(NonFiniteStateError) as exc:
             integrate(spec, SimConfig(t_end=30.0, dt=1.0, seed=1, x0=(10.0,)))
         assert exc.value.step > 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_is_a_blow_up(self):
+        # x -> (5.55 + s_k) x: path 0's states stay finite, but from step 212
+        # on they exceed 1e154, so their squares, V and the norm, overflow
+        spec = _affine([[4.55]], [[0.0]], [[[1.0]]])
+        cfg = SimConfig(t_end=420.0, dt=1.0, seed=2, x0=(1.0,), save_every=2)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(sim._affine_scan(spec, cfg, None, 0)).all()
+        with pytest.raises(NonFiniteStateError) as exc:
+            integrate(spec, cfg)
+        assert (exc.value.path_index, exc.value.step) == (0, 212)
 
     def test_lowest_failing_path_named(self, monkeypatch):
         spec = make_ou()
