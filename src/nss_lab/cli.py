@@ -224,8 +224,15 @@ class ExperimentReport:
 
 
 def write_report(report: ExperimentReport, outdir) -> None:
+    """Write ``report`` into ``outdir``, replacing the pipeline's files there: of
+    the table CSVs and ``trajectory.csv``, those this report lacks are removed,
+    so no output of an earlier run is left; no other file is touched."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    written = {*report.tables, *(["trajectory"] if report.trajectory is not None else [])}
+    for name in {"distribution", "up_cross_survival", "down_cross_survival", "occupancy",
+                 "moment_bound", "probability_bound", "trajectory"} - written:
+        (out / f"{name}.csv").unlink(missing_ok=True)
     for name, (header, rows) in report.tables.items():
         write_csv(out / f"{name}.csv", header, rows)
     if report.trajectory is not None:

@@ -55,9 +55,9 @@ _GROUP = 32
 # wide ones and streams its noise instead.
 _SEQUENTIAL_CHUNK = 1000
 # Rows (time steps, or saved states) per block of every pass that reads a
-# whole horizon beside the stored series: Sigma, the normal draws, V and the
-# norms here, the crossings and the time averages in `loops`.  So a long
-# path holds its three series (states, V, norms) and blocks of this.
+# whole horizon beside the stored series: Sigma, the noise's draws and row
+# sums, V and the norms here, the crossings and the time averages in `loops`.
+# So a long path holds its three series (states, V, norms) and blocks of this.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -84,9 +84,12 @@ def max_threads() -> int:
     raw = os.environ.get("NSS_LAB_THREADS", "").strip()
     if raw:
         try:
-            return max(1, int(raw))
+            threads = int(raw)
         except ValueError:
-            raise ValueError(f"NSS_LAB_THREADS must be an integer, got {raw!r}") from None
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"NSS_LAB_THREADS must be a positive integer, got {raw!r}")
+        return threads
     return max(1, os.cpu_count() or 1)
 
 
@@ -193,10 +196,9 @@ def _generators(cfg: SimConfig, lo: int, hi: Optional[int]) -> List[Generator]:
 
 def _scratch_bytes(m: int, steps: int, paths: int) -> int:
     """Bytes that :func:`_noise` holds besides its output when it draws ``steps``
-    steps of ``paths`` paths: one block of one path's draws and one term, and
-    for more than one path the row sums of a group of at most ``_GROUP`` paths."""
-    group = min(_GROUP, paths) if paths > 1 else 0
-    return 8 * (group * m * steps + min(steps, _BLOCK_ROWS) * (m + 1))
+    steps of ``paths`` paths: one block of one path's draws, one term and the
+    row sums of a group of at most ``_GROUP`` paths."""
+    return 8 * (min(_GROUP, paths) * m + m + 1) * min(steps, _BLOCK_ROWS)
 
 
 def _noise(sig_rows: list, gens: List[Generator], dt: float, k0: int, k1: int,
@@ -206,42 +208,39 @@ def _noise(sig_rows: list, gens: List[Generator], dt: float, k0: int, k1: int,
     after step ``k1 - k0``: the next ``k1 - k0`` normal draws of each generator,
     nonzero Sigma entries summed left to right from 0.0.
 
-    Each path's rows of ``s`` are summed right after its draws, path-major, in
-    one buffer for a group of ``_GROUP`` paths, which is then copied into ``s``
-    transposed: ``s`` is written once, a group's span of each step at a time.
-    A lone path's rows of ``s`` are contiguous and take its sums directly.
-    Each path draws in blocks of ``_BLOCK_ROWS`` steps; successive draws
-    continue its stream, so the block length moves no bit.  One block of
-    draws, the buffer and one term are the :func:`_scratch_bytes` that the
-    noise budget counts besides ``s``."""
+    The steps are drawn in blocks of ``_BLOCK_ROWS``.  In each block, each
+    group of at most ``_GROUP`` paths draws the block path by path and sums
+    each path's rows of ``s`` in one buffer, which is then copied into ``s``
+    transposed; a lone path is a group of one.  Successive draws continue each
+    path's stream, so the block length moves no bit.  One block of draws, the
+    buffer and one term are the :func:`_scratch_bytes` that the noise budget
+    counts besides ``s``."""
     m, length = shape[0], k1 - k0
     s = np.zeros(shape)
     per_path = s.reshape(shape[:2] + (len(gens),))
-    group = min(_GROUP, len(gens))
-    sums = (per_path[:, :length].transpose(0, 2, 1) if len(gens) == 1
-            else np.empty((m, group, length)))  # (row, path, step)
-    term = np.empty(min(length, _BLOCK_ROWS))
+    group, rows = min(_GROUP, len(gens)), min(length, _BLOCK_ROWS)
+    sums = np.empty((m, group, rows))  # (row, path, step)
+    term = np.empty(rows)
     root = math.sqrt(dt)
-    for g0 in range(0, len(gens), group):
-        g1 = min(g0 + group, len(gens))
-        for i, gen in enumerate(gens[g0:g1]):
-            for d0 in range(0, length, _BLOCK_ROWS):
-                d1 = min(d0 + _BLOCK_ROWS, length)
+    for d0 in range(0, length, _BLOCK_ROWS):
+        d1 = min(d0 + _BLOCK_ROWS, length)
+        for g0 in range(0, len(gens), group):
+            g1 = min(g0 + group, len(gens))
+            for i, gen in enumerate(gens[g0:g1]):
                 # 0.0 + sqrt(dt) z differs from z sqrt(dt) at most in the sign
                 # of a zero, which the sum from 0.0 drops
                 dw = gen.normal(0.0, root, size=(d1 - d0, m))
                 for j, cols in sig_rows:
                     acc = np.multiply(dw[:, cols[0][0]], cols[0][1][k0 + d0:k0 + d1],
-                                      out=sums[j, i, d0:d1])
+                                      out=sums[j, i, :d1 - d0])
                     for k, col in cols[1:]:
                         acc += np.multiply(dw[:, k], col[k0 + d0:k0 + d1],
                                            out=term[:d1 - d0])
-                del dw  # so that the next block's draws replace these, not join them
-        for j, _ in sig_rows:
-            part = sums[j, :g1 - g0]
-            part += 0.0  # as if summed from 0.0: -0.0 becomes +0.0, nothing else moves
-            if len(gens) > 1:
-                per_path[j, :length, g0:g1] = part.T
+                del dw  # so that the next path's draws replace these, not join them
+            for j, _ in sig_rows:
+                part = sums[j, :g1 - g0, :d1 - d0]
+                part += 0.0  # as if summed from 0.0: -0.0 becomes +0.0, nothing else moves
+                per_path[j, d0:d1, g0:g1] = part.T
     return s
 
 

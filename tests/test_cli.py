@@ -289,6 +289,26 @@ class TestPipeline:
                         assert cell in (0.0, 1.0), (name, line)
         assert (out / "distribution.csv").read_text().splitlines()[1].endswith(",0")
 
+    def test_run_replaces_the_pipelines_files(self, tmp_path):
+        # a run without an ensemble or a trajectory dump, into the directory of
+        # a run with both, leaves its own files and the foreign one alone
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.csv").write_text("kept\n")
+        first = ["sim.dump_trajectory=true", "ensemble.n_paths=1000",
+                 "ensemble.check_times=0.5,1.0"]
+        for sets in (first, []):
+            cfg = load_config(None, FAST_OVERRIDES + sets + [f"output.dir={out}"])
+            report = run_example(cfg)
+            write_report(report, out)
+            if sets:
+                assert {"moment_bound.csv", "trajectory.csv"} <= {p.name for p in out.iterdir()}
+        assert "moment_bound" not in report.tables and report.trajectory is None
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*(f"{t}.csv" for t in report.tables), "notes.csv", "summary.txt",
+             "config_echo.ini"])
+        assert (out / "notes.csv").read_text() == "kept\n"
+
     def test_n_paths_zero_noted(self, tmp_path):
         cfg = load_config(None, FAST_OVERRIDES + [f"output.dir={tmp_path}/o"])
         report = run_example(cfg)
@@ -432,6 +452,8 @@ class TestCommandLine:
          "system.name: unknown built-in system 'warp-drive'"),
         (["ensemble.n_paths=1000", "ensemble.prob_radius=1e-300"], None,
          "ensemble.prob_radius: alpha1(1e-300) = 0.0 is not positive"),
+        (["ensemble.n_paths=1000"], "0", "NSS_LAB_THREADS"),
+        (["ensemble.n_paths=1000"], "-1", "NSS_LAB_THREADS"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):

@@ -292,9 +292,10 @@ class TestReproducibility:
 
     def test_non_integer_thread_cap_named(self, monkeypatch):
         cfg = SimConfig(t_end=0.2, dt=1e-2, seed=6, x0=(0.1,))
-        monkeypatch.setenv("NSS_LAB_THREADS", "two")
-        with pytest.raises(ValueError, match="NSS_LAB_THREADS"):
-            ensemble(make_ou(), cfg, 5)
+        for threads in ("two", "0", "-1"):
+            monkeypatch.setenv("NSS_LAB_THREADS", threads)
+            with pytest.raises(ValueError, match="NSS_LAB_THREADS"):
+                ensemble(make_ou(), cfg, 5)
 
     def test_many_workers_fill_their_own_rows(self, monkeypatch):
         # more workers than cores, switching threads often: every chunk must
@@ -452,19 +453,23 @@ class TestNoise:
             assert got[:, cfg.n_steps:].tobytes() == bytes(8 * 2 * (padded - cfg.n_steps))
 
     @pytest.mark.parametrize("cut", [None, 23])
-    def test_chunk_matches_reference(self, cut):
+    def test_chunk_matches_reference(self, monkeypatch, cut):
         # one whole path group and 3 paths of the next; with a cut, two
-        # time segments that continue every path's stream
+        # time segments that continue every path's stream; in blocks of 1 or
+        # 7 steps, the blocks and the path groups interleave
         spec = _mixed_noise()
         cfg = SimConfig(t_end=3.0, dt=0.05, seed=22, x0=(0.0, 0.0))
         n, paths = cfg.n_steps, sim._GROUP + 3
         sig_rows = sim._sigma_rows(spec, cfg)
-        gens = sim._generators(cfg, 3, 3 + paths)
         bounds = [0, n] if cut is None else [0, cut, n]
-        got = np.concatenate([sim._noise(sig_rows, gens, cfg.dt, k0, k1, (2, k1 - k0, paths))
-                              for k0, k1 in zip(bounds, bounds[1:])], axis=1)
         ref = np.stack([_reference_noise(spec, cfg, 3 + i) for i in range(paths)], axis=-1)
-        assert got.tobytes() == ref.tobytes()
+        for rows in (sim._BLOCK_ROWS, 7, 1):
+            monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+            gens = sim._generators(cfg, 3, 3 + paths)
+            got = np.concatenate([sim._noise(sig_rows, gens, cfg.dt, k0, k1,
+                                             (2, k1 - k0, paths))
+                                  for k0, k1 in zip(bounds, bounds[1:])], axis=1)
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestNoiseBudget:
@@ -493,7 +498,7 @@ class TestNoiseBudget:
                         save_every=4)
         whole = ensemble(spec, cfg, 7)
         solo = [integrate(spec, cfg, i) for i in range(7)]
-        # 30 steps of one path with its draws: 4 segments alone, 25 in a chunk of 7 paths
+        # 30 steps of one path with its draws: 4 segments alone, 15-17 in a chunk of 7
         step = 8 * spec.dim_noise + sim._scratch_bytes(spec.dim_noise, 1, 1)
         monkeypatch.setattr(sim, "_NOISE_BYTES", 30 * step)
         shapes = _spy_noise(monkeypatch)
@@ -544,11 +549,9 @@ class TestNoiseBudget:
                                                                  benchmark_system):
         # one chunk of the ensemble workload's shape at the default budget: while
         # its noise is made, the noise, one path's draws, one term and the row
-        # sums of a path group are all the memory it adds, and they fit the budget
-        cfg = SimConfig(t_end=5.0, dt=1e-3, seed=3, x0=(0.0, 0.0), save_every=500)
-        m, one_path = benchmark_system.dim_noise, _one_path_noise(benchmark_system, cfg)
-        chunk = (sim._NOISE_BYTES - sim._scratch_bytes(m, cfg.n_steps, sim._GROUP)) // one_path
-        assert chunk > sim._GROUP
+        # sums of a path group are all the memory it adds, and they fit the
+        # budget; at 40 s (more than two blocks) the scratch is still one block
+        # long, so the chunk keeps more than one path
         monkeypatch.setenv("NSS_LAB_THREADS", "1")
         real, peaks = sim._noise, []
 
@@ -560,15 +563,23 @@ class TestNoiseBudget:
             return out
 
         monkeypatch.setattr(sim, "_noise", traced)
-        tracemalloc.start()
-        try:
-            ensemble(benchmark_system, cfg, chunk)
-        finally:
-            tracemalloc.stop()
-        [(peak, shape)] = peaks
-        assert shape[-1] == chunk
-        noise = 8 * math.prod(shape)
-        assert noise + sim._scratch_bytes(m, cfg.n_steps, chunk) <= peak <= sim._NOISE_BYTES
+        for t_end, min_chunk in ((5.0, sim._GROUP + 1), (40.0, 2)):
+            cfg = SimConfig(t_end=t_end, dt=1e-3, seed=3, x0=(0.0, 0.0), save_every=500)
+            m, one_path = benchmark_system.dim_noise, _one_path_noise(benchmark_system, cfg)
+            chunk = ((sim._NOISE_BYTES - sim._scratch_bytes(m, cfg.n_steps, sim._GROUP))
+                     // one_path)
+            assert chunk >= min_chunk, t_end
+            peaks.clear()
+            tracemalloc.start()
+            try:
+                ensemble(benchmark_system, cfg, chunk)
+            finally:
+                tracemalloc.stop()
+            [(peak, shape)] = peaks
+            assert shape[-1] == chunk
+            noise = 8 * math.prod(shape)
+            assert (noise + sim._scratch_bytes(m, cfg.n_steps, chunk)
+                    <= peak <= sim._NOISE_BYTES), t_end
 
     @pytest.mark.filterwarnings("error")
     def test_lowest_failing_path_across_chunks(self, monkeypatch):

@@ -41,6 +41,8 @@ RUNS = [
      "grid.r_max=8", "grid.count=7", "grid.spacing=linear", "fractiles.k=0.25,0.5",
      "ensemble.n_paths=1000", "ensemble.check_times=1,2", "ensemble.prob_radius=2.5",
      "stats.confidence=0.95"],
+    # an ensemble of 17,000 steps: each chunk draws two blocks of noise
+    ["sim.t_end=5", "sim.dt=0.002", "ensemble.n_paths=1000", "ensemble.check_times=1,34"],
 ]
 
 
