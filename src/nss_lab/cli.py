@@ -145,7 +145,7 @@ def load_config(path: Optional[str] = None,
     """Read an INI config file and apply ``section.key=value`` overrides."""
     entries = []  # (section, key, raw) in the order they apply
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # values are read literally
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
         entries += [(section, key, raw) for section in parser.sections()
@@ -444,6 +444,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.optimal and args.v0 is not None:
+        raise ValueError("provide --v0 or --optimal, not both")
     if args.optimal:
         v0 = optimal_v0(args.v1, args.c, args.gamma_max)
     elif args.v0 is not None:

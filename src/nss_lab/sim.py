@@ -162,33 +162,6 @@ def _initial_state(spec: SystemSpec, cfg: SimConfig) -> np.ndarray:
     return x0
 
 
-def _sigma_rows(spec: SystemSpec, cfg: SimConfig) -> list:
-    """``(j, [(k, Sigma(t_k)[j, k] for every step k), ...])`` of each row of Sigma
-    with a nonzero entry, listing that row's nonzero entries: evaluated once
-    per integrate or ensemble call and sliced by every chunk and time segment.
-
-    ``sigma_series`` runs on time segments of ``_BLOCK_ROWS`` steps, each
-    written straight into the entries nonzero so far, so the zero entries are
-    never held whole.  An entry is allocated, zero-filled, at its first
-    segment with a nonzero value; a zero that was -0.0 before it adds into
-    the noise as +0.0 does, since :func:`_noise` sums from 0.0."""
-    m, n_steps = spec.dim_noise, cfg.n_steps
-    entries = {}
-    for k0 in range(0, n_steps, _BLOCK_ROWS):
-        k1 = min(k0 + _BLOCK_ROWS, n_steps)
-        sig = spec.sigma_series(np.arange(k0, k1) * cfg.dt)
-        for j in range(m):
-            for k in range(m):
-                if (j, k) not in entries and sig[:, j, k].any():
-                    entries[j, k] = np.zeros(n_steps)
-                if (j, k) in entries:
-                    entries[j, k][k0:k1] = sig[:, j, k]
-    rows = {}
-    for (j, k), col in sorted(entries.items()):
-        rows.setdefault(j, []).append((k, col))
-    return list(rows.items())
-
-
 def _generators(cfg: SimConfig, lo: int, hi: Optional[int]) -> List[Generator]:
     """The Philox generators of paths [lo, hi) (path lo alone if ``hi`` is None)."""
     return [path_generator(cfg.seed, i) for i in range(lo, lo + 1 if hi is None else hi)]
@@ -196,25 +169,28 @@ def _generators(cfg: SimConfig, lo: int, hi: Optional[int]) -> List[Generator]:
 
 def _scratch_bytes(m: int, steps: int, paths: int) -> int:
     """Bytes that :func:`_noise` holds besides its output when it draws ``steps``
-    steps of ``paths`` paths: one block of one path's draws, one term and the
-    row sums of a group of at most ``_GROUP`` paths."""
-    return 8 * (min(_GROUP, paths) * m + m + 1) * min(steps, _BLOCK_ROWS)
+    steps of ``paths`` paths: one block of Sigma, of one path's draws, of one
+    term and of the row sums of a group of at most ``_GROUP`` paths."""
+    return 8 * (min(_GROUP, paths) * m + m * m + m + 1) * min(steps, _BLOCK_ROWS)
 
 
-def _noise(sig_rows: list, gens: List[Generator], dt: float, k0: int, k1: int,
+def _noise(spec: SystemSpec, gens: List[Generator], dt: float, k0: int, k1: int,
            shape: tuple) -> np.ndarray:
     """``s[j, k, i] = (Sigma(t_{k0+k}) dW_{k0+k})_j`` of steps [k0, k1) of the path
     drawn by ``gens[i]``, time-major, of ``shape`` = ``(m, length) + batch``, zero
     after step ``k1 - k0``: the next ``k1 - k0`` normal draws of each generator,
-    nonzero Sigma entries summed left to right from 0.0.
+    Sigma's entries summed left to right from 0.0.
 
-    The steps are drawn in blocks of ``_BLOCK_ROWS``.  In each block, each
-    group of at most ``_GROUP`` paths draws the block path by path and sums
-    each path's rows of ``s`` in one buffer, which is then copied into ``s``
+    The steps are drawn in blocks of ``_BLOCK_ROWS``, and Sigma is evaluated
+    once per block, for every path.  An entry of Sigma that is zero on the
+    whole block adds only zeros, whose sign the sum from 0.0 drops, so only
+    the entries nonzero on the block are read.  In each block, each group of
+    at most ``_GROUP`` paths draws the block path by path and sums each
+    path's rows of ``s`` in one buffer, which is then copied into ``s``
     transposed; a lone path is a group of one.  Successive draws continue each
-    path's stream, so the block length moves no bit.  One block of draws, the
-    buffer and one term are the :func:`_scratch_bytes` that the noise budget
-    counts besides ``s``."""
+    path's stream, so the block length moves no bit.  The block of Sigma, one
+    block of draws, the buffer and one term are the :func:`_scratch_bytes`
+    that the noise budget counts besides ``s``."""
     m, length = shape[0], k1 - k0
     s = np.zeros(shape)
     per_path = s.reshape(shape[:2] + (len(gens),))
@@ -224,28 +200,31 @@ def _noise(sig_rows: list, gens: List[Generator], dt: float, k0: int, k1: int,
     root = math.sqrt(dt)
     for d0 in range(0, length, _BLOCK_ROWS):
         d1 = min(d0 + _BLOCK_ROWS, length)
+        sig = spec.sigma_series(np.arange(k0 + d0, k0 + d1) * dt)
+        # (j, [(k, Sigma[j, k] on the block), ...]) of each row with a nonzero entry
+        entries = [[(k, sig[:, j, k]) for k in range(m) if sig[:, j, k].any()] for j in range(m)]
+        by_row = [(j, cols) for j, cols in enumerate(entries) if cols]
         for g0 in range(0, len(gens), group):
             g1 = min(g0 + group, len(gens))
             for i, gen in enumerate(gens[g0:g1]):
                 # 0.0 + sqrt(dt) z differs from z sqrt(dt) at most in the sign
                 # of a zero, which the sum from 0.0 drops
                 dw = gen.normal(0.0, root, size=(d1 - d0, m))
-                for j, cols in sig_rows:
-                    acc = np.multiply(dw[:, cols[0][0]], cols[0][1][k0 + d0:k0 + d1],
-                                      out=sums[j, i, :d1 - d0])
-                    for k, col in cols[1:]:
-                        acc += np.multiply(dw[:, k], col[k0 + d0:k0 + d1],
-                                           out=term[:d1 - d0])
+                for j, ((k, col), *cols) in by_row:
+                    acc = np.multiply(dw[:, k], col, out=sums[j, i, :d1 - d0])
+                    for k, col in cols:
+                        acc += np.multiply(dw[:, k], col, out=term[:d1 - d0])
                 del dw  # so that the next path's draws replace these, not join them
-            for j, _ in sig_rows:
+            for j, _ in by_row:
                 part = sums[j, :g1 - g0, :d1 - d0]
                 part += 0.0  # as if summed from 0.0: -0.0 becomes +0.0, nothing else moves
                 per_path[j, d0:d1, g0:g1] = part.T
+        del sig, entries, by_row  # so that the next block's Sigma replaces this one, not joins it
     return s
 
 
-def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_rows: Optional[list],
-                    lo: int, hi: Optional[int] = None) -> np.ndarray:
+def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
+                    hi: Optional[int] = None) -> np.ndarray:
     """Saved states of paths [lo, hi) stepped in lock step, shape (hi-lo, K+1, N).
 
     With ``hi=None`` only path ``lo`` is stepped, on a state of shape (N,), and
@@ -253,12 +232,8 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_rows: Optional[list],
     expressions, so path i has the same bits alone as inside any chunk.  The
     noise is drawn in time segments that hold at most ``_NOISE_BYTES`` with
     their draws and scratch; successive draws continue each path's stream, so
-    the segment length moves no bit.  ``sig_rows`` is :func:`_sigma_rows` of
-    ``(spec, cfg)``, or None for the kernel to evaluate it and hold the only
-    reference, so that it is freed before V and the norms are computed.
+    the segment length moves no bit.
     """
-    if sig_rows is None:
-        sig_rows = _sigma_rows(spec, cfg)
     n_steps, dt, m = cfg.n_steps, cfg.dt, spec.dim_noise
     x0 = _initial_state(spec, cfg)
     batch = () if hi is None else (hi - lo,)
@@ -275,7 +250,7 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, sig_rows: Optional[list],
     for k0 in range(0, n_steps, seg):
         k1 = min(k0 + seg, n_steps)
         # (k1 - k0,) + batch + (m,)
-        sdw = np.moveaxis(_noise(sig_rows, gens, dt, k0, k1, (m, k1 - k0) + batch), 0, -1)
+        sdw = np.moveaxis(_noise(spec, gens, dt, k0, k1, (m, k1 - k0) + batch), 0, -1)
         for k in range(k0, k1):
             # np.multiply, unlike `*`, also accepts a drift that returns a list
             x = x + np.multiply(drift(x), dt) + np.einsum(
@@ -344,7 +319,7 @@ def _refill_plan(n_steps: int, span: int, save: int) -> list:
     return plan
 
 
-def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: Optional[list], lo: int,
+def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
                  hi: Optional[int] = None) -> np.ndarray:
     """The contract of :func:`_euler_maruyama`, for a spec that declares ``affine``.
 
@@ -359,11 +334,9 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: Optional[list], lo:
     each offset are one slice of the rows (:func:`_refill_plan`).  The last
     block holds the ``n_steps % block_length`` remaining steps and is never
     composed.  The chunk's noise, with its draws and scratch, fits
-    ``_NOISE_BYTES`` when :func:`ensemble` picks the chunk.  With ``sig_rows``
-    None the Sigma rows are evaluated for the noise alone and freed once it is
-    drawn, so the scan holds only the noise and the states.
-    Only elementwise adds and multiplies in a fixed order are used, so path i
-    has the same bits alone as inside any chunk.
+    ``_NOISE_BYTES`` when :func:`ensemble` picks the chunk.  Only elementwise
+    adds and multiplies in a fixed order are used, so path i has the same
+    bits alone as inside any chunk.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     n, m = spec.dim_state, spec.dim_noise
@@ -374,8 +347,7 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, sig_rows: Optional[list], lo:
     n_blocks = n_full + 1
 
     # the noise, zero-padded to whole blocks
-    s = _noise(_sigma_rows(spec, cfg) if sig_rows is None else sig_rows,
-               _generators(cfg, lo, hi), dt, 0, n_steps,
+    s = _noise(spec, _generators(cfg, lo, hi), dt, 0, n_steps,
                (m, n_blocks * span) + batch).reshape((m, n_blocks, span) + batch)
 
     a, h0, h = spec.affine
@@ -517,7 +489,7 @@ def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajecto
     ``path_index`` of :func:`ensemble`.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # _finalize reports a blow-up
-        states = _kernel(spec)(spec, cfg, None, path_index)
+        states = _kernel(spec)(spec, cfg, path_index)
         lyap, norms = _finalize(spec, cfg, states, path_index)
     return Trajectory(grid_dt=cfg.grid_dt, states=states, lyap=lyap, norms=norms)
 
@@ -529,7 +501,7 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
     regardless of chunking or thread schedule.  Every spec is stepped in
     lock-stepped chunks across a thread pool capped by NSS_LAB_THREADS.  A
     chunk holds at most ``_NOISE_BYTES`` (16 MiB) of noise together with the
-    draws and row sums it is made from, or one path's if that is more: the
+    Sigma, draws and row sums it is made from, or one path's if that is more: the
     affine scan takes as many paths as fit beside one path group's scratch,
     the sequential kernel 1000 paths whose noise it draws in time segments.
     The affine scan refills only the blocks that hold a saved step.  Each
@@ -544,7 +516,6 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
         1, (_NOISE_BYTES - _scratch_bytes(m, n_steps, _GROUP))
         // (8 * m * _padded_length(n_steps))))
     kernel = _kernel(spec)
-    sig_rows = _sigma_rows(spec, cfg)
     n_saved = n_steps // cfg.save_every + 1
     ens = Ensemble(grid_dt=cfg.grid_dt, states=np.empty((n_paths, n_saved, spec.dim_state)),
                    lyap=np.empty((n_paths, n_saved)), norms=np.empty((n_paths, n_saved)))
@@ -552,7 +523,7 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
     def run(lo):
         hi = min(lo + chunk, n_paths)
         with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
-            ens.states[lo:hi] = kernel(spec, cfg, sig_rows, lo, hi)
+            ens.states[lo:hi] = kernel(spec, cfg, lo, hi)
             ens.lyap[lo:hi], ens.norms[lo:hi] = _finalize(spec, cfg, ens.states[lo:hi], lo)
 
     starts = range(0, n_paths, chunk)

@@ -106,7 +106,7 @@ class TestConfig:
             system="custom", x0=(0.5, -0.25), t_end=50.0, dt=0.002, seed=9,
             dump_trajectory=True, v1=1.5, v0=1.2, r_min=1.1, r_max=8.0, r_count=7,
             r_spacing="linear", k_list=(0.25, 0.5), n_paths=1000, check_times=(1.0, 2.0),
-            prob_radius=2.5, confidence=0.95, output_dir=str(tmp_path / "out"))
+            prob_radius=2.5, confidence=0.95, output_dir=str(tmp_path / "out%1"))
         assert all(getattr(every, f.name) != f.default
                    for f in dataclasses.fields(ExperimentConfig))
         for cfg in (ExperimentConfig(t_end=77.0, seed=3, v0=1.25, k_list=(0.2, 0.4)), every):
@@ -376,6 +376,8 @@ class TestCommandLine:
         assert main(["run", "--config", str(tmp_path / "missing.ini")]) == EXIT_ERROR
         assert main(["bounds", "--c", "1", "--gamma-max", "0.5",
                      "--v1", "2"]) == EXIT_ERROR  # neither --v0 nor --optimal
+        assert main(["bounds", "--c", "1", "--gamma-max", "0.5", "--v1", "2",
+                     "--v0", "1.9", "--optimal"]) == EXIT_ERROR  # both
         assert main(["example", "--set=levels.v1=0.1"]) == EXIT_ERROR  # below floor
         assert main(["example", "--set=ensemble.n_paths=10",
                      "--set=ensemble.check_times=2.0005"]) == EXIT_ERROR  # half a step

@@ -447,7 +447,7 @@ class TestNoise:
         assert ref[1, 0] == 0.0 and not np.signbit(ref[1, 0])
         for rows in (sim._BLOCK_ROWS, 1, 7):
             monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
-            got = sim._noise(sim._sigma_rows(spec, cfg), [path_generator(21, 5)], cfg.dt,
+            got = sim._noise(spec, [path_generator(21, 5)], cfg.dt,
                              0, cfg.n_steps, (2, padded))
             assert got[:, :cfg.n_steps].tobytes() == ref.tobytes()
             assert got[:, cfg.n_steps:].tobytes() == bytes(8 * 2 * (padded - cfg.n_steps))
@@ -460,13 +460,12 @@ class TestNoise:
         spec = _mixed_noise()
         cfg = SimConfig(t_end=3.0, dt=0.05, seed=22, x0=(0.0, 0.0))
         n, paths = cfg.n_steps, sim._GROUP + 3
-        sig_rows = sim._sigma_rows(spec, cfg)
         bounds = [0, n] if cut is None else [0, cut, n]
         ref = np.stack([_reference_noise(spec, cfg, 3 + i) for i in range(paths)], axis=-1)
         for rows in (sim._BLOCK_ROWS, 7, 1):
             monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
             gens = sim._generators(cfg, 3, 3 + paths)
-            got = np.concatenate([sim._noise(sig_rows, gens, cfg.dt, k0, k1,
+            got = np.concatenate([sim._noise(spec, gens, cfg.dt, k0, k1,
                                              (2, k1 - k0, paths))
                                   for k0, k1 in zip(bounds, bounds[1:])], axis=1)
             assert got.tobytes() == ref.tobytes()
@@ -498,7 +497,7 @@ class TestNoiseBudget:
                         save_every=4)
         whole = ensemble(spec, cfg, 7)
         solo = [integrate(spec, cfg, i) for i in range(7)]
-        # 30 steps of one path with its draws: 4 segments alone, 15-17 in a chunk of 7
+        # 30 steps of one path with its draws: 4 segments alone, 12-13 in a chunk of 7
         step = 8 * spec.dim_noise + sim._scratch_bytes(spec.dim_noise, 1, 1)
         monkeypatch.setattr(sim, "_NOISE_BYTES", 30 * step)
         shapes = _spy_noise(monkeypatch)
@@ -581,6 +580,22 @@ class TestNoiseBudget:
             assert (noise + sim._scratch_bytes(m, cfg.n_steps, chunk)
                     <= peak <= sim._NOISE_BYTES), t_end
 
+    @pytest.mark.parametrize("t_end", [100.0, 400.0])
+    def test_full_sigma_long_path_peak_is_its_series_and_a_constant(self, t_end):
+        # all four entries of Sigma are nonzero, and Sigma is evaluated one
+        # block at a time where the noise is drawn, so beside the path's
+        # states, V and norms the traced peak is a constant at any horizon
+        spec = _mixed_noise()
+        cfg = SimConfig(t_end=t_end, dt=1e-3, seed=1, x0=(0.0, 0.0))
+        tracemalloc.start()
+        try:
+            integrate(spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = 8 * (cfg.n_steps + 1) * (spec.dim_state + 2)
+        assert peak - stored <= 1 << 20
+
     @pytest.mark.filterwarnings("error")
     def test_lowest_failing_path_across_chunks(self, monkeypatch):
         # x -> (5.55 + s_k) x: whether and when a path overflows depends on its noise
@@ -642,7 +657,7 @@ class TestFailureModes:
         spec = _affine([[4.55]], [[0.0]], [[[1.0]]])
         cfg = SimConfig(t_end=420.0, dt=1.0, seed=2, x0=(1.0,), save_every=2)
         with np.errstate(over="ignore"):
-            assert np.isfinite(sim._affine_scan(spec, cfg, None, 0)).all()
+            assert np.isfinite(sim._affine_scan(spec, cfg, 0)).all()
         with pytest.raises(NonFiniteStateError) as exc:
             integrate(spec, cfg)
         assert (exc.value.path_index, exc.value.step) == (0, 212)
