@@ -90,9 +90,9 @@ class LevelPair:
     gamma_max: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValueError(f"c must be positive, got {self.c!r}")
-        if self.gamma_max < 0.0:
+        if not self.gamma_max >= 0.0:
             raise ValueError(f"gamma_max must be nonnegative, got {self.gamma_max!r}")
         if not (self.floor < self.v0 < self.v1):
             raise ValueError(
@@ -165,9 +165,9 @@ def down_cross_survival_bound(s: float, levels: LevelPair) -> float:
 
 
 def _positive_alpha1(alpha1: Callable[[float], float], r: float) -> float:
-    """``alpha1(r)``, raising a ValueError where it is not positive."""
+    """``alpha1(r)``, raising a ValueError where it is not positive (or NaN)."""
     a = alpha1(r)
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"alpha1({r!r}) = {a!r} is not positive")
     return a
 
@@ -184,8 +184,8 @@ def bound_b(
     Raises
     ------
     ValueError
-        If ``alpha1(r)`` is not positive, which indicates a misuse (radii
-        are positive and alpha1 is a class-K function).
+        If ``alpha1(r)`` is not positive or is NaN, which indicates a misuse
+        (radii are positive and alpha1 is a class-K function).
     """
     a = _positive_alpha1(alpha1, r)
     g = gamma_max / c
@@ -203,7 +203,8 @@ def fractile_q(
     k: float, c: float, gamma_max: float, alpha1_inv: Callable[[float], float]
 ) -> float:
     """The radius within which at least fraction k of time is spent, or its
-    limit ``inf`` where the level ``alpha1(q)`` overflows."""
+    limit ``inf`` where the level ``alpha1(q)`` overflows; a NaN radius from
+    ``alpha1_inv`` raises a ValueError."""
     if not (0.0 < k < 1.0):
         raise ValueError(f"k={k!r} outside (0, 1)")
     g = gamma_max / c
@@ -211,7 +212,12 @@ def fractile_q(
         level = g * math.exp(-(k / (1.0 - k)) * _W_M2)
     except OverflowError:
         return math.inf
-    return math.inf if level == math.inf else alpha1_inv(level)
+    if level == math.inf:
+        return math.inf
+    q = alpha1_inv(level)
+    if math.isnan(q):
+        raise ValueError(f"alpha1_inv({level!r}) = {q!r} is not a radius")
+    return q
 
 
 def occupancy_ratio_bound(levels: LevelPair) -> float:

@@ -310,6 +310,9 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
             _positive_alpha1(spec.lyapunov.alpha1, cfg.prob_radius)
         if not cfg.check_times:
             raise ValueError("ensemble.check_times must list at least one time")
+        if not min(cfg.check_times) > 0.0:
+            raise ValueError(f"ensemble.check_times must be positive, got "
+                             f"{min(cfg.check_times)!r}")
         max_threads()  # a bad NSS_LAB_THREADS fails here, not after the long path
         # save only the coarsest grid that holds every check time
         save_every = math.gcd(*(round(t / cfg.dt) for t in cfg.check_times))

@@ -147,9 +147,9 @@ class SystemSpec:
             for a in arrays:
                 a.setflags(write=False)
             object.__setattr__(self, "affine", arrays)
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValueError(f"c must be positive, got {self.c!r}")
-        if self.gamma_max < 0.0:
+        if not self.gamma_max >= 0.0:
             raise ValueError(f"gamma_max must be nonnegative, got {self.gamma_max!r}")
 
     @property
@@ -202,16 +202,17 @@ class ConditionReport:
     points_checked: int
     max_violation: float
     violating_points: list
-    gamma_max_violation: float = -math.inf
+    gamma_max_violation: float
 
     @property
     def passed(self) -> bool:
         return self.max_violation <= _TOL and self.gamma_max_violation <= _TOL
 
 
-def _generator(spec: SystemSpec, x) -> Callable[[np.ndarray], float]:
+def _generator(spec: SystemSpec, x) -> Callable[[np.ndarray], np.ndarray]:
     """LV at state x as a function of S = Sigma(t), the state terms taken once:
-    ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S)`` (V does not depend on t)."""
+    ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S)`` (V does not depend on t),
+    for one (m, m) matrix S or at each of a (T, m, m) stack."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim_state,):
         raise ValueError(f"state shape {x.shape} != ({spec.dim_state},)")
@@ -226,9 +227,10 @@ def _generator(spec: SystemSpec, x) -> Callable[[np.ndarray], float]:
             f"({spec.dim_state}, {spec.dim_noise})"
         )
     drift_term, hess = spec.lyapunov.grad(x) @ f, spec.lyapunov.hess(x)
-    def lv(sig: np.ndarray) -> float:
+    def lv(sig: np.ndarray) -> np.ndarray:
         hs = h @ sig
-        return float(drift_term + 0.5 * np.trace(hs.T @ hess @ hs))
+        return drift_term + 0.5 * np.trace(np.swapaxes(hs, -1, -2) @ hess @ hs,
+                                           axis1=-2, axis2=-1)
     return lv
 
 
@@ -247,37 +249,33 @@ def check_enss(
 ) -> ConditionReport:
     """Check the exponential dissipation inequality on a state/time sample.
 
-    The residual at each point is ``LV(x, t) + c V(x) - gamma(|Sigma Sigma^T|_F)``;
-    residuals at most ``_TOL`` (1e-9) pass.  The declared ``gamma_max`` is
-    additionally verified against ``gamma`` on ``gamma_times``.
-    Sigma and ``gamma`` are evaluated once per distinct time, and drift,
-    diffusion, V and its derivatives once per state.
+    The residual at each point is ``LV(x, t) + c V(x) - gamma(|Sigma Sigma^T|_F)``,
+    one table of states by times; residuals at most ``_TOL`` (1e-9) pass, and a
+    NaN residual fails.  The declared ``gamma_max`` is additionally verified
+    against ``gamma`` on ``gamma_times``, where a NaN gain fails too.  Sigma
+    and ``gamma`` are evaluated once per time, and drift, diffusion, V and its
+    derivatives once per state.
     """
-    states = [np.asarray(x, dtype=float) for x in states]
-    times = [float(t) for t in times]
-    gamma_times = [float(t) for t in gamma_times]
-    if not states or not times or not gamma_times:
+    states = np.asarray(states, dtype=float)
+    times = np.asarray(times, dtype=float)
+    gamma_times = np.asarray(gamma_times, dtype=float)
+    if not states.size or not times.size or not gamma_times.size:
         raise ValueError("state, time and gamma_times samples must be non-empty")
 
-    sigs = spec.sigma_series(times + gamma_times)
-    gains = [spec.gamma(s) for s in _noise_magnitudes(sigs).tolist()]
-    violating = []
-    max_violation = -math.inf
-    for x in states:
-        lv = _generator(spec, x)
-        cv = spec.c * float(spec.lyapunov.v(x))
-        for t, sig, gain in zip(times, sigs, gains):
-            residual = lv(sig) + cv - gain
-            max_violation = max(max_violation, residual)
-            if residual > _TOL:
-                violating.append((x, t, residual))
-
-    gamma_violation = max(g - spec.gamma_max for g in gains[len(times):])
+    sigs = spec.sigma_series(np.concatenate([times, gamma_times]))
+    gains = np.array([spec.gamma(s) for s in _noise_magnitudes(sigs).tolist()])
+    residuals = np.array([
+        _generator(spec, x)(sigs[:len(times)]) + spec.c * float(spec.lyapunov.v(x))
+        for x in states
+    ]) - gains[:len(times)]
+    # "not at most _TOL", so that a NaN residual violates
+    violating = [(states[i], float(times[j]), float(residuals[i, j]))
+                 for i, j in zip(*np.nonzero(~(residuals <= _TOL)))]
     return ConditionReport(
-        points_checked=len(states) * len(times),
-        max_violation=max_violation,
+        points_checked=residuals.size,
+        max_violation=float(residuals.max()),
         violating_points=violating,
-        gamma_max_violation=gamma_violation,
+        gamma_max_violation=float((gains[len(times):] - spec.gamma_max).max()),
     )
 
 

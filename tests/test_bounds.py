@@ -123,6 +123,14 @@ class TestLevelPair:
         with pytest.raises(ValueError):
             LevelPair(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(c=math.nan, gamma_max=0.5), r"^c must be positive, got nan$"),
+        (dict(c=1.0, gamma_max=math.nan), r"^gamma_max must be nonnegative, got nan$"),
+    ])
+    def test_nan_constant_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LevelPair(v0=1.0, v1=2.0, **kwargs)
+
 
 class TestExpectedCrossTimes:
     LV = LevelPair(v0=1.0, v1=2.0, c=1.0, gamma_max=0.5)
@@ -224,6 +232,11 @@ class TestOccupancyBounds:
         with pytest.raises(ValueError):
             bound_b(1.0, 1.0, 0.5, lambda r: 0.0)
 
+    def test_bound_b_nan_alpha(self):
+        # a NaN alpha1 would give b = NaN, which no D(r) falls below
+        with pytest.raises(ValueError, match=r"^alpha1\(1\.0\) = nan is not positive$"):
+            bound_b(1.0, 1.0, 0.5, lambda r: math.nan)
+
     def test_bound_b_monotone_to_one(self):
         rs = np.geomspace(1.0, 1e150, 400)
         bs = [bound_b(float(r), 1.0, 0.5, ALPHA1) for r in rs]
@@ -247,6 +260,11 @@ class TestOccupancyBounds:
     def test_fractile_limit_where_the_level_overflows(self, k):
         # k/(1-k) |W_{-1}(-e^-2)| exceeds the largest exponent of a float
         assert fractile_q(k, 1.0, 0.5, ALPHA1_INV) == math.inf
+
+    def test_fractile_nan_radius(self):
+        # every point counts as below a NaN threshold, so occupancy would pass
+        with pytest.raises(ValueError, match=r"^alpha1_inv\(.*\) = nan is not a radius$"):
+            fractile_q(0.3, 1.0, 0.5, lambda s: math.nan)
 
     @pytest.mark.parametrize("k", [0.0, 1.0, -0.2, 1.3])
     def test_fractile_domain(self, k):

@@ -456,6 +456,11 @@ class TestCommandLine:
          "ensemble.prob_radius: alpha1(1e-300) = 0.0 is not positive"),
         (["ensemble.n_paths=1000"], "0", "NSS_LAB_THREADS"),
         (["ensemble.n_paths=1000"], "-1", "NSS_LAB_THREADS"),
+        # at t = 0 every path sits at x0: a zero standard error flags one ulp
+        (["ensemble.n_paths=1000", "ensemble.check_times=0,1,5", "system.x0=0.3,0.1"], None,
+         "ensemble.check_times must be positive, got 0.0"),
+        (["ensemble.n_paths=1000", "ensemble.check_times=5,-1"], None,
+         "ensemble.check_times must be positive, got -1.0"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nss_lab.cli import ExperimentConfig, _plan
+from nss_lab.cli import ExperimentConfig, _plan, run_custom
 from nss_lab.model import (
     LyapunovSpec,
     SystemSpec,
@@ -34,6 +34,19 @@ def _example_variant(**overrides):
         fields["drift"], fields["diffusion"] = base.dynamics
     fields.update(overrides)
     return SystemSpec(**fields)
+
+
+def _full_covariance(t):
+    """Sigma(t) with all four entries nonzero at every t, for a time or an array."""
+    t = np.asarray(t, dtype=float)
+    return np.stack([np.stack([np.ones_like(t), 0.5 + 0.25 * np.cos(t)], axis=-1),
+                     np.stack([0.3 + 0.2 * np.sin(t), 1.5 + np.sin(t)], axis=-1)], axis=-2)
+
+
+def _v_nan_at_3(x):
+    """The built-in V, but NaN where |x1| = 3."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x[..., 0]) == 3.0, np.nan, builtin_example().lyapunov.v(x))
 
 
 def _lv(spec, x, t):
@@ -236,7 +249,10 @@ class TestCheckEnss:
 
     @pytest.mark.parametrize("variant", [
         {}, dict(vectorized=False), dict(gamma=lambda s: 0.0, gamma_max=0.0),
-    ], ids=["builtin", "per-time", "zero-gain"])
+        dict(lyapunov=dataclasses.replace(builtin_example().lyapunov,
+                                          grad_v=None, hess_v=None)),
+        dict(affine=builtin_example().affine, covariance=_full_covariance),
+    ], ids=["builtin", "per-time", "zero-gain", "finite-differences", "full-sigma"])
     @pytest.mark.parametrize("sample", ["cli", "tests"])
     def test_equals_pointwise_reference(self, variant, sample):
         spec = _example_variant(**variant)
@@ -255,6 +271,25 @@ class TestCheckEnss:
             assert np.array_equal(x, rx) and t == rt and r == rr
         if "gamma" in variant:
             assert flagged
+
+    @pytest.mark.parametrize("variant", [
+        dict(gamma=lambda s: math.nan if s > 1.3 else 0.5 * math.sqrt(max(s * s - 1.0, 0.0))),
+        dict(lyapunov=dataclasses.replace(builtin_example().lyapunov, v=_v_nan_at_3)),
+    ], ids=["gamma", "v"])
+    def test_nan_residual_fails(self, variant):
+        spec = dataclasses.replace(builtin_example(), **variant)
+        cfg = ExperimentConfig(system="variant", t_end=2.0)
+        states, times, gamma_times = _plan(spec, cfg).premise
+        report = check_enss(spec, states, times, gamma_times=gamma_times)
+        assert not report.passed
+        assert math.isnan(report.max_violation)
+        residuals, _ = self._reference(spec, states, times, gamma_times)
+        want = [(x, t) for x, t, r in residuals if math.isnan(r)]
+        got = [(x, t) for x, t, r in report.violating_points if math.isnan(r)]
+        assert want and len(got) == len(want)
+        for (x, t), (rx, rt) in zip(got, want):
+            assert np.array_equal(x, rx) and t == rt
+        assert run_custom(spec, cfg).verdict == "premises-unverified"
 
     def test_gain_evaluated_once_per_time(self, benchmark_system):
         calls = []
@@ -374,6 +409,27 @@ class TestSpecValidation:
     def test_invalid_constants(self, overrides):
         with pytest.raises(ValueError):
             _example_variant(**overrides)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(c=math.nan), r"^c must be positive, got nan$"),
+        (dict(gamma_max=math.nan), r"^gamma_max must be nonnegative, got nan$"),
+    ])
+    def test_nan_constant_named(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(builtin_example(), **overrides)
+
+    @pytest.mark.parametrize("envelope, message", [
+        (dict(alpha1=lambda r: math.nan if r > 5.0 else 0.5 * r * r),
+         r"^grid\.r_min: alpha1\(5\.0\d*\) = nan is not positive$"),
+        (dict(alpha1_inv=lambda s: math.nan),
+         r"^fractiles\.k: alpha1_inv\(.*\) = nan is not a radius$"),
+    ], ids=["alpha1", "alpha1_inv"])
+    def test_nan_envelope_fails_in_plan(self, envelope, message):
+        base = builtin_example()
+        spec = dataclasses.replace(
+            base, lyapunov=dataclasses.replace(base.lyapunov, **envelope))
+        with pytest.raises(ValueError, match=message):
+            _plan(spec, ExperimentConfig(system="variant", t_end=50.0))
 
     @pytest.mark.parametrize("affine", [
         (np.eye(3), np.zeros((2, 2)), np.zeros((2, 2, 2))),

@@ -1,4 +1,5 @@
-"""Compare the outputs of ``nss-lab example`` between two source trees.
+"""Compare the outputs of ``nss-lab example`` and ``nss-lab bounds`` between
+two source trees.
 
 Usage: python tools/compare_outputs.py OLD_SRC NEW_SRC
        python tools/compare_outputs.py --rev REV NEW_SRC
@@ -23,7 +24,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-# the --set overrides of each run
+# the --set overrides of each ``example`` run
 RUNS = [
     [],
     ["sim.seed=1", "sim.t_end=2000"],
@@ -44,16 +45,20 @@ RUNS = [
     # an ensemble of 17,000 steps: each chunk draws two blocks of noise
     ["sim.t_end=5", "sim.dt=0.002", "ensemble.n_paths=1000", "ensemble.check_times=1,34"],
 ]
+# the command line of each ``bounds`` run
+BOUNDS_RUNS = [
+    ["bounds", "--c", "1", "--gamma-max", "0.5", "--v1", "2", "--optimal"],
+    ["bounds", "--c", "1", "--gamma-max", "0.5", "--v1", "2", "--v0", "1.5"],
+]
 
 
-def _outputs(src: Path, sets: list, tmp: Path) -> dict:
-    """Output name -> bytes (or the exit code) of one run, its directory removed."""
+def _outputs(src: Path, args: list, tmp: Path) -> dict:
+    """Output name -> bytes (or the exit code) of one run of the command line
+    ``args``, its directory ``tmp / "out"`` removed."""
     out = tmp / "out"
-    argv = [sys.executable, "-m", "nss_lab.cli", "example", "--set", f"output.dir={out}"]
-    for s in sets:
-        argv += ["--set", s]
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(argv, cwd=tmp, env=env, capture_output=True)
+    done = subprocess.run([sys.executable, "-m", "nss_lab.cli", *args], cwd=tmp, env=env,
+                          capture_output=True)
     files = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
     shutil.rmtree(out, ignore_errors=True)
     return {"exit code": done.returncode, "stdout": done.stdout, "stderr": done.stderr,
@@ -93,12 +98,16 @@ def main(argv: list) -> int:
             if not (src / "nss_lab" / "__init__.py").is_file():
                 print(f"error: {src} holds no nss_lab package", file=sys.stderr)
                 return 2
-        for sets in RUNS:
-            old, new = (_outputs(src, sets, tmp) for src in srcs)
+        runs = [(["example", "--set", f"output.dir={tmp / 'out'}",
+                  *(arg for s in sets for arg in ("--set", s))], " ".join(sets) or "(defaults)")
+                for sets in RUNS]
+        runs += [(args, " ".join(args)) for args in BOUNDS_RUNS]
+        for args, label in runs:
+            old, new = (_outputs(src, args, tmp) for src in srcs)
             diff = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
             any_diff = any_diff or bool(diff)
             verdict = f"differs: {', '.join(diff)}" if diff else "identical"
-            print(f"{' '.join(sets) or '(defaults)'}: {verdict} "
+            print(f"{label}: {verdict} "
                   f"(exit {old['exit code']}, {len(old) - 3} files)", flush=True)
     return 1 if any_diff else 0
 
