@@ -286,8 +286,11 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
     if spacing is None:
         raise ValueError(f"grid.spacing must be 'log' or 'linear', got {cfg.r_spacing!r}")
     grid = spacing(cfg.r_min, cfg.r_max, cfg.r_count)
-    with _config_key("grid.r_min"):  # alpha1 increases, so r_min is the first to fail
-        b_grid = [bset.b(float(r)) for r in grid]
+    b_grid = []
+    for r in grid.tolist():
+        keys = ["grid.r_min"] if r == cfg.r_min else ["grid.r_min", "grid.r_max", "grid.count"]
+        with _config_key(*keys):
+            b_grid.append(bset.b(r))
     if not cfg.k_list:
         raise ValueError("fractiles.k must list at least one fraction")
     with _config_key("fractiles.k"):

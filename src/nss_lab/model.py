@@ -24,41 +24,39 @@ __all__ = [
     "builtin_example",
 ]
 
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_EPS = float(np.finfo(float).eps)
+# central-difference steps of the gradient and the Hessian, relative to
+# max(1, |x|): the round-off optima of a first and a second difference
+_FD_STEP_GRAD, _FD_STEP_HESS = _EPS ** (1.0 / 3.0), _EPS ** (1.0 / 4.0)
 _TOL = 1e-9  # slack for round-off in residuals that are analytically zero
+_STATE_BLOCK = 256  # states per block, which bounds the (S, T, N, m) products
 
 
-def _fd_value(v: Callable, x: np.ndarray, eps: float, *steps) -> float:
-    """``float(v)`` at a copy of x moved by ``sign * eps`` along axis i for
-    each ``(i, sign)`` of ``steps``."""
-    shifted = x.copy()
-    for i, sign in steps:
-        shifted[i] += sign * eps
-    return float(v(shifted))
-
-
-def _fd_gradient(v: Callable, x: np.ndarray) -> np.ndarray:
-    eps = _FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        up, down = (_fd_value(v, x, eps, (i, sign)) for sign in (1, -1))
-        grad[i] = (up - down) / (2.0 * eps)
-    return grad
-
-
-def _fd_hessian(v: Callable, x: np.ndarray) -> np.ndarray:
-    eps = _FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    n = x.size
-    hess = np.empty((n, n))
-    v0 = float(v(x))
-    for i in range(n):
-        up, down = (_fd_value(v, x, eps, (i, sign)) for sign in (1, -1))
-        hess[i, i] = (up + down - 2.0 * v0) / (eps * eps)
-        for j in range(i + 1, n):
-            pp, pm, mp, mm = (_fd_value(v, x, eps, (i, si), (j, sj))
-                              for si in (1, -1) for sj in (1, -1))
-            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * eps * eps)
-    return hess
+def _fd_derivatives(v: Callable, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V, its gradient and its Hessian on a (S, N) block of states, shapes (S,),
+    (S, N) and (S, N, N), from one call of the batched ``v`` on the whole
+    central-difference stencil: each state, and each state moved along each
+    axis by ``±h1``, along each axis by ``±h2`` and along each pair of axes by
+    ``±h2``, with ``h1 = eps^(1/3) max(1, |x|)`` and ``h2 = eps^(1/4) max(1, |x|)``."""
+    s, n = x.shape
+    scale = np.maximum(1.0, np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]))[:, None]
+    h1, h2 = _FD_STEP_GRAD * scale, _FD_STEP_HESS * scale
+    e, (i, j) = np.eye(n), np.triu_indices(n, 1)
+    axis = np.stack([e, -e], axis=1).reshape(-1, n)  # +e_0, -e_0, +e_1, ...
+    si, sj = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
+    pair = (si * e[i, None] + sj * e[j, None]).reshape(-1, n)  # ++, +-, -+, -- per i < j
+    moves = np.concatenate([np.zeros((1, n)), axis, axis, pair])
+    step = np.where(np.arange(len(moves)) <= 2 * n, h1, h2)[:, :, None]
+    # an axis not moved keeps its bits (x + 0 h would turn -0.0 into 0.0)
+    pts = np.where(moves != 0.0, x[:, None, :] + moves * step, x[:, None, :])
+    vals = v(pts.reshape(-1, n)).reshape(s, -1)
+    v0, up, down = vals[:, 0], vals[:, 1:4 * n + 1:2], vals[:, 2:4 * n + 1:2]
+    grad = (up[:, :n] - down[:, :n]) / (2.0 * h1)
+    hess = np.empty((s, n, n))
+    hess[:, e == 1.0] = (up[:, n:] + down[:, n:] - 2.0 * v0[:, None]) / (h2 * h2)
+    pp, pm, mp, mm = np.moveaxis(vals[:, 4 * n + 1:].reshape(s, -1, 4), -1, 0)
+    hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / (4.0 * h2 * h2)
+    return v0, grad, hess
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,10 @@ class LyapunovSpec:
 
     ``alpha1`` bounds V from below, ``alpha1(|x|) <= V(x)``, and
     ``alpha1_inv`` is its inverse; the bounds need no other envelope.
-    ``grad_v`` / ``hess_v`` are optional; central finite differences are used
-    when they are absent (the function is assumed C^2 but may be black box).
+    ``grad_v`` / ``hess_v`` are optional; central finite differences of
+    ``v`` are used when they are absent (the function is assumed C^2 but may
+    be black box).  Like ``v``, they take a batch of states when the system
+    spec is vectorized, ``(S, N)`` to exactly ``(S, N)`` and ``(S, N, N)``.
     """
 
     v: Callable
@@ -76,18 +76,6 @@ class LyapunovSpec:
     alpha1_inv: Callable[[float], float]
     grad_v: Optional[Callable] = None
     hess_v: Optional[Callable] = None
-
-    def grad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.grad_v is not None:
-            return np.asarray(self.grad_v(x), dtype=float)
-        return _fd_gradient(self.v, x)
-
-    def hess(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.hess_v is not None:
-            return np.asarray(self.hess_v(x), dtype=float)
-        return _fd_hessian(self.v, x)
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
@@ -102,11 +90,12 @@ class SystemSpec:
     reads the system that is simulated.
 
     ``vectorized=True`` declares that ``drift``, ``diffusion`` and the Lyapunov
-    ``v`` accept state batches ``(..., N)`` (returning ``(..., N)``,
-    ``(..., N, m)`` and ``(...)``) and ``covariance`` time arrays; otherwise
-    they are called once per state or time.  The maps of ``affine`` accept
-    batches either way, so for an affine spec the flag governs ``covariance``
-    and ``v``.  Only :meth:`batched` and :meth:`sigma_series` read it.  The
+    ``v``, ``grad_v`` and ``hess_v`` accept state batches ``(..., N)``
+    (returning ``(..., N)``, ``(..., N, m)``, ``(...)``, ``(..., N)`` and
+    ``(..., N, N)``) and ``covariance`` time arrays; otherwise they are called
+    once per state or time.  The maps of ``affine`` accept batches either way,
+    so for an affine spec the flag governs ``covariance`` and the Lyapunov
+    maps.  Only :meth:`batched` and :meth:`sigma_series` read it.  The
     ensemble steps chunks of paths either way, and ``integrate(spec, cfg, i)``
     equals path ``i`` of ``ensemble`` bit for bit.
     """
@@ -209,29 +198,34 @@ class ConditionReport:
         return self.max_violation <= _TOL and self.gamma_max_violation <= _TOL
 
 
-def _generator(spec: SystemSpec, x) -> Callable[[np.ndarray], np.ndarray]:
-    """LV at state x as a function of S = Sigma(t), the state terms taken once:
-    ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S)`` (V does not depend on t),
-    for one (m, m) matrix S or at each of a (T, m, m) stack."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim_state,):
-        raise ValueError(f"state shape {x.shape} != ({spec.dim_state},)")
+def _lv_plus_cv(spec: SystemSpec, x: np.ndarray, sigs: np.ndarray) -> np.ndarray:
+    """``LV + cV`` on a (S, N) block of states at each Sigma of a (T, m, m)
+    stack, shape (S, T): ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S) + c V(x)``
+    (V does not depend on t).  Drift, diffusion, V and its derivatives are each
+    called once on the block through :meth:`SystemSpec.batched`."""
+    s, n, m = len(x), spec.dim_state, spec.dim_noise
+    lyap = spec.lyapunov
+
+    def call(name: str, fn: Callable, arg: np.ndarray, shape: tuple) -> np.ndarray:
+        out = np.asarray(spec.batched(fn)(arg), dtype=float)
+        if out.shape != shape:
+            raise ValueError(f"{name} returned shape {out.shape}, expected {shape}")
+        return out
+
     drift, diffusion = spec.dynamics
-    f = np.asarray(drift(x), dtype=float)
-    if f.shape != x.shape:
-        raise ValueError(f"drift returned shape {f.shape}, expected {x.shape}")
-    h = np.asarray(diffusion(x), dtype=float)
-    if h.shape != (spec.dim_state, spec.dim_noise):
-        raise ValueError(
-            f"diffusion returned shape {h.shape}, expected "
-            f"({spec.dim_state}, {spec.dim_noise})"
-        )
-    drift_term, hess = spec.lyapunov.grad(x) @ f, spec.lyapunov.hess(x)
-    def lv(sig: np.ndarray) -> np.ndarray:
-        hs = h @ sig
-        return drift_term + 0.5 * np.trace(np.swapaxes(hs, -1, -2) @ hess @ hs,
-                                           axis1=-2, axis2=-1)
-    return lv
+    f, h = call("drift", drift, x, (s, n)), call("diffusion", diffusion, x, (s, n, m))
+    if lyap.grad_v is None or lyap.hess_v is None:
+        v, grad, hess = _fd_derivatives(lambda p: call("v", lyap.v, p, (len(p),)), x)
+    else:
+        v = call("v", lyap.v, x, (s,))
+    if lyap.grad_v is not None:
+        grad = call("grad_v", lyap.grad_v, x, (s, n))
+    if lyap.hess_v is not None:
+        hess = call("hess_v", lyap.hess_v, x, (s, n, n))
+    hs = h[:, None] @ sigs
+    lv = (grad[:, None, :] @ f[:, :, None])[:, :, 0] + 0.5 * np.trace(
+        np.swapaxes(hs, -1, -2) @ hess[:, None] @ hs, axis1=-2, axis2=-1)
+    return lv + spec.c * v[:, None]
 
 
 def _noise_magnitudes(sig: np.ndarray) -> np.ndarray:
@@ -254,19 +248,23 @@ def check_enss(
     NaN residual fails.  The declared ``gamma_max`` is additionally verified
     against ``gamma`` on ``gamma_times``, where a NaN gain fails too.  Sigma
     and ``gamma`` are evaluated once per time, and drift, diffusion, V and its
-    derivatives once per state.
+    derivatives once per block of ``_STATE_BLOCK`` states through
+    :meth:`SystemSpec.batched`, so once per state for a spec that is not
+    vectorized.
     """
     states = np.asarray(states, dtype=float)
     times = np.asarray(times, dtype=float)
     gamma_times = np.asarray(gamma_times, dtype=float)
     if not states.size or not times.size or not gamma_times.size:
         raise ValueError("state, time and gamma_times samples must be non-empty")
+    if states.ndim != 2 or states.shape[1] != spec.dim_state:
+        raise ValueError(f"state shape {states.shape} != (S, {spec.dim_state})")
 
     sigs = spec.sigma_series(np.concatenate([times, gamma_times]))
     gains = np.array([spec.gamma(s) for s in _noise_magnitudes(sigs).tolist()])
-    residuals = np.array([
-        _generator(spec, x)(sigs[:len(times)]) + spec.c * float(spec.lyapunov.v(x))
-        for x in states
+    residuals = np.concatenate([
+        _lv_plus_cv(spec, states[k:k + _STATE_BLOCK], sigs[:len(times)])
+        for k in range(0, len(states), _STATE_BLOCK)
     ]) - gains[:len(times)]
     # "not at most _TOL", so that a NaN residual violates
     violating = [(states[i], float(times[j]), float(residuals[i, j]))
@@ -315,7 +313,7 @@ def builtin_example() -> SystemSpec:
         alpha1=lambda r: 0.5 * r * r,
         alpha1_inv=lambda s: math.sqrt(2.0 * s),
         grad_v=lambda x: np.asarray(x, dtype=float).copy(),
-        hess_v=lambda x: np.eye(2),
+        hess_v=lambda x: np.broadcast_to(np.eye(2), np.shape(x) + (2,)),
     )
     # f(x) = A x and h(x) = H0 + x1 H[0] + x2 H[1]
     a = [[-1.0, 1.0], [-1.0, -1.0]]

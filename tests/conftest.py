@@ -15,7 +15,7 @@ def quadratic_lyapunov(dim: int = 1) -> LyapunovSpec:
         alpha1=lambda r: 0.5 * r * r,
         alpha1_inv=lambda s: math.sqrt(2.0 * s),
         grad_v=lambda x: np.asarray(x, dtype=float).copy(),
-        hess_v=lambda x: np.eye(dim),
+        hess_v=lambda x: np.broadcast_to(np.eye(dim), np.shape(x) + (dim,)),
     )
 
 

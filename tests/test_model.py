@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from nss_lab import model
 from nss_lab.cli import ExperimentConfig, _plan, run_custom
 from nss_lab.model import (
     LyapunovSpec,
     SystemSpec,
     _TOL,
-    _generator,
+    _fd_derivatives,
+    _lv_plus_cv,
     _noise_magnitudes,
     builtin_example,
     check_enss,
@@ -50,8 +52,45 @@ def _v_nan_at_3(x):
 
 
 def _lv(spec, x, t):
-    """LV at state x and time t, by the routines that check_enss runs."""
-    return _generator(spec, x)(spec.sigma_series([t])[0])
+    """LV at state x and time t, by the routine that check_enss runs, on one point."""
+    x = np.asarray(x, dtype=float)
+    lv_cv = _lv_plus_cv(spec, x[None], spec.sigma_series([t]))[0, 0]
+    return lv_cv - spec.c * float(spec.lyapunov.v(x))
+
+
+def _pointwise_lv(spec, x, sig):
+    """LV at state x for one (m, m) Sigma, state by state:
+    ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S)``; derivatives that V lacks
+    come from the finite-difference stencil of x alone."""
+    lyap = spec.lyapunov
+    drift, diffusion = spec.dynamics
+    if lyap.grad_v is None:
+        _, grad, hess = (a[0] for a in _fd_derivatives(spec.batched(lyap.v), x[None]))
+    else:
+        grad, hess = lyap.grad_v(x), lyap.hess_v(x)
+    hs = diffusion(x) @ sig
+    return grad @ drift(x) + 0.5 * np.trace(hs.T @ hess @ hs)
+
+
+def _ou(n, c=2.0, derivatives=True):
+    """The n-D OU dx = -x dt + dW with V = |x|^2 / 2 and gamma = n / 2: the
+    premise LV + cV <= gamma holds with equality at c = 2."""
+    lyap = quadratic_lyapunov(n)
+    if not derivatives:
+        lyap = dataclasses.replace(lyap, grad_v=None, hess_v=None)
+    return SystemSpec(
+        dim_state=n, dim_noise=n,
+        drift=lambda x: -np.asarray(x, dtype=float),
+        diffusion=lambda x: np.broadcast_to(np.eye(n), np.shape(x) + (n,)),
+        covariance=lambda t: np.broadcast_to(np.eye(n), np.shape(t) + (n, n)),
+        lyapunov=lyap, c=c, gamma=lambda s: 0.5 * n, gamma_max=0.5 * n, vectorized=True,
+    )
+
+
+def _ou_premise(spec):
+    """The premise sample that a run of ``spec`` checks."""
+    n = spec.dim_state
+    return _plan(spec, ExperimentConfig(system="ou", x0=(0.0,) * n, v1=n)).premise
 
 
 class TestGenerator:
@@ -84,7 +123,7 @@ class TestGenerator:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.uniform(-4.0, 4.0, size=2)
-            grad = spec.lyapunov.grad(x)
+            grad = spec.lyapunov.grad_v(x)
             f = spec.drift(x)
             assert _lv(spec, x, 1.0) == pytest.approx(
                 float(grad @ f), rel=1e-12, abs=1e-12
@@ -92,7 +131,7 @@ class TestGenerator:
 
     def test_shape_validation(self, benchmark_system):
         with pytest.raises(ValueError, match="state shape"):
-            _generator(benchmark_system, (1.0, 2.0, 3.0))
+            check_enss(benchmark_system, [(1.0, 2.0, 3.0)], [0.0], [0.0])
 
     def test_finite_difference_fallback(self, benchmark_system):
         # same Lyapunov function, derivatives left to central differences
@@ -234,13 +273,14 @@ class TestCheckEnss:
 
     @staticmethod
     def _reference(spec, states, times, gamma_times):
-        """check_enss point by point: one generator and one norm per point."""
+        """check_enss point by point: one LV and one norm per point."""
         def gain(t):
             sig = np.asarray(spec.covariance(float(t)), dtype=float)
             return spec.gamma(float(np.linalg.norm(sig @ sig.T, "fro")))
 
         residuals = [
-            (x, float(t), _lv(spec, x, float(t))
+            (x, float(t), _pointwise_lv(spec, np.asarray(x, dtype=float),
+                                        spec.sigma_series([t])[0])
              + spec.c * float(spec.lyapunov.v(x)) - gain(t))
             for x in states for t in times
         ]
@@ -303,29 +343,113 @@ class TestCheckEnss:
         check_enss(spec, states, times, gamma_times=gamma_times)
         assert len(calls) == len(times) + len(gamma_times) == 11 + 10_000
 
-    def test_state_terms_evaluated_once_per_state(self, benchmark_system):
-        calls = dict.fromkeys(("drift", "diffusion", "v", "gamma"), 0)
+    @staticmethod
+    def _state_calls(vectorized, derivatives):
+        """The calls of each state function and of gamma in the premise check
+        of the built-in system at the defaults, with or without grad_v and hess_v."""
+        counts = {}
 
         def counted(name, fn):
+            counts[name] = 0
+
             def wrapper(arg):
-                calls[name] += 1
+                counts[name] += 1
                 return fn(arg)
             return wrapper
 
-        base = benchmark_system
+        base = builtin_example()
         drift, diffusion = base.dynamics
+        lyap = base.lyapunov
         spec = _example_variant(
-            vectorized=False,
+            vectorized=vectorized,
             drift=counted("drift", drift),
             diffusion=counted("diffusion", diffusion),
-            lyapunov=dataclasses.replace(base.lyapunov, v=counted("v", base.lyapunov.v)),
+            lyapunov=dataclasses.replace(
+                lyap, v=counted("v", lyap.v),
+                grad_v=counted("grad_v", lyap.grad_v) if derivatives else None,
+                hess_v=counted("hess_v", lyap.hess_v) if derivatives else None),
             gamma=counted("gamma", base.gamma),
         )
         cfg = ExperimentConfig(system="variant", t_end=2.0)
         states, times, gamma_times = _plan(spec, cfg).premise
         check_enss(spec, states, times, gamma_times=gamma_times)
         assert len(states) == 49
-        assert calls == {"drift": 49, "diffusion": 49, "v": 49, "gamma": 11 + 10_000}
+        return counts
+
+    def test_state_terms_evaluated_once_per_state(self):
+        calls = self._state_calls(vectorized=False, derivatives=True)
+        assert calls == {**dict.fromkeys(calls, 49), "gamma": 11 + 10_000}
+
+    @pytest.mark.parametrize("derivatives, block, calls_each", [(True, None, 1), (False, 7, 7)],
+                             ids=["analytic", "finite-differences"])
+    def test_state_terms_evaluated_once_per_block(self, monkeypatch, derivatives, block,
+                                                  calls_each):
+        # a V without derivatives is called once per block, on the block's stencil
+        if block is not None:
+            monkeypatch.setattr(model, "_STATE_BLOCK", block)
+        calls = self._state_calls(vectorized=True, derivatives=derivatives)
+        assert calls == {**dict.fromkeys(calls, calls_each), "gamma": 11 + 10_000}
+
+    def test_unbatched_hessian_fails_on_a_vectorized_spec(self, benchmark_system):
+        lyap = dataclasses.replace(benchmark_system.lyapunov, hess_v=lambda x: np.eye(2))
+        with pytest.raises(ValueError,
+                           match=r"^hess_v returned shape \(2, 2\), expected \(49, 2, 2\)$"):
+            check_enss(_example_variant(lyapunov=lyap),
+                       *_plan(benchmark_system, ExperimentConfig()).premise)
+
+    @pytest.mark.parametrize("variant", [
+        {}, dict(vectorized=False),
+        dict(lyapunov=dataclasses.replace(builtin_example().lyapunov,
+                                          grad_v=None, hess_v=None)),
+    ], ids=["builtin", "per-state", "finite-differences"])
+    def test_table_independent_of_block_size(self, monkeypatch, variant):
+        # a negative gain flags every point, so the report lists the whole table
+        spec = _example_variant(gamma=lambda s: -100.0, gamma_max=0.0, **variant)
+        states, times, gamma_times = _plan(spec, ExperimentConfig(system="variant")).premise
+        tables = []
+        for block in (model._STATE_BLOCK, 7, 1):
+            monkeypatch.setattr(model, "_STATE_BLOCK", block)
+            report = check_enss(spec, states, times, gamma_times)
+            assert len(report.violating_points) == report.points_checked == 49 * 11
+            tables.append(np.array([r for _, _, r in report.violating_points]).tobytes())
+        assert tables[0] == tables[1] == tables[2]
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # 6561 states of the 8-D OU; without blocks the (S, T, N, m) products
+        # take about 100 MiB
+        import tracemalloc
+
+        spec = _ou(8)
+        states, times, _ = _ou_premise(spec)
+        assert len(states) == 3 ** 8
+        tracemalloc.start()
+        try:
+            report = check_enss(spec, states, times, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 8 * 2 ** 20
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ou_with_black_box_v_passes(self, n):
+        # the premise holds with equality; a Hessian stepped like the gradient
+        # (eps^(1/3)) has about 1e-6 of round-off and flagged half the points
+        spec = _ou(n, derivatives=False)
+        report = check_enss(spec, *_ou_premise(spec))
+        assert report.passed, report.max_violation
+
+    @pytest.mark.parametrize("derivatives", [True, False], ids=["analytic", "finite-differences"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ou_with_raised_c_fails(self, n, derivatives):
+        # at c + 1e-4 the residual is 5e-5 |x|^2: every state but the origin violates
+        spec = _ou(n, c=2.0 + 1e-4, derivatives=derivatives)
+        states, times, gamma_times = _ou_premise(spec)
+        report = check_enss(spec, states, times, gamma_times)
+        assert not report.passed
+        flagged = {tuple(x) for x, _, _ in report.violating_points}
+        assert flagged == {tuple(x) for x in states if np.any(x)}
+        assert len(report.violating_points) == (len(states) - 1) * len(times)
 
 
 class TestBuiltinExample:
@@ -419,11 +543,14 @@ class TestSpecValidation:
             dataclasses.replace(builtin_example(), **overrides)
 
     @pytest.mark.parametrize("envelope, message", [
+        # a radius inside the grid fails: any of the three keys can move it
         (dict(alpha1=lambda r: math.nan if r > 5.0 else 0.5 * r * r),
-         r"^grid\.r_min: alpha1\(5\.0\d*\) = nan is not positive$"),
+         r"^grid\.r_min, grid\.r_max, grid\.count: alpha1\(5\.0\d*\) = nan is not positive$"),
+        (dict(alpha1=lambda r: math.nan if r < 2.0 else 0.5 * r * r),
+         r"^grid\.r_min: alpha1\(1\.05\) = nan is not positive$"),
         (dict(alpha1_inv=lambda s: math.nan),
          r"^fractiles\.k: alpha1_inv\(.*\) = nan is not a radius$"),
-    ], ids=["alpha1", "alpha1_inv"])
+    ], ids=["alpha1", "alpha1-at-r_min", "alpha1_inv"])
     def test_nan_envelope_fails_in_plan(self, envelope, message):
         base = builtin_example()
         spec = dataclasses.replace(
