@@ -70,6 +70,22 @@ EXIT_ERROR = 4
 
 _DEFAULT_SEED = 20240811
 
+# The most bytes that the saved series of one simulation stage (states, V and
+# norms: 8 (N + 2) bytes per saved state of each path) may take.  _plan refuses
+# a long path or an ensemble above it, before anything runs.
+_SERIES_BYTES = 4 << 30
+
+# The pipeline's table CSVs, name -> header, in the order the stages add them.
+# write_report removes those a report lacks, and trajectory.csv if not dumped.
+_TABLES = {
+    "distribution": ("r", "D_empirical", "b_bound", "flag"),
+    "up_cross_survival": ("threshold", "empirical", "bound", "ci_low", "ci_high", "flag"),
+    "down_cross_survival": ("threshold", "empirical", "bound", "ci_low", "ci_high", "flag"),
+    "occupancy": ("k", "q_k", "occupied_fraction", "flag"),
+    "moment_bound": ("t", "mean_V", "bound", "ci_low", "ci_high", "flag"),
+    "probability_bound": ("t", "frequency", "floor", "ci_low", "ci_high", "vacuous", "flag"),
+}
+
 
 def _parse_floats(raw: str) -> Tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
@@ -190,6 +206,10 @@ class ExperimentReport:
     notes: List[str] = field(default_factory=list)
     premises_verified: bool = True
 
+    def add_table(self, name: str, rows) -> None:
+        """Add the rows of the pipeline's table ``name`` under its header."""
+        self.tables[name] = (_TABLES[name], rows)
+
     def add_check(self, name: str, passed: bool, detail: str, skipped: bool = False):
         status = "skip" if skipped else ("pass" if passed else "FLAG")
         self.checks.append((name, status, detail))
@@ -230,8 +250,7 @@ def write_report(report: ExperimentReport, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     written = {*report.tables, *(["trajectory"] if report.trajectory is not None else [])}
-    for name in {"distribution", "up_cross_survival", "down_cross_survival", "occupancy",
-                 "moment_bound", "probability_bound", "trajectory"} - written:
+    for name in {*_TABLES, "trajectory"} - written:
         (out / f"{name}.csv").unlink(missing_ok=True)
     for name, (header, rows) in report.tables.items():
         write_csv(out / f"{name}.csv", header, rows)
@@ -252,6 +271,14 @@ class _Plan:
     sim_cfg: SimConfig  # the long path
     ens_cfg: Optional[SimConfig]  # None when ensemble.n_paths = 0
     premise: tuple  # (states, times, gamma_times) of the dissipation check
+
+
+def _check_series(spec: SystemSpec, sim_cfg: SimConfig, n_paths: int) -> None:
+    """Refuse ``n_paths`` paths of ``sim_cfg`` whose saved series exceed the budget."""
+    size = 8 * (spec.dim_state + 2) * (sim_cfg.n_steps // sim_cfg.save_every + 1) * n_paths
+    if size > _SERIES_BYTES:
+        raise ValueError(f"the saved series (states, V and norms) would take {size} bytes, "
+                         f"above the budget of {_SERIES_BYTES} bytes")
 
 
 def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
@@ -303,6 +330,7 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
         raise ValueError(f"system.x0 must list {spec.dim_state} values, got {len(cfg.x0)}")
     with _config_key("sim.t_end", "sim.dt"):
         sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
+        _check_series(spec, sim_cfg, 1)
     if cfg.n_paths != 0 and cfg.n_paths < MIN_PATHS:
         raise ValueError(f"ensemble.n_paths must be 0 or >= {MIN_PATHS}, got {cfg.n_paths}")
     ens_cfg = None
@@ -324,6 +352,8 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
                                 x0=cfg.x0, save_every=save_every)
             for t in cfg.check_times:
                 _grid_index(ens_cfg.grid_dt, ens_cfg.n_steps // save_every + 1, t)
+        with _config_key("ensemble.n_paths", "ensemble.check_times"):
+            _check_series(spec, ens_cfg, cfg.n_paths)
     out = Path(cfg.output_dir)
     while not out.exists():  # the nearest existing ancestor; write_report makes the rest
         out = out.parent
@@ -369,10 +399,7 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
 
         # stage: time-average distribution vs closed-form bound
         flags = dist < plan.b_grid
-        report.tables["distribution"] = (
-            ["r", "D_empirical", "b_bound", "flag"],
-            np.column_stack([plan.grid, dist, plan.b_grid, flags]),
-        )
+        report.add_table("distribution", np.column_stack([plan.grid, dist, plan.b_grid, flags]))
         report.add_check(
             "time-average-distribution",
             not flags.any(),
@@ -382,9 +409,8 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         # stage: crossing-time bounds
         record = extract_loops(traj, v0=plan.levels.v0, v1=cfg.v1)
         ct = verify_cross_time_bounds(record, plan.levels, confidence=cfg.confidence)
-        header = ["threshold", "empirical", "bound", "ci_low", "ci_high", "flag"]
-        report.tables["up_cross_survival"] = (header, [astuple(r) for r in ct.up_rows])
-        report.tables["down_cross_survival"] = (header, [astuple(r) for r in ct.down_rows])
+        report.add_table("up_cross_survival", [astuple(r) for r in ct.up_rows])
+        report.add_table("down_cross_survival", [astuple(r) for r in ct.down_rows])
         report.add_check(
             "cross-time-bounds", ct.passed,
             f"underpowered: only {record.complete_loops} complete loops" if ct.underpowered
@@ -396,8 +422,7 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
 
         # stage: fractile occupancy
         flags = ~np.greater_equal(occ, cfg.k_list)
-        report.tables["occupancy"] = (["k", "q_k", "occupied_fraction", "flag"],
-                                      np.column_stack([cfg.k_list, plan.q_list, occ, flags]))
+        report.add_table("occupancy", np.column_stack([cfg.k_list, plan.q_list, occ, flags]))
         report.add_check(
             "fractile-occupancy", not flags.any(),
             "; ".join(f"k={k:.4g}: {o:.4g} at q={q:.4g}"
@@ -412,10 +437,7 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     elif report.premises_verified:
         paths = ensemble(spec, plan.ens_cfg, cfg.n_paths)
         mom = verify_moment_bound(paths, spec, cfg.check_times)
-        report.tables["moment_bound"] = (
-            ["t", "mean_V", "bound", "ci_low", "ci_high", "flag"],
-            [astuple(r) for r in mom.rows],
-        )
+        report.add_table("moment_bound", [astuple(r) for r in mom.rows])
         report.add_check(
             "moment-bound", mom.passed,
             f"{len(mom.rows)} times, {sum(r.flag for r in mom.rows)} flags "
@@ -426,11 +448,9 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
                  for t in cfg.check_times]
         report.notes += [f"probability bound vacuous at t={t:g}"
                          for t, pr in zip(cfg.check_times, probs) if pr.vacuous]
-        report.tables["probability_bound"] = (
-            ["t", "frequency", "floor", "ci_low", "ci_high", "vacuous", "flag"],
-            [[t, pr.frequency, pr.floor, pr.ci_low, pr.ci_high, pr.vacuous, pr.flag]
-             for t, pr in zip(cfg.check_times, probs)],
-        )
+        report.add_table("probability_bound", [
+            [t, pr.frequency, pr.floor, pr.ci_low, pr.ci_high, pr.vacuous, pr.flag]
+            for t, pr in zip(cfg.check_times, probs)])
         report.add_check("probability-bound", all(pr.passed for pr in probs),
                          f"radius {cfg.prob_radius:g} at {len(probs)} times")
     return report

@@ -38,11 +38,6 @@ __all__ = [
 # Recorded in output metadata; changing this changes every simulated number.
 RNG_ALGORITHM = "numpy.Philox(SeedSequence(entropy=seed, spawn_key=(path_index,)))"
 
-# The two kernels group the floating-point operations of a step differently,
-# so their bits differ; the one used is recorded next to RNG_ALGORITHM.
-_SEQUENTIAL = "euler-maruyama, sequential steps"
-_AFFINE_SCAN = "euler-maruyama, blocked affine scan (block length isqrt(n_steps))"
-
 # Bytes of noise, with the draws and scratch it is made from, that one chunk
 # holds at a time: the affine scan, which reads its chunk's whole horizon
 # twice, narrows its chunk to this; the sequential kernel draws its noise in
@@ -295,25 +290,18 @@ def _refill_plan(n_steps: int, span: int, save: int) -> list:
     offset jj and the saved indices they fill, as two slices.
 
     Saved index q is step q*save, at offset q*save % span of block
-    q*save // span.  With g = gcd(save, span), the q at offset jj are none
-    unless g divides jj, else every (span/g)-th from the least.  If
-    ``save <= span`` every block holds a saved step and the rows are the
+    q*save // span.  With g = gcd(save, span), the offsets repeat every
+    span/g saved indices, and the first span/g fall on distinct offsets.
+    If ``save <= span`` every block holds a saved step and the rows are the
     blocks, every (save/g)-th; otherwise a block holds at most one and the
     rows are the saved indices."""
     g = math.gcd(save, span)
-    period, last = span // g, n_steps // save
-    inv = pow(save // g, -1, period)  # save/g and span/g are coprime
+    period, last, r_step = span // g, n_steps // save, save // g
     plan = [None] * span
-    for jj in range(0, span, g):
-        q0 = jj // g * inv % period
-        if q0 > last:
-            continue
-        saved = slice(q0, last + 1, period)
-        if save > span:
-            plan[jj] = saved, saved
-        else:
-            r0, r_step = q0 * save // span, save // g
-            plan[jj] = slice(r0, r0 + (last - q0) // period * r_step + 1, r_step), saved
+    for q0 in range(min(period, last + 1)):  # the least saved index at each offset
+        saved, r0 = slice(q0, last + 1, period), q0 * save // span
+        plan[q0 * save % span] = (saved if save > span else slice(
+            r0, r0 + (last - q0) // period * r_step + 1, r_step)), saved
     while plan[-1] is None:  # offset 0 always holds saved index 0
         plan.pop()
     return plan
@@ -330,13 +318,14 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
     carried from block to block; then the states inside the blocks that hold
     a saved step are refilled from their starts, all such blocks at once and
     only up to the furthest saved offset: one row per block if every block
-    holds a saved step, else one row per saved step, whose saved states at
-    each offset are one slice of the rows (:func:`_refill_plan`).  The last
-    block holds the ``n_steps % block_length`` remaining steps and is never
-    composed.  The chunk's noise, with its draws and scratch, fits
-    ``_NOISE_BYTES`` when :func:`ensemble` picks the chunk.  Only elementwise
-    adds and multiplies in a fixed order are used, so path i has the same
-    bits alone as inside any chunk.
+    holds a saved step, else one row per saved step.  With L the block
+    length, the saved steps' offsets repeat every ``L / gcd(save_every, L)``
+    saved indices, so each offset's saved states are one slice of the rows
+    (:func:`_refill_plan`).  The last block holds the ``n_steps % L``
+    remaining steps and is never composed.  The chunk's noise, with its
+    draws and scratch, fits ``_NOISE_BYTES`` when :func:`ensemble` picks the
+    chunk.  Only elementwise adds and multiplies in a fixed order are used,
+    so path i has the same bits alone as inside any chunk.
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     n, m = spec.dim_state, spec.dim_noise
@@ -471,13 +460,21 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
     return lyap.reshape(states.shape[:-1]), norms.reshape(states.shape[:-1])
 
 
+# Whether a spec declares ``affine`` -> its kernel and the name recorded next to
+# RNG_ALGORITHM: the kernels group a step's operations differently, so bits differ.
+_KERNELS = {
+    False: (_euler_maruyama, "euler-maruyama, sequential steps"),
+    True: (_affine_scan, "euler-maruyama, blocked affine scan (block length isqrt(n_steps))"),
+}
+
+
 def _kernel(spec: SystemSpec):
-    return _euler_maruyama if spec.affine is None else _affine_scan
+    return _KERNELS[spec.affine is not None][0]
 
 
 def integrator_name(spec: SystemSpec) -> str:
     """The kernel that steps ``spec``, as recorded in output metadata."""
-    return _SEQUENTIAL if spec.affine is None else _AFFINE_SCAN
+    return _KERNELS[spec.affine is not None][1]
 
 
 def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajectory:

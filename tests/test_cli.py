@@ -461,6 +461,12 @@ class TestCommandLine:
          "ensemble.check_times must be positive, got 0.0"),
         (["ensemble.n_paths=1000", "ensemble.check_times=5,-1"], None,
          "ensemble.check_times must be positive, got -1.0"),
+        # saved series above the budget: 32 GB on the long path, 35 GB on the ensemble
+        (["sim.t_end=100000", "sim.dt=0.0001"], None,
+         "sim.t_end, sim.dt: the saved series (states, V and norms) would take 32000000032 "
+         "bytes"),
+        (["ensemble.n_paths=100000000"], None, "ensemble.n_paths, ensemble.check_times: the "
+         "saved series (states, V and norms) would take 35200000000 bytes"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):
@@ -476,6 +482,27 @@ class TestCommandLine:
         assert calls == []
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_series_budget_counts_the_saved_series(self, monkeypatch):
+        import nss_lab.cli as cli
+
+        # 1e9 steps: 32 GB of series, 8 (N + 2) bytes a saved state
+        with pytest.raises(ValueError, match=r"^sim\.t_end, sim\.dt: the saved series "
+                                             r"\(states, V and norms\) would take 32000000032 "
+                                             r"bytes, above the budget of 4294967296 bytes$"):
+            _plan(builtin_example(), ExperimentConfig(t_end=1e5, dt=1e-4))
+        # the long path saves 5001 states, the ensemble 1000 paths of 11 (every
+        # 0.5 s up to 5 s): each fits a budget of its size and fails one byte below
+        for n_paths, size, key in (
+                (0, 5001 * 32, r"sim\.t_end, sim\.dt"),
+                (1000, 1000 * 11 * 32, r"ensemble\.n_paths, ensemble\.check_times")):
+            cfg = ExperimentConfig(t_end=5.0, n_paths=n_paths)
+            monkeypatch.setattr(cli, "_SERIES_BYTES", size)
+            _plan(builtin_example(), cfg)
+            monkeypatch.setattr(cli, "_SERIES_BYTES", size - 1)
+            with pytest.raises(ValueError, match=rf"^{key}: .* take {size} bytes, above the "
+                                                 rf"budget of {size - 1} bytes$"):
+                _plan(builtin_example(), cfg)
 
     def test_system_name_matches_the_spec(self, monkeypatch):
         # a custom spec echoed as example-2d would rerun the built-in system

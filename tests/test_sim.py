@@ -375,22 +375,31 @@ class TestAffineScan:
                 assert got.states.tobytes() == ref.states[::save].tobytes()
                 assert got.lyap.tobytes() == ref.lyap[::save].tobytes()
 
-    @pytest.mark.parametrize("n_steps", [4900, 5000, 997, 12, 2])
-    def test_refill_plan_fills_every_saved_index_once(self, n_steps):
+    @pytest.mark.parametrize("n_steps, saves", [
+        pytest.param(n_steps, saves, id=str(n_steps)) for n_steps, saves in [
+            *((n, None) for n in (4900, 5000, 997, 12, 2, 70_001)),  # every divisor
+            # the 70 s dump and the 500 s default, blocks of 264 and 707 steps:
+            # thinned by less and by more than a block, gcd(save, block) 1 to 8
+            (70_000, (1, 8, 14, 56, 250, 280, 875, 70_000)),
+            (500_000, (1, 2, 100, 500, 800, 1000, 5000, 500_000)),
+            (2_000_000, (5000,))]])  # a long horizon: 401 saved steps on 1414 offsets
+    def test_refill_plan_fills_every_saved_index_once(self, n_steps, saves):
         span = block_length(n_steps)
-        for save in (d for d in range(1, n_steps + 1) if n_steps % d == 0):
+        steps = np.arange(n_steps + 1)
+        for save in saves or (d for d in range(1, n_steps + 1) if n_steps % d == 0):
+            assert n_steps % save == 0
             plan = sim._refill_plan(n_steps, span, save)
             filled = []
             for jj, fill in enumerate(plan):
                 if fill is None:
                     continue
                 rows, saved = fill
-                q = np.arange(n_steps // save + 1)[saved]
+                q = steps[:n_steps // save + 1][saved]
                 pos = q * save
                 assert (pos % span == jj).all()
                 # a row per block, or per saved index if a block holds at most one
                 row_of = pos // span if save <= span else q
-                assert np.array_equal(np.arange(n_steps + 1)[rows], row_of)
+                assert np.array_equal(steps[rows], row_of)
                 filled.extend(q.tolist())
             assert sorted(filled) == list(range(n_steps // save + 1)), save
             assert plan[-1] is not None
