@@ -275,7 +275,7 @@ class _Plan:
 
 def _check_series(spec: SystemSpec, sim_cfg: SimConfig, n_paths: int) -> None:
     """Refuse ``n_paths`` paths of ``sim_cfg`` whose saved series exceed the budget."""
-    size = 8 * (spec.dim_state + 2) * (sim_cfg.n_steps // sim_cfg.save_every + 1) * n_paths
+    size = 8 * (spec.dim_state + 2) * sim_cfg.n_saved * n_paths
     if size > _SERIES_BYTES:
         raise ValueError(f"the saved series (states, V and norms) would take {size} bytes, "
                          f"above the budget of {_SERIES_BYTES} bytes")
@@ -351,7 +351,7 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
             ens_cfg = SimConfig(t_end=max(cfg.check_times), dt=cfg.dt, seed=cfg.seed,
                                 x0=cfg.x0, save_every=save_every)
             for t in cfg.check_times:
-                _grid_index(ens_cfg.grid_dt, ens_cfg.n_steps // save_every + 1, t)
+                _grid_index(ens_cfg.grid_dt, ens_cfg.n_saved, t)
         with _config_key("ensemble.n_paths", "ensemble.check_times"):
             _check_series(spec, ens_cfg, cfg.n_paths)
     out = Path(cfg.output_dir)

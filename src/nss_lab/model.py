@@ -92,10 +92,12 @@ class SystemSpec:
     ``vectorized=True`` declares that ``drift``, ``diffusion`` and the Lyapunov
     ``v``, ``grad_v`` and ``hess_v`` accept state batches ``(..., N)``
     (returning ``(..., N)``, ``(..., N, m)``, ``(...)``, ``(..., N)`` and
-    ``(..., N, N)``) and ``covariance`` time arrays; otherwise they are called
-    once per state or time.  The maps of ``affine`` accept batches either way,
-    so for an affine spec the flag governs ``covariance`` and the Lyapunov
-    maps.  Only :meth:`batched` and :meth:`sigma_series` read it.  The
+    ``(..., N, N)``) and ``covariance`` an array of K times (returning
+    ``(K, m, m)``); otherwise they are called once per state or time.  A
+    vectorized map that returns another shape raises ValueError; it is not
+    called again per state or time.  The maps of ``affine`` accept batches
+    either way, so for an affine spec the flag governs ``covariance`` and the
+    Lyapunov maps.  Only :meth:`batched` and :meth:`sigma_series` read it.  The
     ensemble steps chunks of paths either way, and ``integrate(spec, cfg, i)``
     equals path ``i`` of ``ensemble`` bit for bit.
     """
@@ -163,14 +165,19 @@ class SystemSpec:
 
     def sigma_series(self, times) -> np.ndarray:
         """Sigma(t) at every time of a 1-D sequence, shape (K, m, m): one
-        ``covariance`` call if the spec is vectorized and that call returns
-        this shape, else one call per time."""
+        ``covariance`` call on the time array if the spec is vectorized, else
+        one call per time.  Any other shape raises ValueError."""
         times = np.asarray(times, dtype=float)
         m = self.dim_noise
         if self.vectorized:
             sig = np.asarray(self.covariance(times), dtype=float)
-            if sig.shape == (len(times), m, m):
-                return sig
+            if sig.shape != (len(times), m, m):
+                raise ValueError(
+                    f"covariance returned shape {sig.shape} for {len(times)} times, expected "
+                    f"{(len(times), m, m)} from a vectorized spec; broadcast a constant S, "
+                    "e.g. np.broadcast_to(S, np.shape(t) + S.shape), or declare "
+                    "vectorized=False")
+            return sig
         out = np.empty((len(times), m, m))
         for k, t in enumerate(times):
             sig = np.asarray(self.covariance(float(t)), dtype=float)

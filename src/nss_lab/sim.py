@@ -92,7 +92,8 @@ def max_threads() -> int:
 class SimConfig:
     """One integration run: horizon, step, seed and initial state.
 
-    The horizon ``t_end`` must be a whole number of steps ``dt``.
+    The horizon ``t_end`` must be finite and a whole number of steps ``dt``,
+    and ``seed`` a nonnegative integer (Python's or numpy's).
     ``save_every`` thins storage to every k-th grid point (the time grid
     stays uniform); it must divide the step count exactly.
     """
@@ -106,6 +107,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.dt <= self.t_end):
             raise ValueError(f"need 0 < dt <= t_end, got dt={self.dt!r}, t_end={self.t_end!r}")
+        if self.t_end == math.inf:
+            raise ValueError(f"t_end must be finite, got {self.t_end!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.save_every < 1:
             raise ValueError(f"save_every must be >= 1, got {self.save_every!r}")
         if abs(self.t_end / self.dt - self.n_steps) > 1e-9:
@@ -120,6 +125,11 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
+
+    @property
+    def n_saved(self) -> int:
+        """Saved states: step 0 and every ``save_every``-th step after it."""
+        return self.n_steps // self.save_every + 1
 
     @property
     def grid_dt(self) -> float:
@@ -240,7 +250,7 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
         drift, diffusion = spec.batched(drift), spec.batched(diffusion)
     save = cfg.save_every
     x = np.tile(x0, batch + (1,))
-    states = np.empty(batch + (n_steps // save + 1, spec.dim_state))
+    states = np.empty(batch + (cfg.n_saved, spec.dim_state))
     states[..., 0, :] = x
     for k0 in range(0, n_steps, seg):
         k1 = min(k0 + seg, n_steps)
@@ -318,11 +328,13 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
     carried from block to block; then the states inside the blocks that hold
     a saved step are refilled from their starts, all such blocks at once and
     only up to the furthest saved offset: one row per block if every block
-    holds a saved step, else one row per saved step.  With L the block
-    length, the saved steps' offsets repeat every ``L / gcd(save_every, L)``
-    saved indices, so each offset's saved states are one slice of the rows
-    (:func:`_refill_plan`).  The last block holds the ``n_steps % L``
-    remaining steps and is never composed.  The chunk's noise, with its
+    holds a saved step, else one row per saved step, chosen once.  With L
+    the block length, the saved steps' offsets repeat every
+    ``L / gcd(save_every, L)`` saved indices, so each offset's saved states
+    are one slice of the rows (:func:`_refill_plan`).  The last block holds
+    the ``n_steps % L`` remaining steps, then zero noise up to
+    :func:`_padded_length`; it is never composed, and its refill row runs on
+    into that padding, where no state is saved.  The chunk's noise, with its
     draws and scratch, fits ``_NOISE_BYTES`` when :func:`ensemble` picks the
     chunk.  Only elementwise adds and multiplies in a fixed order are used,
     so path i has the same bits alone as inside any chunk.
@@ -332,12 +344,11 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
     x0 = _initial_state(spec, cfg)
     batch = () if hi is None else (hi - lo,)
     span = block_length(n_steps)
-    n_full, rem = divmod(n_steps, span)
-    n_blocks = n_full + 1
+    n_full = n_steps // span  # the blocks before the last, partial one
 
     # the noise, zero-padded to whole blocks
     s = _noise(spec, _generators(cfg, lo, hi), dt, 0, n_steps,
-               (m, n_blocks * span) + batch).reshape((m, n_blocks, span) + batch)
+               (m, _padded_length(n_steps)) + batch).reshape((m, n_full + 1, span) + batch)
 
     a, h0, h = spec.affine
     const = (np.eye(n) + a * dt).tolist()
@@ -373,33 +384,27 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
     p_blk, c_blk = pc[:, :, :n], pc[:, :, n]
 
     # carry the block start states
-    starts = np.empty((n_blocks, n) + batch)
+    starts = np.empty((n_full + 1, n) + batch)
     starts[0] = x0.reshape((n,) + (1,) * len(batch))
     for blk in range(n_full):
         starts[blk + 1] = _affine_apply(p_blk[blk], starts[blk], c_blk[blk])
 
-    # refill from the block starts, one row per block or per saved step; the
-    # last row is the last block's
+    # refill from the block starts, one row per block or per saved step, up to
+    # the furthest saved offset; the last block's row runs on into the zero
+    # padding past n_steps, where nothing is saved
     save = cfg.save_every
+    rows = slice(None) if save <= span else np.arange(cfg.n_saved) * save // span
+    x = [starts[rows, r] for r in range(n)]
+    states = np.empty((cfg.n_saved, n) + batch)
     plan = _refill_plan(n_steps, span, save)
-    blocks = (np.arange(n_blocks) if save <= span
-              else np.arange(n_steps // save + 1) * save // span)
-    x = [starts[blocks, r] for r in range(n)]
-    states = np.empty((n_steps // save + 1, n) + batch)
     for jj, fill in enumerate(plan):
         if fill is not None:
-            rows, saved = fill
+            filled, saved = fill
             for r in range(n):
-                states[saved, r] = x[r][rows]
-        if jj == len(plan) - 1:
-            break
-        if jj == rem:  # the last block has only `rem` steps
-            blocks = blocks[:-1]
-            x = [xr[:-1] for xr in x]
-        # blocks 0, 1, ... as a slice: views of the noise, not copies
-        live = slice(len(blocks)) if blocks[-1] < len(blocks) else blocks
-        mat, off = step_map(live, jj)
-        x = _affine_apply(mat, x, off)
+                states[saved, r] = x[r][filled]
+        if jj < len(plan) - 1:
+            mat, off = step_map(rows, jj)
+            x = _affine_apply(mat, x, off)
     return np.moveaxis(states, -1, 0) if batch else states
 
 
@@ -513,9 +518,9 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
         1, (_NOISE_BYTES - _scratch_bytes(m, n_steps, _GROUP))
         // (8 * m * _padded_length(n_steps))))
     kernel = _kernel(spec)
-    n_saved = n_steps // cfg.save_every + 1
-    ens = Ensemble(grid_dt=cfg.grid_dt, states=np.empty((n_paths, n_saved, spec.dim_state)),
-                   lyap=np.empty((n_paths, n_saved)), norms=np.empty((n_paths, n_saved)))
+    shape = (n_paths, cfg.n_saved)
+    ens = Ensemble(grid_dt=cfg.grid_dt, states=np.empty(shape + (spec.dim_state,)),
+                   lyap=np.empty(shape), norms=np.empty(shape))
 
     def run(lo):
         hi = min(lo + chunk, n_paths)

@@ -519,6 +519,27 @@ class TestCommandLine:
             run_custom(builtin_example(), ExperimentConfig(system="ou"))
         assert calls == []
 
+    def test_unbatched_vectorized_covariance_exits_4_before_simulating(
+            self, monkeypatch, tmp_path, capsys):
+        # a vectorized spec whose covariance returns one (m, m) matrix for a
+        # time array fails at the premise check, before any path is stepped
+        import nss_lab.cli as cli
+
+        spec = dataclasses.replace(
+            builtin_example(), covariance=lambda t: np.diag([1.0, np.sin(np.max(t))]))
+        calls = []
+        monkeypatch.setattr(cli, "builtin_example", lambda: spec)
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append("integrate"))
+        monkeypatch.setattr(cli, "ensemble", lambda *a, **k: calls.append("ensemble"))
+        out = tmp_path / "out"
+        assert main(["example", "--set=ensemble.n_paths=1000", f"--set=output.dir={out}"]) \
+            == EXIT_ERROR
+        assert calls == []
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "error: covariance returned shape (2, 2) for 10011 times, expected "
+            "(10011, 2, 2) from a vectorized spec")
+
     def test_all_paths_inside_a_huge_radius_pass(self, tmp_path, capsys):
         # every path lies inside r = 1e8, so the upper Wilson limit is exactly 1
         # and cannot fall below a floor that rounds to 1

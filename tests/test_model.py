@@ -173,11 +173,25 @@ class TestSigmaSeries:
         assert per_time.shape == (50, 2, 2)
         assert np.array_equal(benchmark_system.sigma_series(ts), per_time)
 
-    def test_unbatched_covariance_falls_back(self, benchmark_system):
-        # a time array gets one (m, m) matrix back, so it is asked per time
-        spec = _example_variant(covariance=lambda t: np.diag([1.0, np.sin(np.max(t))]))
-        assert np.array_equal(spec.sigma_series([0.5, 1.5]),
+    def test_unbatched_covariance_is_refused(self, benchmark_system):
+        # a vectorized spec's covariance returns one (m, m) matrix for a time
+        # array: an error that says how to mend it, not one call per time
+        def cov(t):
+            return np.diag([1.0, np.sin(np.max(t))])
+
+        spec = _example_variant(covariance=cov)
+        with pytest.raises(ValueError, match=(
+                r"^covariance returned shape \(2, 2\) for 2 times, expected \(2, 2, 2\) "
+                r"from a vectorized spec; broadcast a constant S, e\.g\. np\.broadcast_to\(S, "
+                r"np\.shape\(t\) \+ S\.shape\), or declare vectorized=False$")):
+            spec.sigma_series([0.5, 1.5])
+        # declared per time, the same covariance is called once per time
+        calls = []
+        slow = _example_variant(covariance=lambda t: calls.append(t) or cov(t),
+                                vectorized=False)
+        assert np.array_equal(slow.sigma_series([0.5, 1.5]),
                               benchmark_system.sigma_series([0.5, 1.5]))
+        assert calls == [0.5, 1.5]
 
     def test_shape_checked(self):
         spec = _example_variant(covariance=lambda t: np.eye(3))

@@ -119,8 +119,7 @@ def _spy_noise(monkeypatch):
 
 def _one_path_noise(spec, cfg):
     """Bytes of one path's noise, padded to the affine scan's whole blocks."""
-    span = block_length(cfg.n_steps)
-    return 8 * spec.dim_noise * (cfg.n_steps // span + 1) * span
+    return 8 * spec.dim_noise * sim._padded_length(cfg.n_steps)
 
 
 def _chunk_budget(spec, cfg, paths):
@@ -153,14 +152,28 @@ class TestConfig:
         assert SimConfig(t_end=1.0, dt=0.1, seed=0, x0=(0.0,)).n_steps == 10
         assert SimConfig(t_end=500.0, dt=1e-3, seed=0, x0=(0.0,)).n_steps == 500_000
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(t_end=1.0, dt=0.0), dict(t_end=1.0, dt=2.0),
-        dict(t_end=1.0, dt=0.1, save_every=0), dict(t_end=1.0, dt=0.1, save_every=3),
-        dict(t_end=1.0, dt=0.3),
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            SimConfig(seed=0, x0=(0.0,), **kwargs)
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(t_end=1.0, dt=0.0), "dt"), (dict(t_end=1.0, dt=2.0), "dt"),
+        (dict(t_end=1.0, dt=0.1, save_every=0), "save_every"),
+        (dict(t_end=1.0, dt=0.1, save_every=3), "save_every"),
+        (dict(t_end=1.0, dt=0.3), "t_end"),
+        (dict(t_end=math.inf, dt=0.1), r"^t_end must be finite, got inf$"),
+        (dict(t_end=1.0, dt=0.1, seed=-1),
+         r"^seed must be a nonnegative integer, got -1$"),
+        (dict(t_end=1.0, dt=0.1, seed=1.5),
+         r"^seed must be a nonnegative integer, got 1\.5$"),
+        (dict(t_end=1.0, dt=0.1, seed="7"),
+         r"^seed must be a nonnegative integer, got '7'$"),
+    ], ids=[f"kwargs{i}" for i in range(9)])
+    def test_invalid(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SimConfig(**{"seed": 0, "x0": (0.0,), **kwargs})
+
+    def test_numpy_integer_seed(self):
+        for seed in (np.int64(3), np.uint32(3)):
+            cfg = SimConfig(t_end=1.0, dt=0.1, seed=seed, x0=(0.0,))
+            assert integrate(make_ou(), cfg).states.tobytes() == integrate(
+                make_ou(), dataclasses.replace(cfg, seed=3)).states.tobytes()
 
 
 class TestDeterministicDynamics:
@@ -404,15 +417,34 @@ class TestAffineScan:
             assert sorted(filled) == list(range(n_steps // save + 1)), save
             assert plan[-1] is not None
 
-    @pytest.mark.parametrize("t_end, last_block", [(0.1, 0), (1.0, 1), (1.4, 2), (3.0, 0)])
-    def test_block_edges(self, t_end, last_block):
+    @pytest.mark.parametrize("t_end, last_block", [(0.1, 0), (1.0, 1), (1.4, 2), (3.0, 0),
+                                                   (11.9, 9), (12.0, 0)])
+    def test_block_edges(self, monkeypatch, t_end, last_block):
+        # blocks of 1, 3, 3, 5, 10 and 10 steps: the last block empty, or one
+        # step short of full, or neither; each run thinned by every divisor of
+        # its step count, so by less than a block and (past one step) by more
         spec = _affine([[-0.5, 2.0], [-2.0, -0.5]], [[0.3, 0.0], [0.0, 0.2]],
                        [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.4, 0.1]]])
         cfg = SimConfig(t_end=t_end, dt=0.1, seed=13, x0=(1.0, -0.5))
-        assert cfg.n_steps % block_length(cfg.n_steps) == last_block
+        span = block_length(cfg.n_steps)
+        assert cfg.n_steps % span == last_block
         got = integrate(spec, cfg).states
         ref = integrate(_sequential(spec), cfg).states
         assert np.max(np.abs(got - ref)) <= 1e-12
+        saves = [d for d in range(1, cfg.n_steps + 1) if cfg.n_steps % d == 0]
+        assert cfg.n_steps == 1 or min(saves) < span < max(saves)
+        for kernel in (spec, _sequential(spec)):
+            full = [integrate(kernel, cfg, i) for i in range(3)]
+            for save in saves:
+                thin = dataclasses.replace(cfg, save_every=save)
+                _set_chunk(monkeypatch, kernel, thin, 2)
+                ens = ensemble(kernel, thin, 3)
+                assert thin.n_saved == ens.lyap.shape[1] == cfg.n_steps // save + 1
+                for i, whole in enumerate(full):
+                    solo = integrate(kernel, thin, i)
+                    assert len(solo.lyap) == thin.n_saved
+                    assert solo.states.tobytes() == whole.states[::save].tobytes()
+                    _assert_paths_equal([solo], [ens[i]])
 
     @pytest.mark.filterwarnings("error")
     def test_blow_up_step_matches_reference(self):
@@ -542,7 +574,7 @@ class TestNoiseBudget:
         budget = 8 * spec.dim_noise * chunk * 100  # time segments of at most 100 steps
         monkeypatch.setattr(sim, "_NOISE_BYTES", budget)
         monkeypatch.setenv("NSS_LAB_THREADS", "1")
-        n_saved = cfg.n_steps // cfg.save_every + 1
+        n_saved = cfg.n_saved
         saved = 8 * n_paths * n_saved * (spec.dim_state + 2)  # states, V and norms
         one_chunk = 8 * chunk * n_saved * spec.dim_state
         tracemalloc.start()
