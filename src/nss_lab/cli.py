@@ -36,7 +36,7 @@ from .loops import (
     verify_moment_bound,
     verify_probability_bound,
 )
-from .model import SystemSpec, builtin_example, check_enss
+from .model import SYSTEMS, SystemSpec, builtin_example, check_enss
 from .sim import (
     RNG_ALGORITHM,
     SimConfig,
@@ -284,12 +284,13 @@ def _check_series(spec: SystemSpec, sim_cfg: SimConfig, n_paths: int) -> None:
 def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
     """Check ``cfg`` against ``spec``, naming the ``section.key`` at fault, and
     derive the plan; it simulates nothing and creates no file."""
-    builtin = spec is builtin_example()
-    if builtin and cfg.system != "example-2d":
-        raise ValueError(f"system.name: unknown built-in system {cfg.system!r}; custom "
-                         "systems are supplied through the library API (run_custom)")
-    if not builtin and cfg.system == "example-2d":
-        raise ValueError("system.name: 'example-2d' names the built-in system, not this spec")
+    # a built-in name runs its own system, and a built-in system runs under its name
+    if cfg.system in SYSTEMS and spec is not SYSTEMS[cfg.system]():
+        raise ValueError(f"system.name: {cfg.system!r} names the built-in system, not this spec")
+    if cfg.system not in SYSTEMS and any(spec is build() for build in SYSTEMS.values()):
+        raise ValueError(f"system.name: unknown built-in system {cfg.system!r}, not one of "
+                         f"{', '.join(SYSTEMS)}; custom systems are supplied through the "
+                         "library API (run_custom)")
     for (section, key), (attr, _, _) in _CONFIG_KEYS.items():
         value = getattr(cfg, attr)
         if any(isinstance(v, float) and not math.isfinite(v)
@@ -371,8 +372,9 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
 def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
     """Run the pipeline on a user-supplied system specification.
 
-    Every check of the config runs in :func:`_plan`, before any stage; its
-    ``system.name`` is ``example-2d`` only for :func:`builtin_example`."""
+    Every check of the config runs in :func:`_plan`, before any stage.  Its
+    ``system.name`` is a key of :data:`~nss_lab.model.SYSTEMS` exactly when
+    ``spec`` is that entry's system, so a custom spec takes another name."""
     plan = _plan(spec, cfg)
     report = ExperimentReport(config_echo=cfg.echo_ini(),
                               integrator=integrator_name(spec))
@@ -457,8 +459,12 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_example(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
-    """Run the full pipeline on the built-in 2-D benchmark system."""
-    return run_custom(builtin_example(), cfg or ExperimentConfig())
+    """Run the full pipeline on the built-in system that ``system.name`` names
+    in :data:`~nss_lab.model.SYSTEMS`: ``example-2d`` (the default; ``system.x0``
+    of 2 values), ``ou-1d`` or ``ou-1d-affine`` (1 value each).  Another name
+    is refused by :func:`_plan`."""
+    cfg = cfg or ExperimentConfig()
+    return run_custom(SYSTEMS.get(cfg.system, builtin_example)(), cfg)
 
 
 def _cmd_run(args) -> int:
@@ -503,7 +509,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("--set", action="append", metavar="section.key=value")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_ex = sub.add_parser("example", help="run the built-in benchmark experiment")
+    p_ex = sub.add_parser("example", help="run a built-in system: system.name is example-2d "
+                          "(x0 of 2 values, the default), ou-1d or ou-1d-affine (x0 of 1)")
     p_ex.add_argument("--set", action="append", metavar="section.key=value")
     p_ex.set_defaults(fn=_cmd_run, config=None)
 

@@ -24,10 +24,8 @@ from nss_lab.cli import (
     write_report,
 )
 from nss_lab.loops import verify_moment_bound
-from nss_lab.model import SystemSpec, builtin_example, check_enss
+from nss_lab.model import SYSTEMS, SystemSpec, _quadratic_lyapunov, builtin_example, check_enss
 from nss_lab.sim import SimConfig, ensemble, integrator_name, write_csv
-
-from conftest import make_ou, quadratic_lyapunov
 
 # small but statistically meaningful settings for fast pipeline runs
 FAST_OVERRIDES = [
@@ -156,9 +154,9 @@ class TestPipeline:
         assert peak - stored <= 1 << 20
 
     def test_custom_ou_pipeline(self, tmp_path):
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         cfg = ExperimentConfig(
-            system="ou", t_end=60.0, dt=1e-3, seed=5, x0=(0.0,), v1=1.0,
+            system="ou-1d", t_end=60.0, dt=1e-3, seed=5, x0=(0.0,), v1=1.0,
             r_min=0.75, r_max=6.0, r_count=20, n_paths=0,
             output_dir=str(tmp_path / "ou"),
         )
@@ -174,7 +172,7 @@ class TestPipeline:
             drift=lambda x: np.asarray(x, dtype=float),
             diffusion=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
             covariance=lambda t: np.zeros(np.shape(t) + (1, 1)),
-            lyapunov=quadratic_lyapunov(1),
+            lyapunov=_quadratic_lyapunov(1),
             c=1.0, gamma=lambda s: 0.0, gamma_max=0.0,
             vectorized=True,
         )
@@ -504,19 +502,26 @@ class TestCommandLine:
                                                  rf"budget of {size - 1} bytes$"):
                 _plan(builtin_example(), cfg)
 
-    def test_system_name_matches_the_spec(self, monkeypatch):
-        # a custom spec echoed as example-2d would rerun the built-in system
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_system_name_matches_the_spec(self, monkeypatch, name):
+        # a spec echoed under a built-in name would rerun that built-in system
         import nss_lab.cli as cli
 
         calls = []
         monkeypatch.setattr(cli, "check_enss", lambda *a, **k: calls.append("check_enss"))
         monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append("integrate"))
-        custom = dataclasses.replace(builtin_example(), c=2.0)
-        with pytest.raises(ValueError, match=r"^system\.name: 'example-2d' names the built-in "
-                                             r"system, not this spec$"):
-            run_custom(custom, ExperimentConfig())
-        with pytest.raises(ValueError, match=r"^system\.name: unknown built-in system 'ou'"):
-            run_custom(builtin_example(), ExperimentConfig(system="ou"))
+        spec = SYSTEMS[name]()
+        x0 = (0.0,) * spec.dim_state
+        _plan(spec, ExperimentConfig(system=name, x0=x0))
+        custom = dataclasses.replace(spec, c=2.0 * spec.c)
+        for other in SYSTEMS:
+            for wrong in ([custom] if other == name else [spec, custom]):
+                with pytest.raises(ValueError, match=rf"^system\.name: '{other}' names the "
+                                                     r"built-in system, not this spec$"):
+                    run_custom(wrong, ExperimentConfig(system=other, x0=x0))
+        with pytest.raises(ValueError, match=r"^system\.name: unknown built-in system 'ou', "
+                                             r"not one of example-2d, ou-1d, ou-1d-affine; "):
+            run_custom(spec, ExperimentConfig(system="ou", x0=x0))
         assert calls == []
 
     def test_unbatched_vectorized_covariance_exits_4_before_simulating(
@@ -528,7 +533,7 @@ class TestCommandLine:
         spec = dataclasses.replace(
             builtin_example(), covariance=lambda t: np.diag([1.0, np.sin(np.max(t))]))
         calls = []
-        monkeypatch.setattr(cli, "builtin_example", lambda: spec)
+        monkeypatch.setitem(cli.SYSTEMS, "example-2d", lambda: spec)
         monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append("integrate"))
         monkeypatch.setattr(cli, "ensemble", lambda *a, **k: calls.append("ensemble"))
         out = tmp_path / "out"
@@ -588,6 +593,21 @@ class TestCommandLine:
         assert done.returncode == EXIT_ERROR
         assert done.stderr == ("error: non-finite state, V or norm first recorded at step "
                                "440 (t=880, path 0); aborting instead of clamping\n")
+
+    @pytest.mark.parametrize("name", ["ou-1d", "ou-1d-affine"])
+    def test_ou_entries_run_by_name(self, tmp_path, name):
+        # the premise holds with equality; each entry records its own kernel
+        out = tmp_path / name
+        assert main(["example", "--set", f"system.name={name}", "--set", "system.x0=0",
+                     "--set", "sim.t_end=50", "--set", f"output.dir={out}"]) == EXIT_OK
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[2] == f"integrator: {integrator_name(SYSTEMS[name]())}"
+        assert summary[5:9] == [
+            "  [pass] dissipation-conditions: max residual 0 over 77 points, gamma margin 0",
+            "  [pass] time-average-distribution: D(r) >= b(r) at 50/50 grid points",
+            "  [skip] cross-time-bounds: underpowered: only 3 complete loops",
+            "  [pass] fractile-occupancy: k=0.3333: 0.944 at q=1.553",
+        ]
 
     def test_unknown_system_rejected(self, tmp_path, capsys):
         args = ["example", "--set=system.name=warp-drive",

@@ -24,10 +24,9 @@ from nss_lab.loops import (
     verify_probability_bound,
     wilson_interval,
 )
+from nss_lab.model import SYSTEMS
 from nss_lab.sim import SimConfig, Trajectory, ensemble, integrate
 from nss_lab.slln import DominatingLaw, inverse_cdf_inf
-
-from conftest import make_ou
 
 
 def _traj_from_lyap(lyap, dt=1.0):
@@ -404,15 +403,14 @@ class TestVerifyCrossTimes:
 
 class TestVerifyMomentBound:
     def test_deterministic_contraction_passes(self):
-        from nss_lab.model import SystemSpec
-        from conftest import quadratic_lyapunov
+        from nss_lab.model import SystemSpec, _quadratic_lyapunov
 
         spec = SystemSpec(
             dim_state=1, dim_noise=1,
             drift=lambda x: -np.asarray(x, dtype=float),
             diffusion=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
             covariance=lambda t: np.zeros(np.shape(t) + (1, 1)),
-            lyapunov=quadratic_lyapunov(1),
+            lyapunov=_quadratic_lyapunov(1),
             c=2.0, gamma=lambda s: 0.0, gamma_max=0.0,
             vectorized=True,
         )
@@ -434,14 +432,14 @@ class TestVerifyMomentBound:
             verify_moment_bound(paths, benchmark_system, [0.1])
 
     def test_off_grid_time_rejected(self):
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         cfg = SimConfig(t_end=1.0, dt=1e-2, seed=2, x0=(0.0,), save_every=10)
         paths = ensemble(spec, cfg, 1000)
         with pytest.raises(ValueError):
             verify_moment_bound(paths, spec, [0.55])
 
     def test_ou_within_envelope(self):
-        spec = make_ou()  # floor = 0.25 in Lyapunov units
+        spec = SYSTEMS["ou-1d"]()  # floor = 0.25 in Lyapunov units
         cfg = SimConfig(t_end=1.0, dt=1e-2, seed=3, x0=(0.0,), save_every=10)
         paths = ensemble(spec, cfg, 2000)
         report = verify_moment_bound(paths, spec, [0.5, 1.0])

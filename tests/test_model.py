@@ -13,12 +13,11 @@ from nss_lab.model import (
     _fd_derivatives,
     _lv_plus_cv,
     _noise_magnitudes,
+    _quadratic_lyapunov,
     builtin_example,
     check_enss,
 )
 from nss_lab.sim import SimConfig, ensemble
-
-from conftest import quadratic_lyapunov
 
 
 def _example_variant(**overrides):
@@ -51,6 +50,15 @@ def _v_nan_at_3(x):
     return np.where(np.abs(x[..., 0]) == 3.0, np.nan, builtin_example().lyapunov.v(x))
 
 
+def _gain(spec, t, ulps=0):
+    """gamma at ``|Sigma(t) Sigma(t)^T|_F``, moved up by ``ulps`` ulps, from one norm."""
+    sig = np.asarray(spec.covariance(float(t)), dtype=float)
+    s = float(np.linalg.norm(sig @ sig.T, "fro"))
+    for _ in range(ulps):
+        s = math.nextafter(s, math.inf)
+    return spec.gamma(s)
+
+
 def _lv(spec, x, t):
     """LV at state x and time t, by the routine that check_enss runs, on one point."""
     x = np.asarray(x, dtype=float)
@@ -75,7 +83,7 @@ def _pointwise_lv(spec, x, sig):
 def _ou(n, c=2.0, derivatives=True):
     """The n-D OU dx = -x dt + dW with V = |x|^2 / 2 and gamma = n / 2: the
     premise LV + cV <= gamma holds with equality at c = 2."""
-    lyap = quadratic_lyapunov(n)
+    lyap = _quadratic_lyapunov(n)
     if not derivatives:
         lyap = dataclasses.replace(lyap, grad_v=None, hess_v=None)
     return SystemSpec(
@@ -245,16 +253,21 @@ class TestCheckEnss:
         assert report.max_violation <= _TOL
         assert report.violating_points == []
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "gamma(s) = sqrt(s^2 - 1) / 2 is read at s = sqrt(1 + sin^4 t), which "
-        "rounds to 1 once sin^4 t is near eps; one ulp above 1, gamma is already "
-        "1.05e-8, so at x1 = 0, where LV + cV equals gamma exactly, the residual "
-        "exceeds _TOL (1e-9)"))
     @pytest.mark.parametrize("t_end", [0.001, 0.002, 3.1417])
     def test_zeros_of_sin_do_not_flag_the_builtin(self, benchmark_system, t_end):
+        # gamma(s) = sqrt(s^2 - 1) / 2 is read at s = sqrt(1 + sin^4 t), which
+        # rounds to 1 near the zeros of sin t; two ulps above 1, gamma is already
+        # 1.49e-8.  At x1 = 0, where LV + cV equals gamma exactly, the residuals
+        # (up to 5.76e-9) are the gain's round-off, and pass within that slack.
         cfg = ExperimentConfig(t_end=t_end, dt=1e-4)
-        report = check_enss(benchmark_system, *_plan(benchmark_system, cfg).premise)
+        premise = _plan(benchmark_system, cfg).premise
+        report = check_enss(benchmark_system, *premise)
         assert report.passed, report.max_violation
+        assert _TOL < report.max_violation < 1e-8
+        # c + 1e-4 adds 1e-4 V: 4.5e-4 at x = (0, 3), far above the slack
+        raised = check_enss(dataclasses.replace(benchmark_system, c=1.0 + 1e-4), *premise)
+        assert not raised.passed
+        assert raised.max_violation == pytest.approx(4.5e-4, rel=1e-4)
 
     def test_anti_stable_reported(self):
         spec = SystemSpec(
@@ -263,7 +276,7 @@ class TestCheckEnss:
             drift=lambda x: np.asarray(x, dtype=float),
             diffusion=lambda x: np.zeros((1, 1)),
             covariance=lambda t: np.zeros((1, 1)),
-            lyapunov=quadratic_lyapunov(1),
+            lyapunov=_quadratic_lyapunov(1),
             c=1.0,
             gamma=lambda s: 0.0,
             gamma_max=0.0,
@@ -299,17 +312,13 @@ class TestCheckEnss:
     @staticmethod
     def _reference(spec, states, times, gamma_times):
         """check_enss point by point: one LV and one norm per point."""
-        def gain(t):
-            sig = np.asarray(spec.covariance(float(t)), dtype=float)
-            return spec.gamma(float(np.linalg.norm(sig @ sig.T, "fro")))
-
         residuals = [
             (x, float(t), _pointwise_lv(spec, np.asarray(x, dtype=float),
                                         spec.sigma_series([t])[0])
-             + spec.c * float(spec.lyapunov.v(x)) - gain(t))
+             + spec.c * float(spec.lyapunov.v(x)) - _gain(spec, t))
             for x in states for t in times
         ]
-        gamma_violation = max(gain(t) - spec.gamma_max for t in gamma_times)
+        gamma_violation = max(_gain(spec, t) - spec.gamma_max for t in gamma_times)
         return residuals, gamma_violation
 
     @pytest.mark.parametrize("variant", [
@@ -330,7 +339,8 @@ class TestCheckEnss:
         residuals, gamma_violation = self._reference(spec, states, times, gamma_times)
         assert report.max_violation == max(r for _, _, r in residuals)
         assert report.gamma_max_violation == gamma_violation
-        flagged = [(x, t, r) for x, t, r in residuals if r > _TOL]
+        flagged = [(x, t, r) for x, t, r in residuals
+                   if r > _TOL + abs(_gain(spec, t, ulps=2) - _gain(spec, t))]
         assert len(report.violating_points) == len(flagged)
         for (x, t, r), (rx, rt, rr) in zip(report.violating_points, flagged):
             assert np.array_equal(x, rx) and t == rt and r == rr
@@ -366,7 +376,11 @@ class TestCheckEnss:
         spec = _example_variant(gamma=gamma)
         states, times, gamma_times = _plan(spec, ExperimentConfig(system="variant")).premise
         check_enss(spec, states, times, gamma_times=gamma_times)
-        assert len(calls) == len(times) + len(gamma_times) == 11 + 10_000
+        assert len(calls) == 2 * len(times) + len(gamma_times) == 2 * 11 + 10_000
+        # the second call at each premise time reads the gain two ulps above s
+        two_ulps = [math.nextafter(math.nextafter(s, math.inf), math.inf)
+                    for s in calls[:len(times)]]
+        assert calls[-len(times):] == two_ulps
 
     @staticmethod
     def _state_calls(vectorized, derivatives):
@@ -403,7 +417,7 @@ class TestCheckEnss:
 
     def test_state_terms_evaluated_once_per_state(self):
         calls = self._state_calls(vectorized=False, derivatives=True)
-        assert calls == {**dict.fromkeys(calls, 49), "gamma": 11 + 10_000}
+        assert calls == {**dict.fromkeys(calls, 49), "gamma": 2 * 11 + 10_000}
 
     @pytest.mark.parametrize("derivatives, block, calls_each", [(True, None, 1), (False, 7, 7)],
                              ids=["analytic", "finite-differences"])
@@ -413,7 +427,7 @@ class TestCheckEnss:
         if block is not None:
             monkeypatch.setattr(model, "_STATE_BLOCK", block)
         calls = self._state_calls(vectorized=True, derivatives=derivatives)
-        assert calls == {**dict.fromkeys(calls, calls_each), "gamma": 11 + 10_000}
+        assert calls == {**dict.fromkeys(calls, calls_each), "gamma": 2 * 11 + 10_000}
 
     def test_unbatched_hessian_fails_on_a_vectorized_spec(self, benchmark_system):
         lyap = dataclasses.replace(benchmark_system.lyapunov, hess_v=lambda x: np.eye(2))

@@ -9,7 +9,7 @@ from scipy import stats as sps
 
 import nss_lab.sim as sim
 from nss_lab.loops import extract_loops
-from nss_lab.model import SystemSpec
+from nss_lab.model import SYSTEMS, SystemSpec, _quadratic_lyapunov
 from nss_lab.sim import (
     NonFiniteStateError,
     SimConfig,
@@ -23,8 +23,6 @@ from nss_lab.sim import (
     _finalize,
 )
 
-from conftest import make_ou, quadratic_lyapunov
-
 
 def _deterministic(drift, dim=1):
     return SystemSpec(
@@ -33,7 +31,7 @@ def _deterministic(drift, dim=1):
         drift=drift,
         diffusion=lambda x: np.zeros((dim, 1)),
         covariance=lambda t: np.zeros((1, 1)),
-        lyapunov=quadratic_lyapunov(dim),
+        lyapunov=_quadratic_lyapunov(dim),
         c=1.0,
         gamma=lambda s: 0.0,
         gamma_max=0.0,
@@ -47,18 +45,13 @@ def _affine(a, h0, h):
         dim_state=n,
         dim_noise=m,
         covariance=lambda t: np.ones(np.shape(t) + (m, m)) * np.eye(m),
-        lyapunov=quadratic_lyapunov(n),
+        lyapunov=_quadratic_lyapunov(n),
         c=1.0,
         gamma=lambda s: 0.0,
         gamma_max=0.0,
         vectorized=True,
         affine=(a, h0, h),
     )
-
-
-def _affine_ou():
-    """dx = -x dt + dW, declared affine, so it runs the affine scan."""
-    return _affine([[-1.0]], [[1.0]], np.zeros((1, 1, 1)))
 
 
 def _sequential(spec):
@@ -172,8 +165,8 @@ class TestConfig:
     def test_numpy_integer_seed(self):
         for seed in (np.int64(3), np.uint32(3)):
             cfg = SimConfig(t_end=1.0, dt=0.1, seed=seed, x0=(0.0,))
-            assert integrate(make_ou(), cfg).states.tobytes() == integrate(
-                make_ou(), dataclasses.replace(cfg, seed=3)).states.tobytes()
+            assert integrate(SYSTEMS["ou-1d"](), cfg).states.tobytes() == integrate(
+                SYSTEMS["ou-1d"](), dataclasses.replace(cfg, seed=3)).states.tobytes()
 
 
 class TestDeterministicDynamics:
@@ -211,7 +204,7 @@ class TestDeterministicDynamics:
 class TestOuOracles:
     def test_ensemble_variance(self):
         # stationary approach: Var x(t) = (1 - e^{-2t}) / 2
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         cfg = SimConfig(t_end=5.0, dt=1e-2, seed=42, x0=(0.0,), save_every=100)
         paths = ensemble(spec, cfg, 10_000)
         finals = np.array([p.states[-1, 0] for p in paths])
@@ -221,7 +214,7 @@ class TestOuOracles:
         assert abs(var - target) <= 3.0 * se + 1e-2  # O(dt) Euler bias allowance
 
     def test_ensemble_mean(self):
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         cfg = SimConfig(t_end=1.0, dt=1e-2, seed=43, x0=(1.0,), save_every=10)
         paths = ensemble(spec, cfg, 10_000)
         finals = np.array([p.states[-1, 0] for p in paths])
@@ -232,7 +225,7 @@ class TestOuOracles:
 
     def test_weak_error_shrinks_with_dt(self):
         # deterministic mean error dominates for large x0
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         errs = []
         for dt in (0.1, 0.05):
             cfg = SimConfig(t_end=1.0, dt=dt, seed=44, x0=(10.0,))
@@ -244,7 +237,7 @@ class TestOuOracles:
 
 class TestReproducibility:
     def test_repeat_integrate_identical(self):
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         cfg = SimConfig(t_end=1.0, dt=1e-3, seed=5, x0=(0.0,))
         a = integrate(spec, cfg)
         b = integrate(spec, cfg)
@@ -252,7 +245,7 @@ class TestReproducibility:
         assert np.array_equal(a.lyap, b.lyap)
 
     def test_substreams_differ(self):
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         cfg = SimConfig(t_end=1.0, dt=1e-2, seed=5, x0=(0.0,))
         paths = ensemble(spec, cfg, 2)
         assert not np.array_equal(paths[0].states, paths[1].states)
@@ -267,8 +260,9 @@ class TestReproducibility:
     ])
     def test_ensemble_matches_per_path_integrate(self, monkeypatch, system, chunk_size,
                                                  benchmark_system):
-        spec = {"ou": make_ou(), "builtin": benchmark_system, "affine-ou": _affine_ou(),
-                "ou-per-state": dataclasses.replace(make_ou(), vectorized=False)}[system]
+        spec = {"ou": SYSTEMS["ou-1d"](), "builtin": benchmark_system,
+                "affine-ou": SYSTEMS["ou-1d-affine"](),
+                "ou-per-state": dataclasses.replace(SYSTEMS["ou-1d"](), vectorized=False)}[system]
         cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state)
         _set_chunk(monkeypatch, spec, cfg, chunk_size)
         shapes = _spy_noise(monkeypatch)
@@ -277,7 +271,7 @@ class TestReproducibility:
         _assert_paths_equal(paths, [integrate(spec, cfg, path_index=i) for i in range(7)])
 
     def test_chunking_irrelevant(self, monkeypatch):
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,))
         _set_chunk(monkeypatch, spec, cfg, 10)
         a = ensemble(spec, cfg, 10)
@@ -296,11 +290,11 @@ class TestReproducibility:
         # the affine scan, at chunk sizes 1, 3 and 7
         ou_cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,))
         for chunk_size in (1, 3, 7):
-            _set_chunk(monkeypatch, _affine_ou(), ou_cfg, chunk_size)
+            _set_chunk(monkeypatch, SYSTEMS["ou-1d-affine"](), ou_cfg, chunk_size)
             monkeypatch.setenv("NSS_LAB_THREADS", "1")
-            a = ensemble(_affine_ou(), ou_cfg, 7)
+            a = ensemble(SYSTEMS["ou-1d-affine"](), ou_cfg, 7)
             monkeypatch.setenv("NSS_LAB_THREADS", "4")
-            b = ensemble(_affine_ou(), ou_cfg, 7)
+            b = ensemble(SYSTEMS["ou-1d-affine"](), ou_cfg, 7)
             _assert_paths_equal(a, b)
 
     def test_non_integer_thread_cap_named(self, monkeypatch):
@@ -308,12 +302,12 @@ class TestReproducibility:
         for threads in ("two", "0", "-1"):
             monkeypatch.setenv("NSS_LAB_THREADS", threads)
             with pytest.raises(ValueError, match="NSS_LAB_THREADS"):
-                ensemble(make_ou(), cfg, 5)
+                ensemble(SYSTEMS["ou-1d"](), cfg, 5)
 
     def test_many_workers_fill_their_own_rows(self, monkeypatch):
         # more workers than cores, switching threads often: every chunk must
         # land in its own rows of the shared states, V and norm arrays
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         cfg = SimConfig(t_end=0.2, dt=1e-2, seed=9, x0=(0.2,))
         solo = [integrate(spec, cfg, i) for i in range(40)]
         _set_chunk(monkeypatch, spec, cfg, 1)
@@ -327,7 +321,7 @@ class TestReproducibility:
         _assert_paths_equal(paths, solo)
 
     def test_nonvectorized_matches_vectorized(self):
-        base = make_ou()
+        base = SYSTEMS["ou-1d"]()
         slow = SystemSpec(
             dim_state=1, dim_noise=1, drift=base.drift, diffusion=base.diffusion,
             covariance=base.covariance, lyapunov=base.lyapunov, c=base.c,
@@ -519,7 +513,8 @@ class TestNoiseBudget:
     @pytest.mark.parametrize("system", ["affine-ou", "builtin", "builtin-sequential", "ou"])
     def test_noise_buffer_within_budget(self, monkeypatch, benchmark_system,
                                         system, paths_in_budget):
-        spec = {"affine-ou": _affine_ou(), "builtin": benchmark_system, "ou": make_ou(),
+        spec = {"affine-ou": SYSTEMS["ou-1d-affine"](), "builtin": benchmark_system,
+                "ou": SYSTEMS["ou-1d"](),
                 "builtin-sequential": _sequential(benchmark_system)}[system]
         cfg = SimConfig(t_end=1.0, dt=1e-2, seed=4, x0=(0.2,) * spec.dim_state)
         one_path = _one_path_noise(spec, cfg)
@@ -532,7 +527,8 @@ class TestNoiseBudget:
 
     @pytest.mark.parametrize("system", ["ou", "ou-per-state", "builtin-sequential"])
     def test_time_segments_move_no_bit(self, monkeypatch, benchmark_system, system):
-        spec = {"ou": make_ou(), "ou-per-state": dataclasses.replace(make_ou(), vectorized=False),
+        spec = {"ou": SYSTEMS["ou-1d"](),
+                "ou-per-state": dataclasses.replace(SYSTEMS["ou-1d"](), vectorized=False),
                 "builtin-sequential": _sequential(benchmark_system)}[system]
         cfg = SimConfig(t_end=1.0, dt=1e-2, seed=5, x0=(0.3,) * spec.dim_state,
                         save_every=4)
@@ -553,7 +549,7 @@ class TestNoiseBudget:
 
     @pytest.mark.parametrize("system", ["affine-ou", "builtin"])
     def test_default_chunk_matches_integrate(self, monkeypatch, benchmark_system, system):
-        spec = {"affine-ou": _affine_ou(), "builtin": benchmark_system}[system]
+        spec = {"affine-ou": SYSTEMS["ou-1d-affine"](), "builtin": benchmark_system}[system]
         cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state)
         monkeypatch.setattr(sim, "_NOISE_BYTES", _chunk_budget(spec, cfg, 3))
         shapes = _spy_noise(monkeypatch)
@@ -704,7 +700,7 @@ class TestFailureModes:
         assert (exc.value.path_index, exc.value.step) == (0, 212)
 
     def test_lowest_failing_path_named(self, monkeypatch):
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         cfg = SimConfig(t_end=0.3, dt=0.1, seed=1, x0=(0.0,), save_every=1)
         states = np.zeros((5, 4, 1))
         states[4, 1, 0] = np.nan
@@ -720,7 +716,7 @@ class TestFailureModes:
                 assert exc.value.t == 2 * cfg.grid_dt == pytest.approx(0.2)
 
     def test_x0_shape_checked(self):
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         with pytest.raises(ValueError):
             integrate(spec, SimConfig(t_end=1.0, dt=0.1, seed=1, x0=(1.0, 2.0)))
 
@@ -746,7 +742,7 @@ class TestFinalize:
 
 class TestCsvDump:
     def test_round_trip(self, tmp_path):
-        spec = make_ou()
+        spec = SYSTEMS["ou-1d"]()
         traj = integrate(spec, SimConfig(t_end=0.1, dt=1e-2, seed=9, x0=(1.0,)))
         out = tmp_path / "traj.csv"
         trajectory_to_csv(traj, out)

@@ -44,6 +44,11 @@ RUNS = [
      "stats.confidence=0.95"],
     # an ensemble of 17,000 steps: each chunk draws two blocks of noise
     ["sim.t_end=5", "sim.dt=0.002", "ensemble.n_paths=1000", "ensemble.check_times=1,34"],
+    # the OU by name: its sequential and its affine kernel
+    ["system.name=ou-1d", "system.x0=0", "sim.t_end=50"],
+    ["system.name=ou-1d-affine", "system.x0=0", "sim.t_end=50"],
+    # sin t near its zeros: the gain's round-off must not flag the premise
+    ["sim.dt=0.0001", "sim.t_end=3.1417"],
 ]
 # the command line of each ``bounds`` run
 BOUNDS_RUNS = [
