@@ -158,7 +158,10 @@ _CONFIG_KEYS = {f.metadata["key"]: (f.name, *f.metadata["io"])
 
 def load_config(path: Optional[str] = None,
                 overrides: Sequence[str] = ()) -> ExperimentConfig:
-    """Read an INI config file and apply ``section.key=value`` overrides."""
+    """Read an INI config file and apply ``section.key=value`` overrides.
+
+    Without ``system.x0``, a built-in ``system.name`` starts at the origin of
+    its system."""
     entries = []  # (section, key, raw) in the order they apply
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)  # values are read literally
@@ -181,6 +184,8 @@ def load_config(path: Optional[str] = None,
             updates[attr] = parse(raw)
         except ValueError as exc:
             raise ValueError(f"[{section}] {key} = {raw!r}: {exc}") from None
+    if "x0" not in updates and updates.get("system") in SYSTEMS:
+        updates["x0"] = (0.0,) * SYSTEMS[updates["system"]]().dim_state  # its origin
     return replace(ExperimentConfig(), **updates)
 
 
@@ -510,7 +515,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.set_defaults(fn=_cmd_run)
 
     p_ex = sub.add_parser("example", help="run a built-in system: system.name is example-2d "
-                          "(x0 of 2 values, the default), ou-1d or ou-1d-affine (x0 of 1)")
+                          "(the default), ou-1d or ou-1d-affine; system.x0 defaults to "
+                          "its origin")
     p_ex.add_argument("--set", action="append", metavar="section.key=value")
     p_ex.set_defaults(fn=_cmd_run, config=None)
 

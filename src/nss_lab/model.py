@@ -35,7 +35,7 @@ _STATE_BLOCK = 256  # states per block, which bounds the (S, T, N, m) products
 
 def _fd_derivatives(v: Callable, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """V, its gradient and its Hessian on a (S, N) block of states, shapes (S,),
-    (S, N) and (S, N, N), from one call of the batched ``v`` on the whole
+    (S, N) and (S, N, N), from one call of ``v`` on the whole
     central-difference stencil: each state, and each state moved along each
     axis by ``±h1``, along each axis by ``±h2`` and along each pair of axes by
     ``±h2``, with ``h1 = eps^(1/3) max(1, |x|)`` and ``h2 = eps^(1/4) max(1, |x|)``."""
@@ -60,6 +60,15 @@ def _fd_derivatives(v: Callable, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
     return v0, grad, hess
 
 
+def _call(name: str, fn: Callable, arg: np.ndarray, shape: tuple, hint: str = "") -> np.ndarray:
+    """``fn(arg)`` as a float array of ``shape``; another shape raises a
+    ValueError that names the map ``name`` and ends with ``hint``."""
+    out = np.asarray(fn(arg), dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{name} returned shape {out.shape}, expected {shape}{hint}")
+    return out
+
+
 @dataclass(frozen=True)
 class LyapunovSpec:
     """Lyapunov function V with its lower class-K-infinity envelope.
@@ -68,8 +77,8 @@ class LyapunovSpec:
     ``alpha1_inv`` is its inverse; the bounds need no other envelope.
     ``grad_v`` / ``hess_v`` are optional; central finite differences of
     ``v`` are used when they are absent (the function is assumed C^2 but may
-    be black box).  Like ``v``, they take a batch of states when the system
-    spec is vectorized, ``(S, N)`` to exactly ``(S, N)`` and ``(S, N, N)``.
+    be black box).  Like ``v``, they take a batch of states, ``(S, N)`` to
+    exactly ``(S, N)`` and ``(S, N, N)``.
     """
 
     v: Callable
@@ -90,17 +99,15 @@ class SystemSpec:
     the step loop take the maps from :attr:`dynamics`, so the premise check
     reads the system that is simulated.
 
-    ``vectorized=True`` declares that ``drift``, ``diffusion`` and the Lyapunov
-    ``v``, ``grad_v`` and ``hess_v`` accept state batches ``(..., N)``
-    (returning ``(..., N)``, ``(..., N, m)``, ``(...)``, ``(..., N)`` and
-    ``(..., N, N)``) and ``covariance`` an array of K times (returning
-    ``(K, m, m)``); otherwise they are called once per state or time.  A
-    vectorized map that returns another shape raises ValueError; it is not
-    called again per state or time.  The maps of ``affine`` accept batches
-    either way, so for an affine spec the flag governs ``covariance`` and the
-    Lyapunov maps.  Only :meth:`batched` and :meth:`sigma_series` read it.  The
-    ensemble steps chunks of paths either way, and ``integrate(spec, cfg, i)``
-    equals path ``i`` of ``ensemble`` bit for bit.
+    Every map takes a batch: ``drift``, ``diffusion`` and the Lyapunov ``v``,
+    ``grad_v`` and ``hess_v`` take states ``(..., N)`` and return ``(..., N)``,
+    ``(..., N, m)``, ``(...)``, ``(..., N)`` and ``(..., N, N)``;
+    ``covariance`` takes a 1-D array of K times and returns ``(K, m, m)``; and
+    ``gamma`` takes a 1-D array of K Frobenius magnitudes and returns one gain
+    per magnitude, ``(K,)``.  A map that returns another shape where the
+    premise check or :meth:`sigma_series` reads it raises ValueError.  The
+    ensemble steps chunks of paths, and ``integrate(spec, cfg, i)`` equals
+    path ``i`` of ``ensemble`` bit for bit.
     """
 
     dim_state: int
@@ -110,9 +117,8 @@ class SystemSpec:
     covariance: Callable
     lyapunov: LyapunovSpec
     c: float
-    gamma: Callable[[float], float]
+    gamma: Callable[[np.ndarray], np.ndarray]
     gamma_max: float
-    vectorized: bool = False
     affine: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def __post_init__(self) -> None:
@@ -158,35 +164,13 @@ class SystemSpec:
         return (lambda x: np.asarray(x, dtype=float) @ a.T,
                 lambda x: h0 + np.einsum("...i,inj->...nj", np.asarray(x, dtype=float), h))
 
-    def batched(self, fn: Callable) -> Callable:
-        """A state function such as ``drift`` as a map over a (P, N) batch of
-        states: ``fn`` itself if the spec is vectorized, else a loop that calls
-        it once per state and stacks the results."""
-        return fn if self.vectorized else (lambda x: np.array([fn(s) for s in x]))
-
     def sigma_series(self, times) -> np.ndarray:
-        """Sigma(t) at every time of a 1-D sequence, shape (K, m, m): one
-        ``covariance`` call on the time array if the spec is vectorized, else
-        one call per time.  Any other shape raises ValueError."""
+        """Sigma(t) at every time of a 1-D sequence, shape (K, m, m), from one
+        ``covariance`` call on the time array.  Any other shape raises ValueError."""
         times = np.asarray(times, dtype=float)
         m = self.dim_noise
-        if self.vectorized:
-            sig = np.asarray(self.covariance(times), dtype=float)
-            if sig.shape != (len(times), m, m):
-                raise ValueError(
-                    f"covariance returned shape {sig.shape} for {len(times)} times, expected "
-                    f"{(len(times), m, m)} from a vectorized spec; broadcast a constant S, "
-                    "e.g. np.broadcast_to(S, np.shape(t) + S.shape), or declare "
-                    "vectorized=False")
-            return sig
-        out = np.empty((len(times), m, m))
-        for k, t in enumerate(times):
-            sig = np.asarray(self.covariance(float(t)), dtype=float)
-            if sig.shape != (m, m):
-                raise ValueError(
-                    f"covariance returned shape {sig.shape}, expected ({m}, {m})")
-            out[k] = sig
-        return out
+        return _call("covariance", self.covariance, times, (len(times), m, m),
+                     "; broadcast a constant S, e.g. np.broadcast_to(S, np.shape(t) + S.shape)")
 
 
 @dataclass(frozen=True)
@@ -211,26 +195,19 @@ def _lv_plus_cv(spec: SystemSpec, x: np.ndarray, sigs: np.ndarray) -> np.ndarray
     """``LV + cV`` on a (S, N) block of states at each Sigma of a (T, m, m)
     stack, shape (S, T): ``grad(V) . f(x) + 1/2 tr(S^T h^T hess(V) h S) + c V(x)``
     (V does not depend on t).  Drift, diffusion, V and its derivatives are each
-    called once on the block through :meth:`SystemSpec.batched`."""
+    called once on the block."""
     s, n, m = len(x), spec.dim_state, spec.dim_noise
     lyap = spec.lyapunov
-
-    def call(name: str, fn: Callable, arg: np.ndarray, shape: tuple) -> np.ndarray:
-        out = np.asarray(spec.batched(fn)(arg), dtype=float)
-        if out.shape != shape:
-            raise ValueError(f"{name} returned shape {out.shape}, expected {shape}")
-        return out
-
     drift, diffusion = spec.dynamics
-    f, h = call("drift", drift, x, (s, n)), call("diffusion", diffusion, x, (s, n, m))
+    f, h = _call("drift", drift, x, (s, n)), _call("diffusion", diffusion, x, (s, n, m))
     if lyap.grad_v is None or lyap.hess_v is None:
-        v, grad, hess = _fd_derivatives(lambda p: call("v", lyap.v, p, (len(p),)), x)
+        v, grad, hess = _fd_derivatives(lambda p: _call("v", lyap.v, p, (len(p),)), x)
     else:
-        v = call("v", lyap.v, x, (s,))
+        v = _call("v", lyap.v, x, (s,))
     if lyap.grad_v is not None:
-        grad = call("grad_v", lyap.grad_v, x, (s, n))
+        grad = _call("grad_v", lyap.grad_v, x, (s, n))
     if lyap.hess_v is not None:
-        hess = call("hess_v", lyap.hess_v, x, (s, n, n))
+        hess = _call("hess_v", lyap.hess_v, x, (s, n, n))
     hs = h[:, None] @ sigs
     lv = (grad[:, None, :] @ f[:, :, None])[:, :, 0] + 0.5 * np.trace(
         np.swapaxes(hs, -1, -2) @ hess[:, None] @ hs, axis1=-2, axis2=-1)
@@ -257,10 +234,10 @@ def check_enss(
     most ``_TOL`` (1e-9) plus ``|gamma(s'') - gamma(s)|``, the gain's change over
     two ulps of s, and a NaN residual fails.  The declared ``gamma_max`` is
     additionally verified against ``gamma`` on ``gamma_times``, where a NaN gain
-    fails too.  Sigma is evaluated once per time and ``gamma`` once per time (twice
-    at ``times``), and drift, diffusion, V and its derivatives once per block of
-    ``_STATE_BLOCK`` states through :meth:`SystemSpec.batched`, so once per
-    state for a spec that is not vectorized.
+    fails too.  ``covariance`` is called once, on every time, and ``gamma``
+    twice: on every magnitude, then on the nudged magnitudes at ``times``.
+    Drift, diffusion, V and its derivatives are called once per block of
+    ``_STATE_BLOCK`` states.
     """
     states = np.asarray(states, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -271,11 +248,12 @@ def check_enss(
         raise ValueError(f"state shape {states.shape} != (S, {spec.dim_state})")
 
     sigs = spec.sigma_series(np.concatenate([times, gamma_times]))
-    mags = _noise_magnitudes(sigs).tolist()
-    gains = np.array([spec.gamma(s) for s in mags])
-    nudged = [spec.gamma(math.nextafter(math.nextafter(s, math.inf), math.inf))
-              for s in mags[:len(times)]]
-    slack = _TOL + np.abs(np.array(nudged) - gains[:len(times)])
+    mags = _noise_magnitudes(sigs)
+    broadcast = "; broadcast a constant g, e.g. np.full(np.shape(s), g)"
+    gains = _call("gamma", spec.gamma, mags, mags.shape, broadcast)
+    nudged = np.nextafter(np.nextafter(mags[:len(times)], np.inf), np.inf)
+    slack = _TOL + np.abs(_call("gamma", spec.gamma, nudged, nudged.shape, broadcast)
+                          - gains[:len(times)])
     residuals = np.concatenate([
         _lv_plus_cv(spec, states[k:k + _STATE_BLOCK], sigs[:len(times)])
         for k in range(0, len(states), _STATE_BLOCK)
@@ -325,10 +303,12 @@ def builtin_example() -> SystemSpec:
         out[..., 1, 1] = np.sin(t)
         return out
 
-    def gamma(s: float) -> float:
-        if s < 1.0 - 1e-9:
-            raise ValueError(f"gain undefined for Frobenius magnitude {s!r} < 1")
-        return 0.5 * math.sqrt(max(s * s - 1.0, 0.0))
+    def gamma(s):
+        s = np.asarray(s, dtype=float)
+        low = s[s < 1.0 - 1e-9]
+        if low.size:
+            raise ValueError(f"gain undefined for Frobenius magnitude {float(low.min())!r} < 1")
+        return 0.5 * np.sqrt(np.maximum(s * s - 1.0, 0.0))
 
     # f(x) = A x and h(x) = H0 + x1 H[0] + x2 H[1]
     a = [[-1.0, 1.0], [-1.0, -1.0]]
@@ -342,17 +322,16 @@ def builtin_example() -> SystemSpec:
         c=1.0,
         gamma=gamma,
         gamma_max=0.5,
-        vectorized=True,
         affine=(a, h0, h),
     )
 
 
 def _ou_1d(**dynamics) -> SystemSpec:
-    """dx = -x dt + dW with V = x^2 / 2, c = 2 and gamma = 1/2, vectorized: the
-    premise LV + cV <= gamma holds with equality."""
+    """dx = -x dt + dW with V = x^2 / 2, c = 2 and gamma = 1/2: the premise
+    LV + cV <= gamma holds with equality."""
     return SystemSpec(dim_state=1, dim_noise=1, covariance=lambda t: np.ones(np.shape(t) + (1, 1)),
-                      lyapunov=_quadratic_lyapunov(1), c=2.0, gamma=lambda s: 0.5,
-                      gamma_max=0.5, vectorized=True, **dynamics)
+                      lyapunov=_quadratic_lyapunov(1), c=2.0,
+                      gamma=lambda s: np.full(np.shape(s), 0.5), gamma_max=0.5, **dynamics)
 
 
 # The built-in systems that system.name picks: name -> cached builder.  ou-1d-affine

@@ -246,8 +246,6 @@ def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
     seg = max(1, _NOISE_BYTES // (8 * m * len(gens) + _scratch_bytes(m, 1, len(gens))))
 
     drift, diffusion = spec.dynamics
-    if batch:  # one state is what every spec's drift and diffusion accept
-        drift, diffusion = spec.batched(drift), spec.batched(diffusion)
     save = cfg.save_every
     x = np.tile(x0, batch + (1,))
     states = np.empty(batch + (cfg.n_saved, spec.dim_state))
@@ -446,11 +444,10 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
     n = states.shape[-1]
     flat = states.reshape(-1, n)  # a view of every kernel's states
     lyap, norms = np.empty(len(flat)), np.empty(len(flat))
-    v = spec.batched(spec.lyapunov.v)
     for r0 in range(0, len(flat), _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, len(flat))
         block = flat[r0:r1]
-        lyap[r0:r1] = np.asarray(v(block), dtype=float).reshape(-1)
+        lyap[r0:r1] = np.asarray(spec.lyapunov.v(block), dtype=float).reshape(-1)
         if n >= 8:
             norms[r0:r1] = np.linalg.norm(block, axis=-1)
         else:

@@ -173,8 +173,7 @@ class TestPipeline:
             diffusion=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
             covariance=lambda t: np.zeros(np.shape(t) + (1, 1)),
             lyapunov=_quadratic_lyapunov(1),
-            c=1.0, gamma=lambda s: 0.0, gamma_max=0.0,
-            vectorized=True,
+            c=1.0, gamma=np.zeros_like, gamma_max=0.0,
         )
         cfg = ExperimentConfig(system="anti-stable", t_end=0.5, dt=1e-2,
                                seed=1, x0=(0.1,), v1=1.0, v0=0.5,
@@ -526,8 +525,8 @@ class TestCommandLine:
 
     def test_unbatched_vectorized_covariance_exits_4_before_simulating(
             self, monkeypatch, tmp_path, capsys):
-        # a vectorized spec whose covariance returns one (m, m) matrix for a
-        # time array fails at the premise check, before any path is stepped
+        # a covariance that returns one (m, m) matrix for a time array fails
+        # at the premise check, before any path is stepped
         import nss_lab.cli as cli
 
         spec = dataclasses.replace(
@@ -542,8 +541,20 @@ class TestCommandLine:
         assert calls == []
         assert not out.exists()
         assert capsys.readouterr().err.startswith(
-            "error: covariance returned shape (2, 2) for 10011 times, expected "
-            "(10011, 2, 2) from a vectorized spec")
+            "error: covariance returned shape (2, 2), expected (10011, 2, 2); broadcast")
+
+    def test_scalar_gain_refused_before_simulating(self, monkeypatch):
+        # a gamma that returns one value for the whole array of magnitudes
+        import nss_lab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append("integrate"))
+        spec = dataclasses.replace(builtin_example(), gamma=lambda s: 0.5)
+        with pytest.raises(ValueError, match=(
+                r"^gamma returned shape \(\), expected \(10011,\); broadcast a constant g, "
+                r"e\.g\. np\.full\(np\.shape\(s\), g\)$")):
+            run_custom(spec, ExperimentConfig(system="scalar-gain"))
+        assert calls == []
 
     def test_all_paths_inside_a_huge_radius_pass(self, tmp_path, capsys):
         # every path lies inside r = 1e8, so the upper Wilson limit is exactly 1
@@ -596,18 +607,25 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("name", ["ou-1d", "ou-1d-affine"])
     def test_ou_entries_run_by_name(self, tmp_path, name):
-        # the premise holds with equality; each entry records its own kernel
-        out = tmp_path / name
-        assert main(["example", "--set", f"system.name={name}", "--set", "system.x0=0",
-                     "--set", "sim.t_end=50", "--set", f"output.dir={out}"]) == EXIT_OK
-        summary = (out / "summary.txt").read_text().splitlines()
-        assert summary[2] == f"integrator: {integrator_name(SYSTEMS[name]())}"
-        assert summary[5:9] == [
-            "  [pass] dissipation-conditions: max residual 0 over 77 points, gamma margin 0",
-            "  [pass] time-average-distribution: D(r) >= b(r) at 50/50 grid points",
-            "  [skip] cross-time-bounds: underpowered: only 3 complete loops",
-            "  [pass] fractile-occupancy: k=0.3333: 0.944 at q=1.553",
-        ]
+        # the premise holds with equality; each entry records its own kernel,
+        # and without system.x0 it starts at its origin, which the echo names
+        outputs = []
+        for x0 in (["--set", "system.x0=0"], []):
+            out = tmp_path / f"{name}{len(x0)}"
+            assert main(["example", "--set", f"system.name={name}", *x0,
+                         "--set", "sim.t_end=50", "--set", f"output.dir={out}"]) == EXIT_OK
+            summary = (out / "summary.txt").read_text().splitlines()
+            assert summary[2] == f"integrator: {integrator_name(SYSTEMS[name]())}"
+            assert summary[5:9] == [
+                "  [pass] dissipation-conditions: max residual 0 over 77 points, gamma margin 0",
+                "  [pass] time-average-distribution: D(r) >= b(r) at 50/50 grid points",
+                "  [skip] cross-time-bounds: underpowered: only 3 complete loops",
+                "  [pass] fractile-occupancy: k=0.3333: 0.944 at q=1.553",
+            ]
+            echo = (out / "config_echo.ini").read_text()
+            assert "\nx0 = 0\n" in echo
+            outputs.append(echo.replace(str(out), "OUT"))
+        assert outputs[0] == outputs[1]
 
     def test_unknown_system_rejected(self, tmp_path, capsys):
         args = ["example", "--set=system.name=warp-drive",

@@ -49,16 +49,13 @@ def test_detector_sees_unused_and_used_names():
 
 
 def _spec_policy_reads(source: str) -> list:
-    """Lines that read ``.vectorized`` or call ``.covariance(...)``: the
-    per-state and per-time policies that only ``model`` may apply."""
+    """Lines that call ``.covariance(...)`` or ``.gamma(...)``: the maps whose
+    batch shapes only ``model`` checks, so only ``model`` may evaluate them."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Attribute) and node.attr == "vectorized"
-                and isinstance(node.ctx, ast.Load)):
-            found.append((node.lineno, "vectorized"))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "covariance"):
-            found.append((node.lineno, "covariance"))
+                and node.func.attr in ("covariance", "gamma")):
+            found.append((node.lineno, node.func.attr))
     return sorted(found)
 
 
@@ -70,13 +67,13 @@ def test_spec_policies_read_only_in_model(path):
 
 def test_policy_detector_sees_reads():
     source = (
-        "def f(spec, t):\n"
-        "    if spec.vectorized:\n"
-        "        return spec.covariance(t)\n"
-        "    spec.vectorized = False\n"
-        "    return spec.sigma_series([t]), spec.covariance\n"
+        "def f(spec, t, s):\n"
+        "    g = spec.gamma(s)\n"
+        "    h = spec.covariance(t)\n"
+        "    spec.gamma_max = spec.gamma\n"
+        "    return spec.sigma_series([t]), spec.covariance, math.lgamma(s)\n"
     )
-    assert _spec_policy_reads(source) == [(2, "vectorized"), (3, "covariance")]
+    assert _spec_policy_reads(source) == [(2, "gamma"), (3, "covariance")]
 
 
 def _declared(cls: ast.ClassDef) -> list:

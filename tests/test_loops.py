@@ -411,8 +411,7 @@ class TestVerifyMomentBound:
             diffusion=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)),
             covariance=lambda t: np.zeros(np.shape(t) + (1, 1)),
             lyapunov=_quadratic_lyapunov(1),
-            c=2.0, gamma=lambda s: 0.0, gamma_max=0.0,
-            vectorized=True,
+            c=2.0, gamma=np.zeros_like, gamma_max=0.0,
         )
         cfg = SimConfig(t_end=2.0, dt=1e-2, seed=1, x0=(1.0,), save_every=10)
         paths = ensemble(spec, cfg, 1000)

@@ -28,7 +28,7 @@ def _example_variant(**overrides):
         name: getattr(base, name)
         for name in (
             "dim_state", "dim_noise", "covariance",
-            "lyapunov", "c", "gamma", "gamma_max", "vectorized",
+            "lyapunov", "c", "gamma", "gamma_max",
         )
     }
     if "affine" not in overrides:
@@ -56,7 +56,7 @@ def _gain(spec, t, ulps=0):
     s = float(np.linalg.norm(sig @ sig.T, "fro"))
     for _ in range(ulps):
         s = math.nextafter(s, math.inf)
-    return spec.gamma(s)
+    return float(spec.gamma(np.array([s]))[0])
 
 
 def _lv(spec, x, t):
@@ -73,7 +73,7 @@ def _pointwise_lv(spec, x, sig):
     lyap = spec.lyapunov
     drift, diffusion = spec.dynamics
     if lyap.grad_v is None:
-        _, grad, hess = (a[0] for a in _fd_derivatives(spec.batched(lyap.v), x[None]))
+        _, grad, hess = (a[0] for a in _fd_derivatives(lyap.v, x[None]))
     else:
         grad, hess = lyap.grad_v(x), lyap.hess_v(x)
     hs = diffusion(x) @ sig
@@ -91,7 +91,7 @@ def _ou(n, c=2.0, derivatives=True):
         drift=lambda x: -np.asarray(x, dtype=float),
         diffusion=lambda x: np.broadcast_to(np.eye(n), np.shape(x) + (n,)),
         covariance=lambda t: np.broadcast_to(np.eye(n), np.shape(t) + (n, n)),
-        lyapunov=lyap, c=c, gamma=lambda s: 0.5 * n, gamma_max=0.5 * n, vectorized=True,
+        lyapunov=lyap, c=c, gamma=lambda s: np.full(np.shape(s), 0.5 * n), gamma_max=0.5 * n,
     )
 
 
@@ -177,29 +177,26 @@ class TestGenerator:
 class TestSigmaSeries:
     def test_one_call_equals_per_time_calls(self, benchmark_system):
         ts = np.linspace(0.0, 7.0, 50)
-        per_time = _example_variant(vectorized=False).sigma_series(ts)
-        assert per_time.shape == (50, 2, 2)
-        assert np.array_equal(benchmark_system.sigma_series(ts), per_time)
+        calls = []
+        spec = _example_variant(covariance=lambda t: calls.append(t) or
+                                benchmark_system.covariance(t))
+        series = spec.sigma_series(ts)
+        assert len(calls) == 1 and np.array_equal(calls[0], ts)
+        per_time = np.array([benchmark_system.covariance(float(t)) for t in ts])
+        assert series.shape == per_time.shape == (50, 2, 2)
+        assert np.array_equal(series, per_time)
 
     def test_unbatched_covariance_is_refused(self, benchmark_system):
-        # a vectorized spec's covariance returns one (m, m) matrix for a time
-        # array: an error that says how to mend it, not one call per time
+        # a covariance that returns one (m, m) matrix for a time array: an
+        # error that says how to mend it
         def cov(t):
             return np.diag([1.0, np.sin(np.max(t))])
 
         spec = _example_variant(covariance=cov)
         with pytest.raises(ValueError, match=(
-                r"^covariance returned shape \(2, 2\) for 2 times, expected \(2, 2, 2\) "
-                r"from a vectorized spec; broadcast a constant S, e\.g\. np\.broadcast_to\(S, "
-                r"np\.shape\(t\) \+ S\.shape\), or declare vectorized=False$")):
+                r"^covariance returned shape \(2, 2\), expected \(2, 2, 2\); broadcast a "
+                r"constant S, e\.g\. np\.broadcast_to\(S, np\.shape\(t\) \+ S\.shape\)$")):
             spec.sigma_series([0.5, 1.5])
-        # declared per time, the same covariance is called once per time
-        calls = []
-        slow = _example_variant(covariance=lambda t: calls.append(t) or cov(t),
-                                vectorized=False)
-        assert np.array_equal(slow.sigma_series([0.5, 1.5]),
-                              benchmark_system.sigma_series([0.5, 1.5]))
-        assert calls == [0.5, 1.5]
 
     def test_shape_checked(self):
         spec = _example_variant(covariance=lambda t: np.eye(3))
@@ -207,29 +204,13 @@ class TestSigmaSeries:
             spec.sigma_series([0.0])
 
 
-class TestBatched:
-    def test_vectorized_spec_returns_function(self, benchmark_system):
-        drift, _ = benchmark_system.dynamics
-        assert benchmark_system.batched(drift) is drift
-
-    def test_per_state_loop_matches_batch_call(self, benchmark_system):
-        states = np.random.default_rng(5).normal(size=(7, 2))
-        slow = _example_variant(vectorized=False)
-        for fn, shape in ((slow.drift, (7, 2)), (slow.diffusion, (7, 2, 2)),
-                          (slow.lyapunov.v, (7,))):
-            got = slow.batched(fn)(states)
-            assert got.shape == shape
-            assert np.allclose(got, fn(states), rtol=1e-15, atol=0.0)
-
-
 class TestNoiseMagnitude:
     def test_equals_frobenius_norm(self, benchmark_system):
         ts = np.random.default_rng(4).uniform(0.0, 100.0, 200)
-        for spec in (benchmark_system, _example_variant(vectorized=False)):
-            mags = _noise_magnitudes(spec.sigma_series(ts))
-            for t, mag in zip(ts, mags.tolist()):
-                sig = benchmark_system.covariance(float(t))
-                assert mag == float(np.linalg.norm(sig @ sig.T, "fro"))
+        mags = _noise_magnitudes(benchmark_system.sigma_series(ts))
+        for t, mag in zip(ts, mags.tolist()):
+            sig = benchmark_system.covariance(float(t))
+            assert mag == float(np.linalg.norm(sig @ sig.T, "fro"))
 
     def test_builtin_range(self, benchmark_system):
         # |Sigma Sigma^T|_F = sqrt(1 + sin^4 t) in [1, sqrt(2)]
@@ -274,11 +255,11 @@ class TestCheckEnss:
             dim_state=1,
             dim_noise=1,
             drift=lambda x: np.asarray(x, dtype=float),
-            diffusion=lambda x: np.zeros((1, 1)),
-            covariance=lambda t: np.zeros((1, 1)),
+            diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
+            covariance=lambda t: np.zeros(np.shape(t) + (1, 1)),
             lyapunov=_quadratic_lyapunov(1),
             c=1.0,
-            gamma=lambda s: 0.0,
+            gamma=np.zeros_like,
             gamma_max=0.0,
         )
         report = check_enss(spec, [np.array([1.0])], [0.0], [0.0])
@@ -288,7 +269,7 @@ class TestCheckEnss:
         assert len(report.violating_points) == 1
 
     def test_zero_gain_variant_violates(self, benchmark_system):
-        spec = _example_variant(gamma=lambda s: 0.0, gamma_max=0.0)
+        spec = _example_variant(gamma=np.zeros_like, gamma_max=0.0)
         report = check_enss(spec, self.GRID, self.TIMES, self.TIMES)
         assert not report.passed
         # violations exactly where the noise term (x2^2 + sin^2 t)/2 is positive
@@ -322,11 +303,11 @@ class TestCheckEnss:
         return residuals, gamma_violation
 
     @pytest.mark.parametrize("variant", [
-        {}, dict(vectorized=False), dict(gamma=lambda s: 0.0, gamma_max=0.0),
+        {}, dict(gamma=np.zeros_like, gamma_max=0.0),
         dict(lyapunov=dataclasses.replace(builtin_example().lyapunov,
                                           grad_v=None, hess_v=None)),
         dict(affine=builtin_example().affine, covariance=_full_covariance),
-    ], ids=["builtin", "per-time", "zero-gain", "finite-differences", "full-sigma"])
+    ], ids=["builtin", "zero-gain", "finite-differences", "full-sigma"])
     @pytest.mark.parametrize("sample", ["cli", "tests"])
     def test_equals_pointwise_reference(self, variant, sample):
         spec = _example_variant(**variant)
@@ -348,7 +329,7 @@ class TestCheckEnss:
             assert flagged
 
     @pytest.mark.parametrize("variant", [
-        dict(gamma=lambda s: math.nan if s > 1.3 else 0.5 * math.sqrt(max(s * s - 1.0, 0.0))),
+        dict(gamma=lambda s: np.where(s > 1.3, np.nan, builtin_example().gamma(s))),
         dict(lyapunov=dataclasses.replace(builtin_example().lyapunov, v=_v_nan_at_3)),
     ], ids=["gamma", "v"])
     def test_nan_residual_fails(self, variant):
@@ -370,20 +351,23 @@ class TestCheckEnss:
         calls = []
 
         def gamma(s):
-            calls.append(s)
+            calls.append(s.copy())
             return benchmark_system.gamma(s)
 
         spec = _example_variant(gamma=gamma)
         states, times, gamma_times = _plan(spec, ExperimentConfig(system="variant")).premise
-        check_enss(spec, states, times, gamma_times=gamma_times)
-        assert len(calls) == 2 * len(times) + len(gamma_times) == 2 * 11 + 10_000
-        # the second call at each premise time reads the gain two ulps above s
-        two_ulps = [math.nextafter(math.nextafter(s, math.inf), math.inf)
-                    for s in calls[:len(times)]]
-        assert calls[-len(times):] == two_ulps
+        for _ in range(2):
+            calls.clear()
+            check_enss(spec, states, times, gamma_times=gamma_times)
+            # one call on every magnitude, then one that reads the gain two ulps
+            # above s at each premise time
+            assert [c.shape for c in calls] == [(11 + 10_000,), (11,)]
+            two_ulps = [math.nextafter(math.nextafter(s, math.inf), math.inf)
+                        for s in calls[0][:len(times)].tolist()]
+            assert calls[1].tolist() == two_ulps
 
     @staticmethod
-    def _state_calls(vectorized, derivatives):
+    def _state_calls(derivatives):
         """The calls of each state function and of gamma in the premise check
         of the built-in system at the defaults, with or without grad_v and hess_v."""
         counts = {}
@@ -400,7 +384,6 @@ class TestCheckEnss:
         drift, diffusion = base.dynamics
         lyap = base.lyapunov
         spec = _example_variant(
-            vectorized=vectorized,
             drift=counted("drift", drift),
             diffusion=counted("diffusion", diffusion),
             lyapunov=dataclasses.replace(
@@ -415,10 +398,6 @@ class TestCheckEnss:
         assert len(states) == 49
         return counts
 
-    def test_state_terms_evaluated_once_per_state(self):
-        calls = self._state_calls(vectorized=False, derivatives=True)
-        assert calls == {**dict.fromkeys(calls, 49), "gamma": 2 * 11 + 10_000}
-
     @pytest.mark.parametrize("derivatives, block, calls_each", [(True, None, 1), (False, 7, 7)],
                              ids=["analytic", "finite-differences"])
     def test_state_terms_evaluated_once_per_block(self, monkeypatch, derivatives, block,
@@ -426,8 +405,8 @@ class TestCheckEnss:
         # a V without derivatives is called once per block, on the block's stencil
         if block is not None:
             monkeypatch.setattr(model, "_STATE_BLOCK", block)
-        calls = self._state_calls(vectorized=True, derivatives=derivatives)
-        assert calls == {**dict.fromkeys(calls, calls_each), "gamma": 2 * 11 + 10_000}
+        calls = self._state_calls(derivatives=derivatives)
+        assert calls == {**dict.fromkeys(calls, calls_each), "gamma": 2}
 
     def test_unbatched_hessian_fails_on_a_vectorized_spec(self, benchmark_system):
         lyap = dataclasses.replace(benchmark_system.lyapunov, hess_v=lambda x: np.eye(2))
@@ -437,13 +416,14 @@ class TestCheckEnss:
                        *_plan(benchmark_system, ExperimentConfig()).premise)
 
     @pytest.mark.parametrize("variant", [
-        {}, dict(vectorized=False),
+        {},
         dict(lyapunov=dataclasses.replace(builtin_example().lyapunov,
                                           grad_v=None, hess_v=None)),
-    ], ids=["builtin", "per-state", "finite-differences"])
+    ], ids=["builtin", "finite-differences"])
     def test_table_independent_of_block_size(self, monkeypatch, variant):
         # a negative gain flags every point, so the report lists the whole table
-        spec = _example_variant(gamma=lambda s: -100.0, gamma_max=0.0, **variant)
+        spec = _example_variant(gamma=lambda s: np.full(np.shape(s), -100.0), gamma_max=0.0,
+                                **variant)
         states, times, gamma_times = _plan(spec, ExperimentConfig(system="variant")).premise
         tables = []
         for block in (model._STATE_BLOCK, 7, 1):
@@ -518,8 +498,12 @@ class TestBuiltinExample:
     def test_gamma_edge(self, benchmark_system):
         assert benchmark_system.gamma(1.0) == 0.0
         assert benchmark_system.gamma(math.sqrt(2.0)) == pytest.approx(0.5, rel=1e-12)
-        with pytest.raises(ValueError):
-            benchmark_system.gamma(0.5)
+        with pytest.raises(ValueError, match=r"^gain undefined for Frobenius magnitude 0\.5 < 1$"):
+            benchmark_system.gamma(np.array([1.2, 0.5, 0.7]))
+        # one gain per magnitude, with the bits of the scalar formula
+        mags = np.sqrt(1.0 + np.sin(np.linspace(0.0, 7.0, 10_001)) ** 4)
+        want = [0.5 * math.sqrt(max(s * s - 1.0, 0.0)) for s in mags.tolist()]
+        assert benchmark_system.gamma(mags).tolist() == want
 
     def test_batched_callables(self, benchmark_system):
         xs = np.random.default_rng(0).uniform(-2.0, 2.0, size=(8, 2))
@@ -617,6 +601,11 @@ class TestSpecValidation:
         maps = dict(zip(("drift", "diffusion"), base.dynamics))
         with pytest.raises(ValueError, match=f"not affine and {' and '.join(given)}$"):
             dataclasses.replace(base, **{name: maps[name] for name in given})
+
+    def test_vectorized_flag_refused(self):
+        # every map takes a batch, so there is no per-state or per-time flag
+        with pytest.raises(TypeError, match="vectorized"):
+            _example_variant(vectorized=True)
 
     @pytest.mark.parametrize("missing", [("drift", "diffusion"), ("drift",), ("diffusion",)])
     def test_dynamics_required(self, missing):

@@ -29,17 +29,17 @@ def _deterministic(drift, dim=1):
         dim_state=dim,
         dim_noise=1,
         drift=drift,
-        diffusion=lambda x: np.zeros((dim, 1)),
-        covariance=lambda t: np.zeros((1, 1)),
+        diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
+        covariance=lambda t: np.zeros(np.shape(t) + (1, 1)),
         lyapunov=_quadratic_lyapunov(dim),
         c=1.0,
-        gamma=lambda s: 0.0,
+        gamma=np.zeros_like,
         gamma_max=0.0,
     )
 
 
 def _affine(a, h0, h):
-    """A vectorized spec whose dynamics are the declared affine maps."""
+    """A spec whose dynamics are the declared affine maps."""
     n, m = np.shape(h0)
     return SystemSpec(
         dim_state=n,
@@ -47,9 +47,8 @@ def _affine(a, h0, h):
         covariance=lambda t: np.ones(np.shape(t) + (m, m)) * np.eye(m),
         lyapunov=_quadratic_lyapunov(n),
         c=1.0,
-        gamma=lambda s: 0.0,
+        gamma=np.zeros_like,
         gamma_max=0.0,
-        vectorized=True,
         affine=(a, h0, h),
     )
 
@@ -252,7 +251,6 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("system, chunk_size", [
         pytest.param("ou", 3, id="ou"),
-        pytest.param("ou-per-state", 3, id="ou-per-state"),
         pytest.param("builtin", 3, id="builtin"),
         pytest.param("affine-ou", 1, id="affine-ou-chunk1"),
         pytest.param("affine-ou", 3, id="affine-ou-chunk3"),
@@ -261,8 +259,7 @@ class TestReproducibility:
     def test_ensemble_matches_per_path_integrate(self, monkeypatch, system, chunk_size,
                                                  benchmark_system):
         spec = {"ou": SYSTEMS["ou-1d"](), "builtin": benchmark_system,
-                "affine-ou": SYSTEMS["ou-1d-affine"](),
-                "ou-per-state": dataclasses.replace(SYSTEMS["ou-1d"](), vectorized=False)}[system]
+                "affine-ou": SYSTEMS["ou-1d-affine"]()}[system]
         cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state)
         _set_chunk(monkeypatch, spec, cfg, chunk_size)
         shapes = _spy_noise(monkeypatch)
@@ -319,19 +316,6 @@ class TestReproducibility:
         finally:
             sys.setswitchinterval(interval)
         _assert_paths_equal(paths, solo)
-
-    def test_nonvectorized_matches_vectorized(self):
-        base = SYSTEMS["ou-1d"]()
-        slow = SystemSpec(
-            dim_state=1, dim_noise=1, drift=base.drift, diffusion=base.diffusion,
-            covariance=base.covariance, lyapunov=base.lyapunov, c=base.c,
-            gamma=base.gamma, gamma_max=base.gamma_max, vectorized=False,
-        )
-        cfg = SimConfig(t_end=0.3, dt=1e-2, seed=8, x0=(0.0,))
-        a = ensemble(base, cfg, 6)
-        b = ensemble(slow, cfg, 6)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.states, pb.states)
 
 
 class TestAffineScan:
@@ -525,10 +509,9 @@ class TestNoiseBudget:
         assert shapes
         assert max(8 * math.prod(s) for s in shapes) <= max(budget, one_path)
 
-    @pytest.mark.parametrize("system", ["ou", "ou-per-state", "builtin-sequential"])
+    @pytest.mark.parametrize("system", ["ou", "builtin-sequential"])
     def test_time_segments_move_no_bit(self, monkeypatch, benchmark_system, system):
         spec = {"ou": SYSTEMS["ou-1d"](),
-                "ou-per-state": dataclasses.replace(SYSTEMS["ou-1d"](), vectorized=False),
                 "builtin-sequential": _sequential(benchmark_system)}[system]
         cfg = SimConfig(t_end=1.0, dt=1e-2, seed=5, x0=(0.3,) * spec.dim_state,
                         save_every=4)
