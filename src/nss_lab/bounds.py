@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 __all__ = [
     "LevelPair",
     "BoundSet",
@@ -21,6 +23,8 @@ __all__ = [
     "expected_down_cross",
     "up_cross_survival_bound",
     "down_cross_survival_bound",
+    "up_mean_critical",
+    "down_mean_critical",
     "bound_b",
     "fractile_q",
     "occupancy_ratio_bound",
@@ -143,25 +147,64 @@ def expected_down_cross(levels: LevelPair) -> float:
     return (1.0 + math.log((levels.v1 - g) / (levels.v0 - g))) / levels.c
 
 
-def up_cross_survival_bound(s: float, levels: LevelPair) -> float:
-    """Lower bound on P{up-cross time > s}; identically 1 for s < 0."""
-    if s < 0.0:
-        return 1.0
-    g = levels.floor
-    cs = levels.c * s
-    if cs > 700.0:
-        return 0.0
-    return (levels.v1 - levels.v0) / (levels.v1 - g + g * math.exp(cs))
+def up_cross_survival_bound(s, levels: LevelPair):
+    """Lower bound on P{up-cross time > s}, at a scalar or an array of s;
+    identically 1 for s < 0, and 0 where ``cs > 700``."""
+    s = np.asarray(s, dtype=float)
+    g, cs = levels.floor, levels.c * s
+    tail = (levels.v1 - levels.v0) / (levels.v1 - g + g * np.exp(np.minimum(cs, 700.0)))
+    return np.where(s < 0.0, 1.0, np.where(cs > 700.0, 0.0, tail))[()]
 
 
-def down_cross_survival_bound(s: float, levels: LevelPair) -> float:
-    """Upper bound on P{down-cross time >= s}: a capped exponential tail."""
+def down_cross_survival_bound(s, levels: LevelPair):
+    """Upper bound on P{down-cross time >= s}, at a scalar or an array of s:
+    a capped exponential tail."""
     g = levels.floor
-    cs = levels.c * s
     log_ratio = math.log((levels.v1 - g) / (levels.v0 - g))
-    if cs <= log_ratio:
-        return 1.0
-    return math.exp(log_ratio - cs)
+    return np.exp(np.minimum(log_ratio - levels.c * np.asarray(s, dtype=float), 0.0))[()]
+
+
+def up_mean_critical(levels: LevelPair, n: int, alpha: float) -> float:
+    """A mean below which n i.i.d. up-law draws average with chance at most
+    alpha: Chernoff's ``max_lam (ln(alpha)/n - ln L(lam)) / lam``.
+
+    L is the up law's Laplace transform: its atom ``1 - (v1-v0)/v1`` at 0
+    plus ``int_0^1 (v1-v0) g w^{lam/c} / (g + (v1-g) w)^2 dw`` in
+    ``w = e^{-cs}``.  The integral is bounded from above by a sum over 256
+    cells, each factor read at its larger end, so each of the 400 lam, log
+    spaced over ``c * [1e-3, 1e3]``, gives a valid critical value.
+    """
+    g, a = levels.floor, levels.v1 - levels.v0
+    w = np.linspace(0.0, 1.0, 257)
+    cells = a * g / 256 / (g + (levels.v1 - g) * w[:-1]) ** 2
+    # one mu = lam / c at a time, so that no 400 x 256 table is held
+    return max((math.log(alpha) / n - math.log1p(float(w[1:] ** mu @ cells) - a / levels.v1))
+               / (levels.c * mu) for mu in np.geomspace(1e-3, 1e3, 400).tolist())
+
+
+def down_mean_critical(levels: LevelPair, n: int, alpha: float) -> float:
+    """The mean above which n i.i.d. down-law draws average with chance
+    alpha, exactly.
+
+    A draw is ``L/c`` plus an Exp(c), ``L = c t_dc - 1``, so n times the mean
+    is ``n L/c`` plus ``x/c``, x a Gamma(n, 1) with ``P(x > s) = P(Poisson(s)
+    < n) = e^{-s} sum_{k<n} s^k/k!``.  The sum is taken relative to its
+    largest term, so that no term underflows while it still counts.  Its log
+    is concave and decreasing in s, so Newton's method from ``s = n`` lands
+    at or above the root after at most one step and then falls to it.
+    """
+    log_p, x = math.log(alpha), float(n)
+    for _ in range(100):
+        m = min(n - 1, int(x))
+        ratios = (np.cumprod(np.arange(m, 0, -1) / x).sum()
+                  + np.cumprod(x / np.arange(m + 1, n)).sum())
+        log_sf = m * math.log(x) - x - math.lgamma(m + 1) + math.log1p(ratios)
+        log_pdf = (n - 1) * math.log(x) - x - math.lgamma(n)
+        step = (log_sf - log_p) * math.exp(log_sf - log_pdf)
+        x += step
+        if abs(step) <= 1e-12 * x:
+            break
+    return expected_down_cross(levels) + (x / n - 1.0) / levels.c
 
 
 def _positive_alpha1(alpha1: Callable[[float], float], r: float) -> float:

@@ -25,7 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bounds import LevelPair, _positive_alpha1, beta_star, make_bound_set, optimal_v0
+from .bounds import (LevelPair, _positive_alpha1, beta_star, expected_down_cross,
+                     expected_up_cross, make_bound_set, occupancy_ratio_bound, optimal_v0)
 from .loops import (
     MIN_PATHS,
     _check_confidence,
@@ -490,8 +491,6 @@ def _cmd_bounds(args) -> int:
     else:
         raise ValueError("provide --v0 or --optimal")
     levels = LevelPair(v0=v0, v1=args.v1, c=args.c, gamma_max=args.gamma_max)
-    from .bounds import expected_down_cross, expected_up_cross, occupancy_ratio_bound
-
     print(f"v0         = {v0:.12g}")
     print(f"beta       = {levels.beta:.12g}")
     print(f"beta_star  = {beta_star():.12g}")

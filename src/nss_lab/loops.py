@@ -3,7 +3,8 @@
 A loop is one excursion of the Lyapunov value from level v0 up past v1 and
 back to v0.  This module extracts loops from a sampled trajectory, builds
 empirical survival / time-average distributions, and checks them against the
-closed-form bounds with one-sided confidence intervals.  The theoretical
+closed-form bounds: the loop times with critical values of the laws that
+dominate them, the ensemble with one-sided intervals.  The theoretical
 bounds hold almost surely, so a confident violation indicates an
 implementation or discretization error, not a falsification of the theory.
 """
@@ -21,9 +22,11 @@ from .bounds import (
     LevelPair,
     _positive_alpha1,
     down_cross_survival_bound,
+    down_mean_critical,
     expected_down_cross,
     expected_up_cross,
     up_cross_survival_bound,
+    up_mean_critical,
 )
 from .model import SystemSpec
 from .sim import _BLOCK_ROWS, Ensemble, Trajectory
@@ -45,10 +48,8 @@ __all__ = [
     "verify_probability_bound",
 ]
 
-MIN_LOOPS = 30
+MIN_LOOPS = 2
 MIN_PATHS = 1000
-# survival-curve points per crossing-time check: sample quantiles 0 to 0.95
-_SURVIVAL_GRID = 25
 
 
 @dataclass(frozen=True)
@@ -170,70 +171,6 @@ def _normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def _t_two_sided(t: float, df: int) -> float:
-    """``P(|T| < t)`` for Student's t with integer ``df``, ``t >= 0``: the finite
-    sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df) in
-    ``theta = atan(t / sqrt(df))``, with ``cos^2 theta = df / (df + t^2)``."""
-    cos2 = df / (df + t * t)
-    acc = term = 1.0
-    if df % 2:
-        for k in range(1, (df - 1) // 2):
-            term *= cos2 * (2 * k) / (2 * k + 1)
-            acc += term
-        sin_cos = t * math.sqrt(df) / (df + t * t) if df > 1 else 0.0
-        return (2.0 / math.pi) * (math.atan(t / math.sqrt(df)) + sin_cos * acc)
-    for k in range(1, df // 2):
-        term *= cos2 * (2 * k - 1) / (2 * k)
-        acc += term
-    return t / math.sqrt(df + t * t) * acc
-
-
-def _t_quantile(df: int, p: float) -> float:
-    """Student's t quantile for an integer ``df >= 1``.
-
-    Newton's method from the normal quantile on the two-sided probability of
-    :func:`_t_two_sided`, solved against ``|2p - 1|`` (exact for p >= 1/4),
-    with the density from ``math.lgamma``.  The two-sided sum is concave in
-    t > 0 and the normal quantile lies below the root, so the iterates rise
-    to it monotonically.  Within about ``1e-11 * max(1, |t|)`` of
-    ``scipy.special.stdtrit`` for df up to 1e4 and p in [1e-4, 1 - 1e-4];
-    further out the relative error grows roughly as ``1e-16 / min(p, 1 - p)``,
-    and p within about 5e-17 of 0 gives -inf.
-    """
-    _check_confidence(p)
-    target = abs(2.0 * p - 1.0)
-    if target == 1.0:
-        return -math.inf
-    log_norm = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
-                - 0.5 * math.log(df * math.pi))
-    t = abs(_normal_quantile(p))
-    for _ in range(100):
-        dens = math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df))
-        step = (target - _t_two_sided(t, df)) / (2.0 * dens)
-        t += step
-        # converged, or a step that does not rise: rounding noise of the sum
-        if step <= 1e-13 * max(1.0, t):
-            break
-    return t if p >= 0.5 else -t
-
-
-def _linear_quantiles(samples: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """``np.quantile(samples, probs)`` bit for bit on finite samples: numpy's
-    virtual index and its two-sided lerp on the sorted samples.  ``np.quantile``
-    imports ``numpy.ma`` on first use, which costs 10-17 ms."""
-    x = np.sort(samples)
-    n = len(x)
-    virtual = (n - 1) * probs
-    lo = np.floor(virtual)
-    gamma = virtual - lo
-    lo = lo.astype(np.intp)
-    a, b = x[lo], x[np.minimum(lo + 1, n - 1)]  # at p = 1, gamma = 0 and a = b
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return out
-
-
 @dataclass(frozen=True)
 class CheckRow:
     """One pointwise comparison: empirical estimate vs theoretical bound."""
@@ -248,7 +185,7 @@ class CheckRow:
 
 @dataclass(frozen=True)
 class CrossTimeReport:
-    """Survival-curve and mean comparisons for one loop record."""
+    """Survival-band and mean comparisons for one loop record."""
 
     underpowered: bool
     up_rows: List[CheckRow]
@@ -264,16 +201,27 @@ class CrossTimeReport:
 
     @property
     def n_flags(self) -> int:
-        return (
-            sum(r.flag for r in self.up_rows)
-            + sum(r.flag for r in self.down_rows)
-            + int(self.mean_up_flag)
-            + int(self.mean_down_flag)
-        )
+        """Flags among the four statistics: a band flags when any of its rows does."""
+        return sum((any(r.flag for r in self.up_rows), any(r.flag for r in self.down_rows),
+                    self.mean_up_flag, self.mean_down_flag))
 
     @property
     def passed(self) -> bool:
         return self.underpowered or self.n_flags == 0
+
+
+def _band_rows(samples: np.ndarray, bound: np.ndarray, alpha: float,
+               up_side: bool) -> List[CheckRow]:
+    """One row per sorted sample: its empirical survival, ``P{> s}`` up and
+    ``P{>= s}`` down, in the one-sided DKW band of level alpha.  Up-cross
+    survival is bounded from below, down-cross from above."""
+    n = len(samples)
+    half = math.sqrt(math.log(1.0 / alpha) / (2 * n))
+    emp = (n - np.searchsorted(samples, samples, side="right" if up_side else "left")) / n
+    flags = emp + half < bound if up_side else emp - half > bound
+    return [CheckRow(*row) for row in zip(
+        samples.tolist(), emp.tolist(), bound.tolist(), np.maximum(emp - half, 0.0).tolist(),
+        np.minimum(emp + half, 1.0).tolist(), flags.tolist())]
 
 
 def verify_cross_time_bounds(
@@ -282,60 +230,42 @@ def verify_cross_time_bounds(
     confidence: float = 0.99,
     min_loops: int = MIN_LOOPS,
 ) -> CrossTimeReport:
-    """Check empirical crossing-time statistics against the survival bounds.
+    """Check the loop times against the laws that dominate them.
 
-    Up-cross survival must not fall below its theoretical lower bound and
-    down-cross survival must not exceed its upper bound, pointwise at the
-    given one-sided Wilson confidence.  Sample means are compared one-sided
-    against t_uc (>=) and t_dc (<=) with t-intervals.  The first up-cross is
-    dropped: its distribution is not controlled by the dominating law.
-    ``min_loops`` must be at least 3, so that a powered check keeps two
-    up-crossing samples for its t-interval.
+    The paper couples the up times to i.i.d. up-law draws below them and the
+    down times to i.i.d. down-law draws above them.  Each of four statistics
+    is monotone in the sample, so it flags at most as often as on those
+    draws, where it runs at ``alpha = (1 - confidence) / 4``: the up and the
+    down survival each against its bound in a one-sided DKW band (Massart
+    1990), the mean down time above its exact Gamma critical value, and the
+    mean up time below its Chernoff one.  ``mean_up_halfwidth`` is
+    ``t_uc - crit_up`` and ``mean_down_halfwidth`` is ``crit_down - t_dc``.
+    The first up-cross is dropped: its law is not controlled.  ``min_loops``
+    must be at least 2, so that an up time is left.
     """
     _check_confidence(confidence)
-    if min_loops < 3:
-        raise ValueError(f"min_loops must be >= 3, got {min_loops!r}")
-    t_uc = expected_up_cross(levels)
-    t_dc = expected_down_cross(levels)
-    up = np.asarray(record.up_times[1:], dtype=float)
-    down = np.asarray(record.down_times, dtype=float)
-
-    def survival_rows(samples, bound_fn, up_side):
-        # up-cross survival is bounded from below, down-cross from above
-        n = len(samples)
-        grid = _linear_quantiles(samples, np.linspace(0.0, 0.95, _SURVIVAL_GRID))
-        rows = []
-        for s in grid:
-            s = float(s)
-            k = int(np.sum(samples > s if up_side else samples >= s))
-            bound = bound_fn(s, levels)
-            lo, hi = wilson_interval(k, n, confidence)
-            rows.append(CheckRow(s, k / n, bound, lo, hi,
-                                 hi < bound if up_side else lo > bound))
-        return rows
-
-    def one_sided_halfwidth(samples):
-        n = len(samples)
-        tq = _t_quantile(n - 1, confidence)
-        return tq * float(np.std(samples, ddof=1)) / math.sqrt(n)
-
+    if min_loops < 2:
+        raise ValueError(f"min_loops must be >= 2, got {min_loops!r}")
+    t_uc, t_dc = expected_up_cross(levels), expected_down_cross(levels)
+    up = np.sort(record.up_times[1:])
+    down = np.sort(record.down_times)
     underpowered = record.complete_loops < min_loops
     if underpowered:
-        # NaN half-widths make both mean flags False
-        up_rows, down_rows, up_hw, down_hw = [], [], math.nan, math.nan
+        # NaN critical values make both mean flags False
+        up_rows, down_rows, crit_up, crit_down = [], [], math.nan, math.nan
     else:
-        up_rows = survival_rows(up, up_cross_survival_bound, True)
-        down_rows = survival_rows(down, down_cross_survival_bound, False)
-        up_hw = one_sided_halfwidth(up)
-        down_hw = one_sided_halfwidth(down)
+        alpha = (1.0 - confidence) / 4.0
+        up_rows = _band_rows(up, up_cross_survival_bound(up, levels), alpha, True)
+        down_rows = _band_rows(down, down_cross_survival_bound(down, levels), alpha, False)
+        crit_up = up_mean_critical(levels, len(up), alpha)
+        crit_down = down_mean_critical(levels, len(down), alpha)
     mean_up = float(np.mean(up)) if len(up) else math.nan
     mean_down = float(np.mean(down)) if len(down) else math.nan
     return CrossTimeReport(
         underpowered=underpowered, up_rows=up_rows, down_rows=down_rows,
         t_uc=t_uc, t_dc=t_dc, mean_up=mean_up, mean_down=mean_down,
-        mean_up_halfwidth=up_hw, mean_down_halfwidth=down_hw,
-        mean_up_flag=mean_up + up_hw < t_uc,
-        mean_down_flag=mean_down - down_hw > t_dc,
+        mean_up_halfwidth=t_uc - crit_up, mean_down_halfwidth=crit_down - t_dc,
+        mean_up_flag=mean_up < crit_up, mean_down_flag=mean_down > crit_down,
     )
 
 
