@@ -30,7 +30,6 @@ from .bounds import (LevelPair, _positive_alpha1, beta_star, expected_down_cross
 from .loops import (
     MIN_PATHS,
     _check_confidence,
-    _grid_index,
     empirical_time_average,
     extract_loops,
     verify_cross_time_bounds,
@@ -351,14 +350,17 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
         if not min(cfg.check_times) > 0.0:
             raise ValueError(f"ensemble.check_times must be positive, got "
                              f"{min(cfg.check_times)!r}")
+        for t in cfg.check_times:
+            try:  # SimConfig's rule for a horizon: a whole number of steps, at least one
+                SimConfig(t_end=t, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
+            except ValueError:
+                raise ValueError(f"ensemble.check_times: time {t!r} is not a whole number "
+                                 f"of steps sim.dt={cfg.dt!r}") from None
         max_threads()  # a bad NSS_LAB_THREADS fails here, not after the long path
         # save only the coarsest grid that holds every check time
         save_every = math.gcd(*(round(t / cfg.dt) for t in cfg.check_times))
-        with _config_key("ensemble.check_times"):
-            ens_cfg = SimConfig(t_end=max(cfg.check_times), dt=cfg.dt, seed=cfg.seed,
-                                x0=cfg.x0, save_every=save_every)
-            for t in cfg.check_times:
-                _grid_index(ens_cfg.grid_dt, ens_cfg.n_saved, t)
+        ens_cfg = SimConfig(t_end=max(cfg.check_times), dt=cfg.dt, seed=cfg.seed,
+                            x0=cfg.x0, save_every=save_every)
         with _config_key("ensemble.n_paths", "ensemble.check_times"):
             _check_series(spec, ens_cfg, cfg.n_paths)
     out = Path(cfg.output_dir)

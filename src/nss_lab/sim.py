@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .model import SystemSpec
+from .model import SystemSpec, _sum_of_squares
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -160,18 +160,6 @@ class Trajectory:
         return (len(self.lyap) - 1) * self.grid_dt
 
 
-def _initial_state(spec: SystemSpec, cfg: SimConfig) -> np.ndarray:
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (spec.dim_state,):
-        raise ValueError(f"x0 shape {x0.shape} != ({spec.dim_state},)")
-    return x0
-
-
-def _generators(cfg: SimConfig, lo: int, hi: Optional[int]) -> List[Generator]:
-    """The Philox generators of paths [lo, hi) (path lo alone if ``hi`` is None)."""
-    return [path_generator(cfg.seed, i) for i in range(lo, lo + 1 if hi is None else hi)]
-
-
 def _scratch_bytes(m: int, steps: int, paths: int) -> int:
     """Bytes that :func:`_noise` holds besides its output when it draws ``steps``
     steps of ``paths`` paths: one block of Sigma, of one path's draws, of one
@@ -228,21 +216,18 @@ def _noise(spec: SystemSpec, gens: List[Generator], dt: float, k0: int, k1: int,
     return s
 
 
-def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, lo: int,
-                    hi: Optional[int] = None) -> np.ndarray:
-    """Saved states of paths [lo, hi) stepped in lock step, shape (hi-lo, K+1, N).
+def _euler_maruyama(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
+                    gens: List[Generator], batch: tuple) -> np.ndarray:
+    """Saved states of the paths drawn by ``gens``, stepped in lock step from
+    ``x0``, shape ``batch + (K+1, N)``: ``batch`` is () for one path, stepped
+    on a state of shape (N,), and (P,) for P paths.
 
-    With ``hi=None`` only path ``lo`` is stepped, on a state of shape (N,), and
-    the result has shape (K+1, N).  Every batch shape evaluates the same
-    expressions, so path i has the same bits alone as inside any chunk.  The
-    noise is drawn in time segments that hold at most ``_NOISE_BYTES`` with
-    their draws and scratch; successive draws continue each path's stream, so
-    the segment length moves no bit.
+    Every batch shape evaluates the same expressions, so path i has the same
+    bits alone as inside any chunk.  The noise is drawn in time segments that
+    hold at most ``_NOISE_BYTES`` with their draws and scratch; successive
+    draws continue each path's stream, so the segment length moves no bit.
     """
     n_steps, dt, m = cfg.n_steps, cfg.dt, spec.dim_noise
-    x0 = _initial_state(spec, cfg)
-    batch = () if hi is None else (hi - lo,)
-    gens = _generators(cfg, lo, hi)
     seg = max(1, _NOISE_BYTES // (8 * m * len(gens) + _scratch_bytes(m, 1, len(gens))))
 
     drift, diffusion = spec.dynamics
@@ -315,8 +300,8 @@ def _refill_plan(n_steps: int, span: int, save: int) -> list:
     return plan
 
 
-def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
-                 hi: Optional[int] = None) -> np.ndarray:
+def _affine_scan(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
+                 gens: List[Generator], batch: tuple) -> np.ndarray:
     """The contract of :func:`_euler_maruyama`, for a spec that declares ``affine``.
 
     With ``s_k = Sigma(t_k) dW_k``, step k is the affine map ``x -> M_k x + b_k``
@@ -339,13 +324,11 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, lo: int,
     """
     n_steps, dt = cfg.n_steps, cfg.dt
     n, m = spec.dim_state, spec.dim_noise
-    x0 = _initial_state(spec, cfg)
-    batch = () if hi is None else (hi - lo,)
     span = block_length(n_steps)
     n_full = n_steps // span  # the blocks before the last, partial one
 
     # the noise, zero-padded to whole blocks
-    s = _noise(spec, _generators(cfg, lo, hi), dt, 0, n_steps,
+    s = _noise(spec, gens, dt, 0, n_steps,
                (m, _padded_length(n_steps)) + batch).reshape((m, n_full + 1, span) + batch)
 
     a, h0, h = spec.affine
@@ -436,25 +419,18 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
     each block's V and norms are written into the outputs, then checked.  A
     non-finite state makes its norm non-finite, and a finite state above
     about 1e154 overflows its square.  So the first non-finite row is the
-    lowest failing path's first failing step.  For N <= 7 the norm is the
-    square root of the squares added column by column, left to right: the
-    bits of ``np.linalg.norm(states, axis=-1)``, whose sum along the last
-    axis adds in that order up to 7 terms and regroups from 8 on, where
-    ``np.linalg.norm`` itself is called."""
+    lowest failing path's first failing step.  The norm is the square root of
+    :func:`~nss_lab.model._sum_of_squares`, the squares added column by
+    column: for N <= 7 the bits of ``np.linalg.norm(states, axis=-1)``, which
+    regroups its sum from 8 terms on."""
     n = states.shape[-1]
-    flat = states.reshape(-1, n)  # a view of every kernel's states
+    flat = states.reshape(-1, n)  # a copy only of the affine scan's chunks, which are path-minor
     lyap, norms = np.empty(len(flat)), np.empty(len(flat))
     for r0 in range(0, len(flat), _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, len(flat))
         block = flat[r0:r1]
         lyap[r0:r1] = np.asarray(spec.lyapunov.v(block), dtype=float).reshape(-1)
-        if n >= 8:
-            norms[r0:r1] = np.linalg.norm(block, axis=-1)
-        else:
-            acc = np.multiply(block[:, 0], block[:, 0], out=norms[r0:r1])
-            for col in block.T[1:]:
-                acc += col * col
-            np.sqrt(acc, out=acc)
+        np.sqrt(_sum_of_squares(block, out=norms[r0:r1]), out=norms[r0:r1])
         bad = ~(np.isfinite(lyap[r0:r1]) & np.isfinite(norms[r0:r1]))
         if bad.any():
             path, idx = divmod(r0 + int(np.argmax(bad)), states.shape[-2])
@@ -470,13 +446,27 @@ _KERNELS = {
 }
 
 
-def _kernel(spec: SystemSpec):
-    return _KERNELS[spec.affine is not None][0]
-
-
 def integrator_name(spec: SystemSpec) -> str:
     """The kernel that steps ``spec``, as recorded in output metadata."""
     return _KERNELS[spec.affine is not None][1]
+
+
+def _simulate(spec: SystemSpec, cfg: SimConfig, lo: int,
+              hi: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The saved states, V and norms of path ``lo``, of shapes (K+1, N), (K+1,)
+    and (K+1,), or of paths [lo, hi) stepped in lock step, with a leading axis
+    of hi - lo.  Path i draws from ``path_generator(cfg.seed, i)`` and is
+    stepped by the spec's kernel in ``_KERNELS``.  A blow-up raises
+    :class:`NonFiniteStateError` from :func:`_finalize`, not a numpy warning."""
+    x0 = np.asarray(cfg.x0, dtype=float)
+    if x0.shape != (spec.dim_state,):
+        raise ValueError(f"x0 shape {x0.shape} != ({spec.dim_state},)")
+    paths = range(lo, lo + 1 if hi is None else hi)
+    batch = () if hi is None else (len(paths),)
+    gens = [path_generator(cfg.seed, i) for i in paths]
+    with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
+        states = _KERNELS[spec.affine is not None][0](spec, cfg, x0, gens, batch)
+        return (states, *_finalize(spec, cfg, states, lo))
 
 
 def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajectory:
@@ -485,11 +475,9 @@ def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajecto
     Specs that declare ``affine`` run the blocked affine scan, others the
     sequential step loop, on this path alone.  Bit-reproducible for fixed
     (spec, cfg, path_index) on one platform, and bit-identical to path
-    ``path_index`` of :func:`ensemble`.
+    ``path_index`` of :func:`ensemble`: both run :func:`_simulate`.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # _finalize reports a blow-up
-        states = _kernel(spec)(spec, cfg, path_index)
-        lyap, norms = _finalize(spec, cfg, states, path_index)
+    states, lyap, norms = _simulate(spec, cfg, path_index)
     return Trajectory(grid_dt=cfg.grid_dt, states=states, lyap=lyap, norms=norms)
 
 
@@ -504,9 +492,10 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
     affine scan takes as many paths as fit beside one path group's scratch,
     the sequential kernel 1000 paths whose noise it draws in time segments.
     The affine scan refills only the blocks that hold a saved step.  Each
-    worker fills its chunk's rows of the states, V and norms, so besides
-    those arrays memory holds one chunk's noise and temporaries per worker.
-    A non-finite state names the lowest failing path.
+    worker runs :func:`_simulate` on its chunk and copies the states, V and
+    norms into the ensemble's arrays, so besides those arrays memory holds one
+    chunk's noise, series and temporaries per worker.  A non-finite state
+    names the lowest failing path.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
@@ -514,16 +503,13 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
     chunk = (_SEQUENTIAL_CHUNK if spec.affine is None else max(
         1, (_NOISE_BYTES - _scratch_bytes(m, n_steps, _GROUP))
         // (8 * m * _padded_length(n_steps))))
-    kernel = _kernel(spec)
     shape = (n_paths, cfg.n_saved)
     ens = Ensemble(grid_dt=cfg.grid_dt, states=np.empty(shape + (spec.dim_state,)),
                    lyap=np.empty(shape), norms=np.empty(shape))
 
     def run(lo):
         hi = min(lo + chunk, n_paths)
-        with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
-            ens.states[lo:hi] = kernel(spec, cfg, lo, hi)
-            ens.lyap[lo:hi], ens.norms[lo:hi] = _finalize(spec, cfg, ens.states[lo:hi], lo)
+        ens.states[lo:hi], ens.lyap[lo:hi], ens.norms[lo:hi] = _simulate(spec, cfg, lo, hi)
 
     starts = range(0, n_paths, chunk)
     # map yields in chunk order, so the first error raised is the lowest path's

@@ -464,6 +464,11 @@ class TestCommandLine:
          "bytes"),
         (["ensemble.n_paths=100000000"], None, "ensemble.n_paths, ensemble.check_times: the "
          "saved series (states, V and norms) would take 35200000000 bytes"),
+        # one rule for every check time, whichever is the largest
+        (["ensemble.n_paths=1000", "ensemble.check_times=1,2.0005"], None,
+         "ensemble.check_times: time 2.0005 is not a whole number of steps sim.dt=0.001"),
+        (["ensemble.n_paths=1000", "ensemble.check_times=1.0005,2"], None,
+         "ensemble.check_times: time 1.0005 is not a whole number of steps sim.dt=0.001"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):
@@ -627,6 +632,20 @@ class TestCommandLine:
             assert "\nx0 = 0\n" in echo
             outputs.append(echo.replace(str(out), "OUT"))
         assert outputs[0] == outputs[1]
+
+    def test_sequential_ensemble_through_main(self, tmp_path):
+        # ou-1d's ensemble runs the sequential kernel: the moment table that
+        # main writes is verify_moment_bound on the library's ensemble
+        out = tmp_path / "ou"
+        assert main(["example", "--set=system.name=ou-1d", "--set=system.x0=0",
+                     "--set=sim.t_end=5", "--set=ensemble.n_paths=1000",
+                     f"--set=output.dir={out}"]) == EXIT_OK
+        spec, cfg = SYSTEMS["ou-1d"](), ExperimentConfig()
+        # saved every 0.5 s, the coarsest grid that holds the default check times
+        sim_cfg = SimConfig(t_end=5.0, dt=cfg.dt, seed=cfg.seed, x0=(0.0,), save_every=500)
+        mom = verify_moment_bound(ensemble(spec, sim_cfg, 1000), spec, cfg.check_times)
+        got = np.loadtxt(out / "moment_bound.csv", delimiter=",", skiprows=1)
+        assert got.tolist() == np.array([astuple(r) for r in mom.rows], dtype=float).tolist()
 
     def test_unknown_system_rejected(self, tmp_path, capsys):
         args = ["example", "--set=system.name=warp-drive",

@@ -14,6 +14,7 @@ from nss_lab.model import (
     _lv_plus_cv,
     _noise_magnitudes,
     _quadratic_lyapunov,
+    _sum_of_squares,
     builtin_example,
     check_enss,
 )
@@ -525,6 +526,18 @@ class TestBuiltinExample:
             want = 0.5 * np.sum(x * x, axis=-1)
             assert np.shape(v(x)) == shape[:-1]
             assert np.asarray(v(x)).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sum_of_squares_has_the_bits_of_the_sum(self, n):
+        # by columns, left to right: np.sum's order below 8 terms
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (40, n), (3, 40, n)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+            want = np.sum(x * x, axis=-1)
+            assert np.asarray(_sum_of_squares(x)).tobytes() == np.asarray(want).tobytes()
+            out = np.empty(shape[:-1])
+            assert _sum_of_squares(x, out=out) is out
+            assert out.tobytes() == np.asarray(want).tobytes()
 
     def test_affine_declaration_reproduces_dynamics(self, benchmark_system):
         a, h0, h = benchmark_system.affine

@@ -483,7 +483,7 @@ class TestNoise:
         ref = np.stack([_reference_noise(spec, cfg, 3 + i) for i in range(paths)], axis=-1)
         for rows in (sim._BLOCK_ROWS, 7, 1):
             monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
-            gens = sim._generators(cfg, 3, 3 + paths)
+            gens = [path_generator(cfg.seed, i) for i in range(3, 3 + paths)]
             got = np.concatenate([sim._noise(spec, gens, cfg.dt, k0, k1,
                                              (2, k1 - k0, paths))
                                   for k0, k1 in zip(bounds, bounds[1:])], axis=1)
@@ -633,9 +633,9 @@ class TestNoiseBudget:
         monkeypatch.setattr(sim, "_NOISE_BYTES", _chunk_budget(spec, cfg, 2))
         monkeypatch.setenv("NSS_LAB_THREADS", "4")
         shapes = _spy_noise(monkeypatch)
-        real, drawn = sim._generators, []
-        monkeypatch.setattr(sim, "_generators",
-                            lambda cfg, lo, hi: drawn.append((lo, hi)) or real(cfg, lo, hi))
+        real, drawn = sim._simulate, []
+        monkeypatch.setattr(sim, "_simulate", lambda spec, cfg, lo, hi=None:
+                            drawn.append((lo, hi)) or real(spec, cfg, lo, hi))
         with pytest.raises(NonFiniteStateError) as exc:
             ensemble(spec, cfg, 12)
         assert (exc.value.path_index, exc.value.step) == (lowest, failing[lowest])
@@ -677,7 +677,8 @@ class TestFailureModes:
         spec = _affine([[4.55]], [[0.0]], [[[1.0]]])
         cfg = SimConfig(t_end=420.0, dt=1.0, seed=2, x0=(1.0,), save_every=2)
         with np.errstate(over="ignore"):
-            assert np.isfinite(sim._affine_scan(spec, cfg, 0)).all()
+            states = sim._affine_scan(spec, cfg, np.array([1.0]), [path_generator(2, 0)], ())
+            assert np.isfinite(states).all()
         with pytest.raises(NonFiniteStateError) as exc:
             integrate(spec, cfg)
         assert (exc.value.path_index, exc.value.step) == (0, 212)
@@ -710,9 +711,10 @@ class TestFailureModes:
 
 
 class TestFinalize:
-    @pytest.mark.parametrize("dim", range(1, 10))
+    @pytest.mark.parametrize("dim", [*range(1, 10), 12])
     def test_norms_have_the_bits_of_linalg_norm(self, dim):
-        # summed by columns up to 7 components, by np.linalg.norm from 8 on
+        # the squares summed by columns: the bits of np.linalg.norm up to 7
+        # components; from 8 on, where it regroups, within 2 ulp of it
         spec = _deterministic(lambda x: x, dim)
         cfg = SimConfig(t_end=0.3, dt=0.1, seed=1, x0=(0.0,) * dim)
         rng = np.random.default_rng(dim)
@@ -720,7 +722,15 @@ class TestFinalize:
             states = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
             lyap, norms = _finalize(spec, cfg, states, 0)
             assert norms.shape == lyap.shape == shape[:-1]
-            assert norms.tobytes() == np.linalg.norm(states, axis=-1).tobytes()
+            by_columns = states[..., 0] * states[..., 0]
+            for i in range(1, dim):
+                by_columns = by_columns + states[..., i] * states[..., i]
+            assert norms.tobytes() == np.sqrt(by_columns).tobytes()
+            linalg = np.linalg.norm(states, axis=-1)
+            if dim < 8:
+                assert norms.tobytes() == linalg.tobytes()
+            else:
+                assert (np.abs(norms - linalg) <= 2 * np.spacing(linalg)).all()
 
 
 class TestCsvDump:

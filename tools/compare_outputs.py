@@ -47,6 +47,9 @@ RUNS = [
     # the OU by name: its sequential and its affine kernel
     ["system.name=ou-1d", "system.x0=0", "sim.t_end=50"],
     ["system.name=ou-1d-affine", "system.x0=0", "sim.t_end=50"],
+    # and their ensembles: ou-1d's is the one run whose chunks step sequentially
+    ["system.name=ou-1d", "system.x0=0", "sim.t_end=5", "ensemble.n_paths=1000"],
+    ["system.name=ou-1d-affine", "system.x0=0", "sim.t_end=5", "ensemble.n_paths=1000"],
     # sin t near its zeros: the gain's round-off must not flag the premise
     ["sim.dt=0.0001", "sim.t_end=3.1417"],
 ]
