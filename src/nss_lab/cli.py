@@ -41,6 +41,7 @@ from .sim import (
     RNG_ALGORITHM,
     SimConfig,
     Trajectory,
+    _whole_steps,
     ensemble,
     integrate,
     integrator_name,
@@ -347,18 +348,14 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
             _positive_alpha1(spec.lyapunov.alpha1, cfg.prob_radius)
         if not cfg.check_times:
             raise ValueError("ensemble.check_times must list at least one time")
-        if not min(cfg.check_times) > 0.0:
+        with _config_key("ensemble.check_times"):
+            steps = [_whole_steps(t, cfg.dt) for t in cfg.check_times]
+        if min(steps) < 1:  # t = 0 on the grid, where every path sits at x0
             raise ValueError(f"ensemble.check_times must be positive, got "
                              f"{min(cfg.check_times)!r}")
-        for t in cfg.check_times:
-            try:  # SimConfig's rule for a horizon: a whole number of steps, at least one
-                SimConfig(t_end=t, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
-            except ValueError:
-                raise ValueError(f"ensemble.check_times: time {t!r} is not a whole number "
-                                 f"of steps sim.dt={cfg.dt!r}") from None
         max_threads()  # a bad NSS_LAB_THREADS fails here, not after the long path
         # save only the coarsest grid that holds every check time
-        save_every = math.gcd(*(round(t / cfg.dt) for t in cfg.check_times))
+        save_every = math.gcd(*steps)
         ens_cfg = SimConfig(t_end=max(cfg.check_times), dt=cfg.dt, seed=cfg.seed,
                             x0=cfg.x0, save_every=save_every)
         with _config_key("ensemble.n_paths", "ensemble.check_times"):

@@ -29,7 +29,7 @@ from .bounds import (
     up_mean_critical,
 )
 from .model import SystemSpec
-from .sim import _BLOCK_ROWS, Ensemble, Trajectory
+from .sim import _BLOCK_ROWS, Ensemble, Trajectory, _whole_steps
 
 __all__ = [
     "LoopRecord",
@@ -281,10 +281,9 @@ class MomentReport:
 
 
 def _grid_index(grid_dt: float, n: int, t: float) -> int:
-    """Index of time t on the grid of n saved times ``q * grid_dt``; raises if
-    t is off it."""
-    idx = int(round(t / grid_dt))
-    if not (0 <= idx < n) or abs(idx * grid_dt - t) > 1e-9 + 1e-9 * abs(t):
+    """Index of time t on the grid of n saved times ``q * grid_dt``, or raises."""
+    idx = _whole_steps(t, grid_dt)
+    if not 0 <= idx < n:
         raise ValueError(f"time {t!r} is not on the saved trajectory grid")
     return idx
 

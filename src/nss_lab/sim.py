@@ -88,14 +88,24 @@ def max_threads() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _whole_steps(t: float, step: float) -> int:
+    """k = round(t / step), the steps in ``t``: horizons, check times and saved
+    indices.  Refuses t unless |t/step - k| <= 1e-9 + 8 eps |k|, an allowance
+    that grows with the round-off of t/step: 1.8e-6 of a step at 1e9 steps."""
+    k = round(t / step)
+    if abs(t / step - k) > 1e-9 + 8 * np.finfo(float).eps * abs(k):
+        raise ValueError(f"time {t!r} is not a whole number of steps {step!r}")
+    return k
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One integration run: horizon, step, seed and initial state.
 
-    The horizon ``t_end`` must be finite and a whole number of steps ``dt``,
-    and ``seed`` a nonnegative integer (Python's or numpy's).
-    ``save_every`` thins storage to every k-th grid point (the time grid
-    stays uniform); it must divide the step count exactly.
+    The horizon ``t_end`` must be finite and a whole number of steps ``dt``
+    by :func:`_whole_steps`, and ``seed`` a nonnegative integer (Python's or
+    numpy's).  ``save_every`` thins storage to every k-th grid point (the
+    time grid stays uniform); it must divide the step count exactly.
     """
 
     t_end: float
@@ -113,18 +123,14 @@ class SimConfig:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.save_every < 1:
             raise ValueError(f"save_every must be >= 1, got {self.save_every!r}")
-        if abs(self.t_end / self.dt - self.n_steps) > 1e-9:
-            raise ValueError(
-                f"t_end={self.t_end!r} is not a whole number of steps dt={self.dt!r}"
-            )
-        if self.n_steps % self.save_every != 0:
+        if self.n_steps % self.save_every != 0:  # n_steps refuses a partial step
             raise ValueError(
                 f"save_every={self.save_every} does not divide {self.n_steps} steps"
             )
 
     @property
     def n_steps(self) -> int:
-        return round(self.t_end / self.dt)
+        return _whole_steps(self.t_end, self.dt)
 
     @property
     def n_saved(self) -> int:
@@ -376,17 +382,17 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
     save = cfg.save_every
     rows = slice(None) if save <= span else np.arange(cfg.n_saved) * save // span
     x = [starts[rows, r] for r in range(n)]
-    states = np.empty((cfg.n_saved, n) + batch)
+    states = np.empty(batch + (cfg.n_saved, n))
     plan = _refill_plan(n_steps, span, save)
     for jj, fill in enumerate(plan):
         if fill is not None:
             filled, saved = fill
             for r in range(n):
-                states[saved, r] = x[r][filled]
+                states[..., saved, r] = x[r][filled].T
         if jj < len(plan) - 1:
             mat, off = step_map(rows, jj)
             x = _affine_apply(mat, x, off)
-    return np.moveaxis(states, -1, 0) if batch else states
+    return states
 
 
 @dataclass(frozen=True)
@@ -423,8 +429,7 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
     :func:`~nss_lab.model._sum_of_squares`, the squares added column by
     column: for N <= 7 the bits of ``np.linalg.norm(states, axis=-1)``, which
     regroups its sum from 8 terms on."""
-    n = states.shape[-1]
-    flat = states.reshape(-1, n)  # a copy only of the affine scan's chunks, which are path-minor
+    flat = states.reshape(-1, states.shape[-1])  # a view: both kernels write path-major
     lyap, norms = np.empty(len(flat)), np.empty(len(flat))
     for r0 in range(0, len(flat), _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, len(flat))
@@ -491,10 +496,9 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
     Sigma, draws and row sums it is made from, or one path's if that is more: the
     affine scan takes as many paths as fit beside one path group's scratch,
     the sequential kernel 1000 paths whose noise it draws in time segments.
-    The affine scan refills only the blocks that hold a saved step.  Each
-    worker runs :func:`_simulate` on its chunk and copies the states, V and
-    norms into the ensemble's arrays, so besides those arrays memory holds one
-    chunk's noise, series and temporaries per worker.  A non-finite state
+    Each worker runs :func:`_simulate` on its chunk and copies the states, V
+    and norms into the ensemble's arrays, so besides those arrays memory holds
+    one chunk's noise, series and temporaries per worker.  A non-finite state
     names the lowest failing path.
     """
     if n_paths < 1:

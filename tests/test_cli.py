@@ -434,7 +434,8 @@ class TestCommandLine:
         (["grid.spacing=cubic"], None, "grid.spacing must be 'log' or 'linear', got 'cubic'"),
         (["levels.v1=0.1"], None, "levels.v1: v1=0.1 must exceed the noise floor"),
         (["levels.v0=3"], None, "levels.v0, levels.v1: levels must satisfy"),
-        (["sim.t_end=0.0015"], None, "sim.t_end, sim.dt: t_end=0.0015 is not a whole number"),
+        (["sim.t_end=0.0015"], None,
+         "sim.t_end, sim.dt: time 0.0015 is not a whole number of steps 0.001"),
         (["sim.dt=0"], None, "sim.t_end, sim.dt: need 0 < dt <= t_end, got dt=0.0"),
         (["ensemble.n_paths=1000", "ensemble.prob_radius=nan"], None,
          "ensemble.prob_radius must be finite, got nan"),
@@ -466,9 +467,9 @@ class TestCommandLine:
          "saved series (states, V and norms) would take 35200000000 bytes"),
         # one rule for every check time, whichever is the largest
         (["ensemble.n_paths=1000", "ensemble.check_times=1,2.0005"], None,
-         "ensemble.check_times: time 2.0005 is not a whole number of steps sim.dt=0.001"),
+         "ensemble.check_times: time 2.0005 is not a whole number of steps 0.001"),
         (["ensemble.n_paths=1000", "ensemble.check_times=1.0005,2"], None,
-         "ensemble.check_times: time 1.0005 is not a whole number of steps sim.dt=0.001"),
+         "ensemble.check_times: time 1.0005 is not a whole number of steps 0.001"),
     ])
     def test_validate_names_the_key(self, tmp_path, monkeypatch, capsys,
                                     sets, threads, message):
@@ -484,6 +485,23 @@ class TestCommandLine:
         assert calls == []
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_whole_step_horizons_up_to_the_budget(self, monkeypatch):
+        # t_end / dt is 1.5e-8 off 100,000,003 and off 123,456,789: round-off,
+        # not a partial step; half a step at 1e9 steps is still refused
+        import nss_lab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "check_enss", lambda *a, **k: calls.append("check_enss"))
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append("integrate"))
+        for t_end, dt, n_steps in ((10000.0003, 0.0001, 100_000_003),
+                                   (123_456_789 * 0.0007, 0.0007, 123_456_789)):
+            plan = _plan(builtin_example(), ExperimentConfig(t_end=t_end, dt=dt))
+            assert plan.sim_cfg.n_steps == n_steps
+        with pytest.raises(ValueError, match=r"^sim\.t_end, sim\.dt: time 100000\.00005 is "
+                                             r"not a whole number of steps 0\.0001$"):
+            _plan(builtin_example(), ExperimentConfig(t_end=100000.00005, dt=1e-4))
+        assert calls == []
 
     def test_series_budget_counts_the_saved_series(self, monkeypatch):
         import nss_lab.cli as cli

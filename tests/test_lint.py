@@ -246,22 +246,28 @@ def test_package_exports_resolve():
         assert getattr(nss_lab, name) is getattr(module, name)
 
 
-def _full_precision_formats(source: str) -> list:
-    """``(line, enclosing function)`` of each string holding the ``.17g``
-    format: the byte format of CSV cells and of echoed config floats."""
+def _owned(source: str, match) -> list:
+    """``(line, enclosing function)`` of each node of ``source`` that ``match``
+    accepts, in source order."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
-            elif isinstance(child, ast.Constant) and ".17g" in str(child.value):
-                found.append((child.lineno, owner))
             else:
+                if match(child):
+                    found.append((child.lineno, owner))
                 visit(child, owner)
 
     visit(ast.parse(source), None)
     return found
+
+
+def _full_precision_formats(source: str) -> list:
+    """``(line, enclosing function)`` of each string holding the ``.17g``
+    format: the byte format of CSV cells and of echoed config floats."""
+    return _owned(source, lambda n: isinstance(n, ast.Constant) and ".17g" in str(n.value))
 
 
 def test_full_precision_format_in_two_routines():
@@ -284,6 +290,35 @@ def test_format_detector_sees_strings_and_f_strings():
         "    return [one(x) for x in xs], '%.6g'\n"
     )
     assert _full_precision_formats(source) == [(1, None), (3, "cell"), (6, "one")]
+
+
+def _round_calls(source: str) -> list:
+    """``(line, enclosing function)`` of each call of ``round`` or of a
+    ``.round`` attribute, such as ``np.round``."""
+    return _owned(source, lambda n: isinstance(n, ast.Call) and "round" in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None)))
+
+
+def test_round_only_in_the_grid_rule():
+    # sim._whole_steps decides which step a time falls on, for horizons, check
+    # times and saved indices; a round elsewhere would be a second grid rule
+    owners = {(path.name, owner)
+              for path in sorted(SRC.glob("*.py"))
+              for _, owner in _round_calls(path.read_text(encoding="utf-8"))}
+    assert owners == {("sim.py", "_whole_steps")}
+
+
+def test_round_detector_sees_calls():
+    source = (
+        "K = round(2.5)\n"
+        "def steps(t, dt):\n"
+        "    k = int(round(t / dt))  # round( in a comment is not code\n"
+        "    def inner(x):\n"
+        "        return np.round(x), x.round(2), 'round(x)', rounded(x), round\n"
+        "    return round(round(k))\n"
+    )
+    assert _round_calls(source) == [
+        (1, None), (3, "steps"), (5, "inner"), (5, "inner"), (6, "steps"), (6, "steps")]
 
 
 def _noise_draw_breaches(source: str) -> list:

@@ -598,6 +598,28 @@ class TestVerifyMomentBound:
         assert report.passed
 
 
+@pytest.mark.parametrize("check", ["moment", "probability"])
+def test_check_times_on_the_saved_grid(check):
+    # the grid rule of sim: 0.3 / 0.1 is 2.9999999999999996, saved index 3;
+    # a negative time, one a step past the horizon and one off the grid are
+    # refused, each by name
+    spec = SYSTEMS["ou-1d"]()
+    paths = ensemble(spec, SimConfig(t_end=1.0, dt=0.1, seed=2, x0=(0.0,)), 1000)
+    if check == "moment":
+        def column(t):
+            return verify_moment_bound(paths, spec, [t]).rows[0].empirical
+        assert column(0.3) == float(np.mean(paths.lyap[:, 3]))
+    else:
+        def column(t):
+            return verify_probability_bound(paths, spec, r=0.5, t=t).frequency
+        assert column(0.3) == int(np.sum(paths.norms[:, 3] < 0.5)) / 1000
+    for t, why in ((-0.1, "is not on the saved trajectory grid"),
+                   (1.1, "is not on the saved trajectory grid"),
+                   (0.35, "is not a whole number of steps 0.1")):
+        with pytest.raises(ValueError, match=rf"^time {t!r} {why}$"):
+            column(t)
+
+
 class TestVerifyProbabilityBound:
     def test_benchmark_floor_holds(self, benchmark_system):
         cfg = SimConfig(t_end=5.0, dt=1e-2, seed=4, x0=(0.0, 0.0), save_every=10)

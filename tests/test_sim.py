@@ -148,7 +148,7 @@ class TestConfig:
         (dict(t_end=1.0, dt=0.0), "dt"), (dict(t_end=1.0, dt=2.0), "dt"),
         (dict(t_end=1.0, dt=0.1, save_every=0), "save_every"),
         (dict(t_end=1.0, dt=0.1, save_every=3), "save_every"),
-        (dict(t_end=1.0, dt=0.3), "t_end"),
+        (dict(t_end=1.0, dt=0.3), r"^time 1\.0 is not a whole number of steps 0\.3$"),
         (dict(t_end=math.inf, dt=0.1), r"^t_end must be finite, got inf$"),
         (dict(t_end=1.0, dt=0.1, seed=-1),
          r"^seed must be a nonnegative integer, got -1$"),
@@ -423,6 +423,18 @@ class TestAffineScan:
                     assert len(solo.lyap) == thin.n_saved
                     assert solo.states.tobytes() == whole.states[::save].tobytes()
                     _assert_paths_equal([solo], [ens[i]])
+
+    @pytest.mark.parametrize("save", [1, 7, 49])
+    def test_chunk_states_are_path_major(self, benchmark_system, save):
+        # the sequential kernel's layout, so that _finalize reads a chunk as a
+        # view; blocks of 7 steps, refilled by block (1, 7) or by saved step (49)
+        cfg = SimConfig(t_end=4.9, dt=0.1, seed=17, x0=(0.5, -0.5), save_every=save)
+        gens = [path_generator(cfg.seed, i) for i in range(3)]
+        states = sim._affine_scan(benchmark_system, cfg, np.array(cfg.x0), gens, (3,))
+        assert states.shape == (3, cfg.n_saved, 2)
+        assert states.flags.c_contiguous
+        for i in range(3):
+            assert states[i].tobytes() == integrate(benchmark_system, cfg, i).states.tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_blow_up_step_matches_reference(self):

@@ -52,6 +52,9 @@ RUNS = [
     ["system.name=ou-1d-affine", "system.x0=0", "sim.t_end=5", "ensemble.n_paths=1000"],
     # sin t near its zeros: the gain's round-off must not flag the premise
     ["sim.dt=0.0001", "sim.t_end=3.1417"],
+    # check times inexact in binary (0.3 / 0.1 is 2.9999999999999996) on a
+    # saved grid of one step
+    ["sim.t_end=5", "sim.dt=0.1", "ensemble.n_paths=1000", "ensemble.check_times=0.3,0.7"],
 ]
 # the command line of each ``bounds`` run
 BOUNDS_RUNS = [
