@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bounds import (LevelPair, _positive_alpha1, beta_star, expected_down_cross,
-                     expected_up_cross, make_bound_set, occupancy_ratio_bound, optimal_v0)
+from .bounds import (LevelPair, beta_star, expected_down_cross, expected_up_cross,
+                     make_bound_set, occupancy_ratio_bound, optimal_v0)
 from .loops import (
     MIN_PATHS,
     _check_confidence,
@@ -84,7 +84,7 @@ _TABLES = {
     "down_cross_survival": ("threshold", "empirical", "bound", "ci_low", "ci_high", "flag"),
     "occupancy": ("k", "q_k", "occupied_fraction", "flag"),
     "moment_bound": ("t", "mean_V", "bound", "ci_low", "ci_high", "flag"),
-    "probability_bound": ("t", "frequency", "floor", "ci_low", "ci_high", "vacuous", "flag"),
+    "probability_bound": ("t", "r", "frequency", "floor", "ci_low", "ci_high", "flag"),
 }
 
 
@@ -138,7 +138,6 @@ class ExperimentConfig:
     n_paths: int = _key("ensemble", "n_paths", 0, int, str)
     check_times: Tuple[float, ...] = _key("ensemble", "check_times", (1.0, 2.5, 5.0),
                                           _parse_floats, _format_floats)
-    prob_radius: float = _key("ensemble", "prob_radius", 3.0)
     confidence: float = _key("stats", "confidence", 0.99)
     output_dir: str = _key("output", "dir", "nss-lab-out", str, str)
 
@@ -342,10 +341,6 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
         raise ValueError(f"ensemble.n_paths must be 0 or >= {MIN_PATHS}, got {cfg.n_paths}")
     ens_cfg = None
     if cfg.n_paths > 0:
-        if cfg.prob_radius <= 0.0:
-            raise ValueError(f"ensemble.prob_radius must be positive, got {cfg.prob_radius!r}")
-        with _config_key("ensemble.prob_radius"):
-            _positive_alpha1(spec.lyapunov.alpha1, cfg.prob_radius)
         if not cfg.check_times:
             raise ValueError("ensemble.check_times must list at least one time")
         with _config_key("ensemble.check_times"):
@@ -365,11 +360,12 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
         out = out.parent
     if not out.is_dir():
         raise ValueError(f"output.dir: {out} is not a directory")
-    # the premise sample: the box [-3, 3]^n, at times in [0, min(t_end, 2 pi)]
+    # the premise sample: the box [-3, 3]^n, at times in [0, min(T, 2 pi)], T the
+    # longer horizon of the long path and the ensemble
     n = spec.dim_state
     axes = [np.linspace(-3.0, 3.0, 7 if n <= 3 else 3)] * n
     states = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    t_hi = min(cfg.t_end, 2.0 * math.pi)
+    t_hi = min(max(cfg.t_end, ens_cfg.t_end if ens_cfg else 0.0), 2.0 * math.pi)
     premise = (states, np.linspace(0.0, t_hi, 11), np.linspace(0.0, t_hi, 10_000))
     return _Plan(levels, grid, b_grid, q_list, sim_cfg, ens_cfg, premise)
 
@@ -450,16 +446,18 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
             f"{len(mom.rows)} times, {sum(r.flag for r in mom.rows)} flags "
             "at 3 standard errors",
         )
-        probs = [verify_probability_bound(paths, spec, cfg.prob_radius, t,
-                                          confidence=cfg.confidence)
-                 for t in cfg.check_times]
-        report.notes += [f"probability bound vacuous at t={t:g}"
-                         for t, pr in zip(cfg.check_times, probs) if pr.vacuous]
-        report.add_table("probability_bound", [
-            [t, pr.frequency, pr.floor, pr.ci_low, pr.ci_high, pr.vacuous, pr.flag]
-            for t, pr in zip(cfg.check_times, probs)])
-        report.add_check("probability-bound", all(pr.passed for pr in probs),
-                         f"radius {cfg.prob_radius:g} at {len(probs)} times")
+        prob = verify_probability_bound(paths, spec, plan.grid, cfg.check_times,
+                                        confidence=cfg.confidence)
+        report.add_table("probability_bound", [(t, *astuple(r)) for t, t_rows
+                                               in zip(cfg.check_times, prob) for r in t_rows])
+        for t, t_rows in zip(cfg.check_times, prob):
+            vacuous = sum(r.bound <= 0.0 for r in t_rows)
+            if vacuous:
+                report.notes.append(f"probability bound vacuous at t={t:g} "
+                                    f"at {vacuous} of {len(t_rows)} radii")
+        flags = sum(r.flag for t_rows in prob for r in t_rows)
+        report.add_check("probability-bound", flags == 0,
+                         f"{len(plan.grid)} radii at {len(prob)} times, {flags} flags")
     return report
 
 

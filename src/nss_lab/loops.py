@@ -3,8 +3,9 @@
 A loop is one excursion of the Lyapunov value from level v0 up past v1 and
 back to v0.  This module extracts loops from a sampled trajectory, builds
 empirical survival / time-average distributions, and checks them against the
-closed-form bounds: the loop times with critical values of the laws that
-dominate them, the ensemble with one-sided intervals.  The theoretical
+closed-form bounds: the loop times against the laws that dominate them, the
+ensemble's moments with standard errors.  The loop times' survival and the
+ensemble's law at each check time read one one-sided DKW band.  The theoretical
 bounds hold almost surely, so a confident violation indicates an
 implementation or discretization error, not a falsification of the theory.
 """
@@ -13,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -37,12 +37,10 @@ __all__ = [
     "CheckRow",
     "CrossTimeReport",
     "MomentReport",
-    "ProbabilityReport",
     "MIN_LOOPS",
     "MIN_PATHS",
     "extract_loops",
     "empirical_time_average",
-    "wilson_interval",
     "verify_cross_time_bounds",
     "verify_moment_bound",
     "verify_probability_bound",
@@ -141,34 +139,9 @@ def empirical_time_average(
     return EmpiricalDistribution(thresholds=thresholds, values=counts / n)
 
 
-def wilson_interval(successes: int, n: int,
-                    confidence: float) -> Tuple[float, float]:
-    """One-sided Wilson score limits ``(lo, hi)`` for a binomial proportion.
-
-    Each end alone holds at ``confidence``, which must lie in (0, 1).  The
-    limits are exactly 0 at no successes and exactly 1 at all successes,
-    where the formula's rounding can land just inside the interval.
-    """
-    z = _normal_quantile(confidence)
-    p = successes / n
-    denom = 1.0 + z * z / n
-    center = p + z * z / (2.0 * n)
-    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
-    lo = 0.0 if successes == 0 else max(0.0, (center - half) / denom)
-    hi = 1.0 if successes == n else min(1.0, (center + half) / denom)
-    return lo, hi
-
-
 def _check_confidence(confidence: float) -> None:
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-
-
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile: the standard library's ``NormalDist.inv_cdf``
-    (Wichura's AS241), within 7 ulp of ``scipy.special.ndtri``."""
-    _check_confidence(p)
-    return NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -210,18 +183,27 @@ class CrossTimeReport:
         return self.underpowered or self.n_flags == 0
 
 
+def _dkw_rows(thresholds: np.ndarray, emp: np.ndarray, bound: np.ndarray, n: int,
+              alpha: float, lower: bool) -> List[CheckRow]:
+    """One row per threshold: the empirical probability ``emp`` of n i.i.d.
+    draws in its one-sided DKW band of level alpha (Massart 1990), of
+    half-width ``sqrt(ln(1/alpha)/(2n))`` at every threshold at once.  A row
+    flags where the band lies below a lower ``bound`` or above an upper one."""
+    half = math.sqrt(math.log(1.0 / alpha) / (2 * n))
+    flags = emp + half < bound if lower else emp - half > bound
+    return [CheckRow(*row) for row in zip(
+        thresholds.tolist(), emp.tolist(), bound.tolist(), np.maximum(emp - half, 0.0).tolist(),
+        np.minimum(emp + half, 1.0).tolist(), flags.tolist())]
+
+
 def _band_rows(samples: np.ndarray, bound: np.ndarray, alpha: float,
                up_side: bool) -> List[CheckRow]:
     """One row per sorted sample: its empirical survival, ``P{> s}`` up and
     ``P{>= s}`` down, in the one-sided DKW band of level alpha.  Up-cross
     survival is bounded from below, down-cross from above."""
     n = len(samples)
-    half = math.sqrt(math.log(1.0 / alpha) / (2 * n))
     emp = (n - np.searchsorted(samples, samples, side="right" if up_side else "left")) / n
-    flags = emp + half < bound if up_side else emp - half > bound
-    return [CheckRow(*row) for row in zip(
-        samples.tolist(), emp.tolist(), bound.tolist(), np.maximum(emp - half, 0.0).tolist(),
-        np.minimum(emp + half, 1.0).tolist(), flags.tolist())]
+    return _dkw_rows(samples, emp, bound, n, alpha, up_side)
 
 
 def verify_cross_time_bounds(
@@ -321,43 +303,37 @@ def verify_moment_bound(
     return MomentReport(rows=rows)
 
 
-@dataclass(frozen=True)
-class ProbabilityReport:
-    """Empirical frequency of {|x(t)| < r} against its theoretical floor."""
-
-    frequency: float
-    floor: float
-    ci_low: float
-    ci_high: float
-    vacuous: bool
-    flag: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.flag
-
-
 def verify_probability_bound(
     paths: Ensemble,
     spec: SystemSpec,
-    r: float,
-    t: float,
+    radii: Sequence[float],
+    times: Sequence[float],
     confidence: float = 0.99,
-) -> ProbabilityReport:
-    """Check P{|x(t)| < r} against 1 - (e^{-ct}(V(x0)-floor)+floor)/alpha1(r),
-    counting the hits in the ensemble's column ``paths.norms[:, idx]``."""
+) -> List[List[CheckRow]]:
+    """Check P{|x(t)| < r} >= 1 - (e^{-ct}(V(x0)-floor)+floor)/alpha1(r) at
+    every time t and radius r: one list of rows per time, one row per radius.
+
+    The frequency of {|x(t)| < r} in the ensemble's column ``paths.norms[:, idx]``
+    is an empirical CDF of i.i.d. norms, so one one-sided DKW band holds at
+    every radius of a time at once.  Each time takes ``alpha / len(times)``,
+    ``alpha = 1 - confidence``, so the bands hold together at ``confidence``.
+    A row flags where its frequency plus the half-width lies below the floor;
+    a vacuous floor (<= 0) never flags.
+    """
+    _check_confidence(confidence)
     if len(paths) < MIN_PATHS:
         raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
-    if not r > 0.0:
-        raise ValueError(f"radius must be positive, got {r!r}")
-    idx = _grid_index(paths.grid_dt, paths.lyap.shape[1], float(t))
-    hits = int(np.sum(paths.norms[:, idx] < r))
-    n = len(paths)
-    floor = 1.0 - (_moment_envelope(spec, float(paths.lyap[0, 0]), t)
-                   / _positive_alpha1(spec.lyapunov.alpha1, r))
-    lo, hi = wilson_interval(hits, n, confidence)
-    vacuous = floor <= 0.0
-    return ProbabilityReport(
-        frequency=hits / n, floor=floor, ci_low=lo, ci_high=hi,
-        vacuous=vacuous, flag=(not vacuous) and hi < floor,
-    )
+    radii = np.asarray(radii, dtype=float)
+    if not np.all(radii > 0.0):
+        raise ValueError(f"radii must be positive, got {radii.tolist()!r}")
+    alpha1 = np.array([_positive_alpha1(spec.lyapunov.alpha1, r) for r in radii.tolist()])
+    v0, n = float(paths.lyap[0, 0]), len(paths)
+    alpha = (1.0 - confidence) / len(times)
+    rows = []
+    for t in times:
+        t = float(t)
+        idx = _grid_index(paths.grid_dt, paths.lyap.shape[1], t)
+        freq = np.searchsorted(np.sort(paths.norms[:, idx]), radii, side="left") / n
+        floor = 1.0 - _moment_envelope(spec, v0, t) / alpha1
+        rows.append(_dkw_rows(radii, freq, floor, n, alpha, True))
+    return rows

@@ -104,7 +104,7 @@ class TestConfig:
             system="custom", x0=(0.5, -0.25), t_end=50.0, dt=0.002, seed=9,
             dump_trajectory=True, v1=1.5, v0=1.2, r_min=1.1, r_max=8.0, r_count=7,
             r_spacing="linear", k_list=(0.25, 0.5), n_paths=1000, check_times=(1.0, 2.0),
-            prob_radius=2.5, confidence=0.95, output_dir=str(tmp_path / "out%1"))
+            confidence=0.95, output_dir=str(tmp_path / "out%1"))
         assert all(getattr(every, f.name) != f.default
                    for f in dataclasses.fields(ExperimentConfig))
         for cfg in (ExperimentConfig(t_end=77.0, seed=3, v0=1.25, k_list=(0.2, 0.4)), every):
@@ -221,6 +221,18 @@ class TestPipeline:
         assert len(plan.premise) == 3
         assert all(got is want for got, want in zip(sample, plan.premise))
 
+    @pytest.mark.parametrize("t_end, n_paths, check_times, t_hi", [
+        (1.0, 1000, (1.0, 2.5, 5.0), 5.0),  # the ensemble outruns the long path
+        (1.0, 1000, (1.0, 34.0), 2.0 * math.pi),
+        (1.0, 0, (1.0, 2.5, 5.0), 1.0),  # no ensemble: its check times run nothing
+    ])
+    def test_premise_times_span_every_simulated_horizon(self, t_end, n_paths, check_times,
+                                                        t_hi):
+        cfg = ExperimentConfig(t_end=t_end, n_paths=n_paths, check_times=check_times)
+        _, times, gamma_times = _plan(builtin_example(), cfg).premise
+        assert times[0] == gamma_times[0] == 0.0
+        assert times[-1] == gamma_times[-1] == t_hi
+
     def test_ensemble_stage(self, tmp_path):
         cfg = load_config(None, FAST_OVERRIDES + [
             "ensemble.n_paths=1000",
@@ -282,7 +294,7 @@ class TestPipeline:
                 cells = [float(c) for c in line.split(",")]
                 assert len(cells) == len(cols), name
                 for col, cell in zip(cols, cells):
-                    if col in ("flag", "vacuous"):
+                    if col == "flag":
                         assert cell in (0.0, 1.0), (name, line)
         assert (out / "distribution.csv").read_text().splitlines()[1].endswith(",0")
 
@@ -400,13 +412,12 @@ class TestCommandLine:
         for bad in (["stats.confidence=1.5"], ["stats.confidence=0"],
                     ["ensemble.n_paths=10"], ["ensemble.n_paths=-1"],
                     ens + ["ensemble.check_times=1.0005,5"],
-                    ens + ["ensemble.prob_radius=0"], ens + ["ensemble.prob_radius=1e-300"],
                     ["fractiles.k=1.5"], ["fractiles.k=0"],
                     ["grid.r_min=0", "grid.spacing=linear"],
                     ["grid.r_min=10", "grid.r_max=1.05"], ["grid.r_max=1.05"],
                     ["grid.count=0"], ["grid.count=-3"], ["system.x0=0,0,0"],
                     ["grid.r_min=-1"], ["grid.r_min=-1", "grid.spacing=linear"],
-                    ens + ["ensemble.prob_radius=nan"], ["grid.r_max=inf"],
+                    ["grid.r_max=inf"],
                     ens + ["ensemble.check_times=nan"], ens + ["ensemble.check_times=inf"],
                     ["sim.t_end=inf"], ["system.x0=nan,0"]):
             argv = ["example", "--set=sim.t_end=20", f"--set=output.dir={tmp_path}/x"]
@@ -437,8 +448,8 @@ class TestCommandLine:
         (["sim.t_end=0.0015"], None,
          "sim.t_end, sim.dt: time 0.0015 is not a whole number of steps 0.001"),
         (["sim.dt=0"], None, "sim.t_end, sim.dt: need 0 < dt <= t_end, got dt=0.0"),
-        (["ensemble.n_paths=1000", "ensemble.prob_radius=nan"], None,
-         "ensemble.prob_radius must be finite, got nan"),
+        # the probability check reads the [grid] radii: the key is gone
+        (["ensemble.prob_radius=3"], None, "unknown config key [ensemble] prob_radius"),
         (["grid.r_max=inf"], None, "grid.r_max must be finite, got inf"),
         (["ensemble.n_paths=1000", "ensemble.check_times=nan"], None,
          "ensemble.check_times must be finite, got (nan,)"),
@@ -450,8 +461,9 @@ class TestCommandLine:
         ([f"output.dir={__file__}/out"], None, f"output.dir: {__file__} is not a directory"),
         (["system.name=warp-drive"], None,
          "system.name: unknown built-in system 'warp-drive'"),
-        (["ensemble.n_paths=1000", "ensemble.prob_radius=1e-300"], None,
-         "ensemble.prob_radius: alpha1(1e-300) = 0.0 is not positive"),
+        # the ensemble's radii are the grid's, refused under its key
+        (["ensemble.n_paths=1000", "grid.r_min=1e-300"], None,
+         "grid.r_min: alpha1(1e-300) = 0.0 is not positive"),
         (["ensemble.n_paths=1000"], "0", "NSS_LAB_THREADS"),
         (["ensemble.n_paths=1000"], "-1", "NSS_LAB_THREADS"),
         # at t = 0 every path sits at x0: a zero standard error flags one ulp
@@ -580,10 +592,10 @@ class TestCommandLine:
         assert calls == []
 
     def test_all_paths_inside_a_huge_radius_pass(self, tmp_path, capsys):
-        # every path lies inside r = 1e8, so the upper Wilson limit is exactly 1
+        # every path lies inside r = 1e8, so the band's upper edge is exactly 1
         # and cannot fall below a floor that rounds to 1
         argv = ["example", "--set=sim.t_end=5", "--set=ensemble.n_paths=1000",
-                "--set=ensemble.prob_radius=1e8", f"--set=output.dir={tmp_path}/x"]
+                "--set=grid.r_max=1e8", f"--set=output.dir={tmp_path}/x"]
         assert main(argv) == EXIT_OK
         assert "[pass] probability-bound" in capsys.readouterr().out
 

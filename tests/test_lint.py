@@ -127,11 +127,8 @@ def test_every_result_field_has_a_reader():
     paths = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     sources = [path.read_text(encoding="utf-8") for path in paths]
     classes = ("LoopRecord", "EmpiricalDistribution", "CrossTimeReport", "MomentReport",
-               "ProbabilityReport", "ConditionReport", "BoundSet")
-    # reviewed: CheckRow holds these too
-    assert _unread_fields(sources, classes) == [
-        ("ProbabilityReport", name, "shared")
-        for name in ("ci_high", "ci_low", "flag", "floor")]
+               "ConditionReport", "BoundSet")
+    assert _unread_fields(sources, classes) == []
 
 
 def test_field_detector_sees_unread_fields():
@@ -192,8 +189,9 @@ def test_scipy_detector_sees_imports():
 
 def test_cli_runs_leave_scipy_out(tmp_path):
     # a powered cross-time check (seed 1: 30 loops) and an ensemble stage use
-    # both quantiles; neither may pull in scipy, nor numpy.ma (np.quantile
-    # loads it on first use)
+    # both checks' critical values; neither may pull in scipy, nor numpy.ma
+    # (np.quantile loads it on first use), nor statistics with the decimal and
+    # fractions it imports
     probe = (
         "import contextlib, io, sys\n"
         "from nss_lab.cli import main\n"
@@ -206,11 +204,12 @@ def test_cli_runs_leave_scipy_out(tmp_path):
         "        assert main(argv) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "print('numpy.ma' in sys.modules)\n"
+        "print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
                          check=True, capture_output=True, text=True).stdout
-    assert out.split() == ["[]", "False"]
+    assert out.split() == ["[]", "False", "[]"]
     assert "[pass] cross-time-bounds" in (tmp_path / "0" / "summary.txt").read_text()
     assert (tmp_path / "1" / "probability_bound.csv").exists()
 

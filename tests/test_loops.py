@@ -1,9 +1,9 @@
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
-from scipy import special as spx
 from scipy import stats as sps
 
 import nss_lab.loops as loops
@@ -19,16 +19,14 @@ from nss_lab.bounds import (
 )
 from nss_lab.loops import (
     LoopRecord,
-    _normal_quantile,
     empirical_time_average,
     extract_loops,
     verify_cross_time_bounds,
     verify_moment_bound,
     verify_probability_bound,
-    wilson_interval,
 )
 from nss_lab.model import SYSTEMS
-from nss_lab.sim import SimConfig, Trajectory, ensemble, integrate
+from nss_lab.sim import Ensemble, SimConfig, Trajectory, ensemble, integrate
 from nss_lab.slln import (
     ConditionalCdf,
     DominatingLaw,
@@ -228,67 +226,6 @@ class TestEmpiricalTimeAverage:
         if len(rec.taus) % 2:  # the path ends in an up phase
             up_total += short_trajectory.horizon - float(rec.taus[-1])
         assert d_v1 * short_trajectory.horizon >= up_total - 1e-9
-
-
-class TestWilson:
-    def test_brackets_point_estimate(self):
-        for k, n in [(0, 50), (10, 50), (50, 50), (490, 500)]:
-            lo, hi = wilson_interval(k, n, 0.99)
-            assert 0.0 <= lo <= k / n <= hi <= 1.0
-
-    def test_tightens_with_n(self):
-        lo_small, hi_small = wilson_interval(5, 10, 0.99)
-        lo_big, hi_big = wilson_interval(500, 1000, 0.99)
-        assert hi_big - lo_big < hi_small - lo_small
-
-    @pytest.mark.parametrize("n", [1, 50, 1000])
-    def test_closed_form_at_the_edges(self, n):
-        z2 = sps.norm.ppf(0.99) ** 2
-        lo, hi = wilson_interval(0, n, 0.99)
-        assert lo == pytest.approx(0.0, abs=1e-15)
-        assert hi == pytest.approx(z2 / (n + z2), rel=1e-12)
-        lo, hi = wilson_interval(n, n, 0.99)
-        assert lo == pytest.approx(n / (n + z2), rel=1e-12)
-        assert hi == pytest.approx(1.0, rel=1e-12)
-
-    def test_limits_exact_at_no_and_all_successes(self):
-        # by the formula alone, hi < 1 at k = n for 495 of these n and lo > 0
-        # at k = 0 for 84
-        for n in range(1, 2001):
-            assert wilson_interval(0, n, 0.99)[0] == 0.0
-            assert wilson_interval(n, n, 0.99)[1] == 1.0
-
-    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
-    def test_confidence_outside_unit_interval_rejected(self, confidence):
-        with pytest.raises(ValueError, match="confidence"):
-            wilson_interval(10, 50, confidence)
-
-
-class TestQuantiles:
-    def test_normal_quantile_within_7_ulp_of_ndtri(self):
-        rng = np.random.default_rng(8)
-        ps = np.concatenate([
-            rng.uniform(size=60_000),
-            10.0 ** rng.uniform(-300, 0, 20_000),  # lower tail
-            1.0 - 10.0 ** rng.uniform(-16, 0, 20_000),  # upper tail
-            1.0 - 10.0 ** -np.arange(1.0, 17.0),
-            [0.5, 0.9, 0.95, 0.99, 0.999, 5e-324, np.nextafter(1.0, 0.0)],
-        ])
-        ps = ps[(ps > 0.0) & (ps < 1.0)]
-        assert len(ps) >= 100_000
-        ours = np.array([_normal_quantile(float(p)) for p in ps])
-        ref = spx.ndtri(ps)
-        ulps = np.abs(ours - ref) / np.spacing(np.abs(ref))
-        assert ulps.max() <= 7.0, ps[np.argmax(ulps)]
-        # the median and the one-sided levels 0.99 (the default) and 0.999
-        for p in (0.5, 0.99, 0.999):
-            assert _normal_quantile(p) == spx.ndtri(p), p
-
-    @pytest.mark.parametrize("quantile", [_normal_quantile], ids=["normal"])
-    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.2, math.nan])
-    def test_p_outside_unit_interval_rejected(self, quantile, p):
-        with pytest.raises(ValueError, match="confidence"):
-            quantile(p)
 
 
 LEVELS = LevelPair(v0=1.0, v1=2.0, c=1.0, gamma_max=0.5)
@@ -499,6 +436,53 @@ class TestCrossTimeCalibration:
         assert _flag_rates(draw, seed=39)[4] >= power
 
 
+# the default [grid]: 50 radii from 1.05 to 10, log-spaced
+DEFAULT_RADII = np.geomspace(1.05, 10.0, 50)
+
+
+def _gaussian_norms(rng, n=1000, times=3):
+    """n paths whose norms at times 1..times are i.i.d. norms of N(0, I_2),
+    and whose V(x0) is the built-in system's noise floor 0.5, so that the
+    moment envelope is 0.5 at every time."""
+    norms = np.zeros((n, times + 1))
+    norms[:, 1:] = np.hypot(*rng.standard_normal((2, n, times)))
+    return Ensemble(grid_dt=1.0, states=np.empty((n, times + 1, 0)),
+                    lyap=np.full((n, times + 1), 0.5), norms=norms)
+
+
+def _floor_spec(shifted_radius=None):
+    """The built-in system with alpha1(r) = 0.5 e^{r^2/2}, so that the floor
+    1 - 0.5/alpha1(r) is the CDF 1 - e^{-r^2/2} of the norm of N(0, I_2); at
+    ``shifted_radius`` the floor is 0.1 above it."""
+    def alpha1(r):
+        if r == shifted_radius:
+            return 0.5 / (math.exp(-r * r / 2.0) - 0.1)
+        return 0.5 * math.exp(r * r / 2.0)
+    spec = SYSTEMS["example-2d"]()
+    return dataclasses.replace(spec, lyapunov=dataclasses.replace(spec.lyapunov, alpha1=alpha1))
+
+
+class TestProbabilityBandCalibration:
+    """Norms drawn from a law whose CDF is the floor attain the bound; the
+    band must flag them at most at 1 - confidence over all radii and times."""
+
+    @staticmethod
+    def _any_flag_rate(spec, seed):
+        rng = np.random.default_rng(seed)
+        return np.mean([any(r.flag for rows in verify_probability_bound(
+            _gaussian_norms(rng), spec, DEFAULT_RADII, (1.0, 2.0, 3.0)) for r in rows)
+                        for _ in range(RUNS)])
+
+    def test_null_rate_within_alpha(self):
+        alpha = 0.01
+        rate = self._any_flag_rate(_floor_spec(), seed=41)
+        assert rate <= alpha + 3.0 * math.sqrt(alpha * (1 - alpha) / RUNS), rate
+
+    def test_power(self):
+        # at r = 1.05 the CDF is 0.42, the half-width 0.053 at n = 1000
+        assert self._any_flag_rate(_floor_spec(DEFAULT_RADII[0]), seed=42) >= 0.95
+
+
 def _phase_dependent_loops(n, seed):
     """Up and down times whose laws depend on the history: each up time is an
     up-law draw stretched by ``k = 1 + sin^2(sum of the earlier up times)``
@@ -611,7 +595,7 @@ def test_check_times_on_the_saved_grid(check):
         assert column(0.3) == float(np.mean(paths.lyap[:, 3]))
     else:
         def column(t):
-            return verify_probability_bound(paths, spec, r=0.5, t=t).frequency
+            return verify_probability_bound(paths, spec, [0.5], [t])[0][0].empirical
         assert column(0.3) == int(np.sum(paths.norms[:, 3] < 0.5)) / 1000
     for t, why in ((-0.1, "is not on the saved trajectory grid"),
                    (1.1, "is not on the saved trajectory grid"),
@@ -624,33 +608,54 @@ class TestVerifyProbabilityBound:
     def test_benchmark_floor_holds(self, benchmark_system):
         cfg = SimConfig(t_end=5.0, dt=1e-2, seed=4, x0=(0.0, 0.0), save_every=10)
         paths = ensemble(benchmark_system, cfg, 2000)
-        report = verify_probability_bound(paths, benchmark_system, r=3.0, t=5.0)
+        [[row]] = verify_probability_bound(paths, benchmark_system, [3.0], [5.0])
         # floor = 1 - (0.5(1 - e^{-5}))/4.5
-        assert report.floor == pytest.approx(
+        assert row.bound == pytest.approx(
             1.0 - 0.5 * (1.0 - math.exp(-5.0)) / 4.5, rel=1e-12
         )
-        assert not report.vacuous
-        assert report.passed
-        assert report.frequency >= report.floor
+        assert not row.flag
+        assert row.empirical >= row.bound
+        # the half-width of one band over 2000 paths at alpha = 0.01
+        assert row.empirical - row.ci_low == pytest.approx(
+            math.sqrt(math.log(100.0) / 4000.0), rel=1e-12)
 
     def test_large_radius_degenerates(self, benchmark_system):
         cfg = SimConfig(t_end=1.0, dt=1e-2, seed=5, x0=(0.0, 0.0), save_every=10)
         paths = ensemble(benchmark_system, cfg, 1000)
-        report = verify_probability_bound(paths, benchmark_system, r=1e6, t=1.0)
-        assert report.frequency == 1.0
-        assert report.passed
+        [[row]] = verify_probability_bound(paths, benchmark_system, [1e6], [1.0])
+        assert row.empirical == 1.0
+        assert row.ci_high == 1.0
+        assert not row.flag
 
     def test_small_radius_vacuous(self, benchmark_system):
         cfg = SimConfig(t_end=1.0, dt=1e-2, seed=5, x0=(0.0, 0.0), save_every=10)
         paths = ensemble(benchmark_system, cfg, 1000)
-        report = verify_probability_bound(paths, benchmark_system, r=0.5, t=1.0)
-        assert report.vacuous
-        assert report.floor <= 0.0
-        assert report.passed
+        [[row]] = verify_probability_bound(paths, benchmark_system, [0.5], [1.0])
+        assert row.bound <= 0.0
+        assert not row.flag
 
     def test_bad_radius(self, benchmark_system):
         cfg = SimConfig(t_end=0.1, dt=1e-2, seed=5, x0=(0.0, 0.0))
         paths = ensemble(benchmark_system, cfg, 1000)
         for r in (-1.0, math.nan, 1e-300):  # alpha1(1e-300) underflows to 0
             with pytest.raises(ValueError):
-                verify_probability_bound(paths, benchmark_system, r=r, t=0.1)
+                verify_probability_bound(paths, benchmark_system, [3.0, r], [0.1])
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        paths = _gaussian_norms(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="confidence"):
+            verify_probability_bound(paths, _floor_spec(), [1.0], [1.0], confidence)
+
+    def test_one_row_per_time_and_radius(self, benchmark_system):
+        # the half-width sqrt(ln(K/alpha)/(2n)) widens with the number K of times
+        cfg = SimConfig(t_end=1.0, dt=1e-2, seed=6, x0=(0.0, 0.0), save_every=10)
+        paths = ensemble(benchmark_system, cfg, 1000)
+        radii = [0.5, 1.0, 3.0, 1e6]
+        rows = verify_probability_bound(paths, benchmark_system, radii, [0.5, 1.0])
+        assert [[r.threshold for r in t_rows] for t_rows in rows] == [radii, radii]
+        for t_rows, idx in zip(rows, (5, 10)):  # saved every 0.1
+            assert [r.empirical for r in t_rows] == [
+                int(np.sum(paths.norms[:, idx] < r)) / 1000 for r in radii]
+        half = rows[0][1].empirical - rows[0][1].ci_low
+        assert half == pytest.approx(math.sqrt(math.log(200.0) / 2000.0), rel=1e-12)

@@ -35,13 +35,12 @@ RUNS = [
     ["sim.t_end=3", "sim.dump_trajectory=true"],
     ["sim.t_end=70", "sim.dump_trajectory=true"],  # 70,001 rows: across block edges
     ["system.x0=3,0"],  # starts above v1: a first up segment of length 0
-    ["sim.t_end=5", "ensemble.n_paths=1000", "ensemble.prob_radius=0.5"],  # vacuous notes
+    ["sim.t_end=5", "ensemble.n_paths=1000", "grid.r_min=0.5"],  # vacuous notes
     ["sim.t_end=2000", "sim.dt=2"],  # blows up: exit 4 and one error line
     ["system.x0=0.5,-0.25", "sim.t_end=50", "sim.dt=0.002", "sim.seed=9",  # each key but name, dir
      "sim.dump_trajectory=yes", "levels.v1=1.5", "levels.v0=1.2", "grid.r_min=1.1",
      "grid.r_max=8", "grid.count=7", "grid.spacing=linear", "fractiles.k=0.25,0.5",
-     "ensemble.n_paths=1000", "ensemble.check_times=1,2", "ensemble.prob_radius=2.5",
-     "stats.confidence=0.95"],
+     "ensemble.n_paths=1000", "ensemble.check_times=1,2", "stats.confidence=0.95"],
     # an ensemble of 17,000 steps: each chunk draws two blocks of noise
     ["sim.t_end=5", "sim.dt=0.002", "ensemble.n_paths=1000", "ensemble.check_times=1,34"],
     # the OU by name: its sequential and its affine kernel
