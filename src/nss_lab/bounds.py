@@ -172,9 +172,13 @@ def up_mean_critical(levels: LevelPair, n: int, alpha: float) -> float:
     plus ``int_0^1 (v1-v0) g w^{lam/c} / (g + (v1-g) w)^2 dw`` in
     ``w = e^{-cs}``.  The integral is bounded from above by a sum over 256
     cells, each factor read at its larger end, so each of the 400 lam, log
-    spaced over ``c * [1e-3, 1e3]``, gives a valid critical value.
+    spaced over ``c * [1e-3, 1e3]``, gives a valid critical value.  At a
+    zero floor the law is 0 with chance v0/v1 and +inf otherwise, so the exact
+    value is +inf where ``(v0/v1)^n <= alpha`` and 0 elsewhere.
     """
     g, a = levels.floor, levels.v1 - levels.v0
+    if g == 0.0:
+        return math.inf if (levels.v0 / levels.v1) ** n <= alpha else 0.0
     w = np.linspace(0.0, 1.0, 257)
     cells = a * g / 256 / (g + (levels.v1 - g) * w[:-1]) ** 2
     # one mu = lam / c at a time, so that no 400 x 256 table is held

@@ -1,13 +1,14 @@
 """Crossing-time extraction and statistical verification on simulated data.
 
 A loop is one excursion of the Lyapunov value from level v0 up past v1 and
-back to v0.  This module extracts loops from a sampled trajectory, builds
-empirical survival / time-average distributions, and checks them against the
+back to v0.  This module extracts loops from a sampled trajectory, measures
+the fraction of time spent below thresholds, and checks the data against the
 closed-form bounds: the loop times against the laws that dominate them, the
 ensemble's moments with standard errors.  The loop times' survival and the
-ensemble's law at each check time read one one-sided DKW band.  The theoretical
-bounds hold almost surely, so a confident violation indicates an
-implementation or discretization error, not a falsification of the theory.
+ensemble's law at each check time read one one-sided DKW band.  The ensemble
+checks return lists of :class:`CheckRow` and the time average a float array.
+The theoretical bounds hold almost surely, so a confident violation indicates
+an implementation or discretization error, not a falsification of the theory.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ from .sim import _BLOCK_ROWS, Ensemble, Trajectory, _whole_steps
 
 __all__ = [
     "LoopRecord",
-    "EmpiricalDistribution",
     "CheckRow",
     "CrossTimeReport",
-    "MomentReport",
     "MIN_LOOPS",
     "MIN_PATHS",
     "extract_loops",
@@ -64,18 +63,6 @@ class LoopRecord:
     up_times: np.ndarray
     down_times: np.ndarray
     complete_loops: int
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Time fraction ``values[i]`` below each ``thresholds[i]``."""
-
-    thresholds: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.thresholds) != len(self.values):
-            raise ValueError("thresholds and values must share one length")
 
 
 def extract_loops(traj: Trajectory, v0: float, v1: float) -> LoopRecord:
@@ -115,8 +102,9 @@ def extract_loops(traj: Trajectory, v0: float, v1: float) -> LoopRecord:
 
 def empirical_time_average(
     traj: Trajectory, thresholds: Sequence[float], mode: str = "norm"
-) -> EmpiricalDistribution:
-    """Finite-horizon fraction of time the state value stays below each threshold.
+) -> np.ndarray:
+    """Finite-horizon fraction of time the state value stays below each
+    threshold, as one float array in threshold order.
 
     Uses left-endpoint weighting: each grid interval contributes its full
     step with the value at its left endpoint, which keeps the occupancy
@@ -136,7 +124,7 @@ def empirical_time_average(
     for lo in range(0, n, _BLOCK_ROWS):
         counts += np.searchsorted(np.sort(vals[lo:min(lo + _BLOCK_ROWS, n)]), thresholds,
                                   side="left")
-    return EmpiricalDistribution(thresholds=thresholds, values=counts / n)
+    return counts / n
 
 
 def _check_confidence(confidence: float) -> None:
@@ -251,23 +239,21 @@ def verify_cross_time_bounds(
     )
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Ensemble-mean Lyapunov values against the exponential decay envelope."""
-
-    rows: List[CheckRow]
-
-    @property
-    def passed(self) -> bool:
-        return not any(r.flag for r in self.rows)
-
-
-def _grid_index(grid_dt: float, n: int, t: float) -> int:
-    """Index of time t on the grid of n saved times ``q * grid_dt``, or raises."""
-    idx = _whole_steps(t, grid_dt)
-    if not 0 <= idx < n:
-        raise ValueError(f"time {t!r} is not on the saved trajectory grid")
-    return idx
+def _saved_indices(paths: Ensemble, times: Sequence[float]) -> List[int]:
+    """The index of each time on the ensemble's saved grid ``q * grid_dt``.
+    Refuses fewer than ``MIN_PATHS`` paths, an empty ``times`` and a time off
+    the grid."""
+    if len(paths) < MIN_PATHS:
+        raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
+    if len(times) == 0:
+        raise ValueError("times must list at least one check time")
+    indices = []
+    for t in map(float, times):
+        idx = _whole_steps(t, paths.grid_dt)
+        if not 0 <= idx < paths.lyap.shape[1]:
+            raise ValueError(f"time {t!r} is not on the saved trajectory grid")
+        indices.append(idx)
+    return indices
 
 
 def _moment_envelope(spec: SystemSpec, v0: float, t: float) -> float:
@@ -278,20 +264,18 @@ def _moment_envelope(spec: SystemSpec, v0: float, t: float) -> float:
 
 def verify_moment_bound(
     paths: Ensemble, spec: SystemSpec, times: Sequence[float]
-) -> MomentReport:
-    """Check E[V(x(t))] <= e^{-ct}(V(x0) - floor) + floor at each sampled time.
+) -> List[CheckRow]:
+    """Check E[V(x(t))] <= e^{-ct}(V(x0) - floor) + floor at each sampled
+    time: one row per time.
 
     The mean is taken over the ensemble's column ``paths.lyap[:, idx]`` at
     each time.  The empirical mean may exceed the bound by at most three
     standard errors before the point is flagged.
     """
-    if len(paths) < MIN_PATHS:
-        raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
+    indices = _saved_indices(paths, times)
     v0 = float(paths.lyap[0, 0])
     rows = []
-    for t in times:
-        t = float(t)
-        idx = _grid_index(paths.grid_dt, paths.lyap.shape[1], t)
+    for t, idx in zip(map(float, times), indices):
         vals = paths.lyap[:, idx]
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
@@ -300,7 +284,7 @@ def verify_moment_bound(
             CheckRow(t, mean, bound, mean - 3.0 * se, mean + 3.0 * se,
                      flag=mean - 3.0 * se > bound)
         )
-    return MomentReport(rows=rows)
+    return rows
 
 
 def verify_probability_bound(
@@ -321,8 +305,7 @@ def verify_probability_bound(
     a vacuous floor (<= 0) never flags.
     """
     _check_confidence(confidence)
-    if len(paths) < MIN_PATHS:
-        raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
+    indices = _saved_indices(paths, times)
     radii = np.asarray(radii, dtype=float)
     if not np.all(radii > 0.0):
         raise ValueError(f"radii must be positive, got {radii.tolist()!r}")
@@ -330,9 +313,7 @@ def verify_probability_bound(
     v0, n = float(paths.lyap[0, 0]), len(paths)
     alpha = (1.0 - confidence) / len(times)
     rows = []
-    for t in times:
-        t = float(t)
-        idx = _grid_index(paths.grid_dt, paths.lyap.shape[1], t)
+    for t, idx in zip(map(float, times), indices):
         freq = np.searchsorted(np.sort(paths.norms[:, idx]), radii, side="left") / n
         floor = 1.0 - _moment_envelope(spec, v0, t) / alpha1
         rows.append(_dkw_rows(radii, freq, floor, n, alpha, True))

@@ -99,7 +99,7 @@ def test_criterion_3_distribution_bound(long_trajectory, sim_timings, verdict):
     grid = np.geomspace(1.05, 10.0, 50)
     dist = empirical_time_average(long_trajectory, grid, mode="norm")
     violations = sum(
-        1 for r, d in zip(dist.thresholds, dist.values)
+        1 for r, d in zip(grid, dist)
         if d < bound_b(float(r), 1.0, 0.5, ALPHA1)
     )
     elapsed = sim_timings["long_trajectory"] + (time.perf_counter() - t0)
@@ -109,7 +109,7 @@ def test_criterion_3_distribution_bound(long_trajectory, sim_timings, verdict):
 
 def test_criterion_4_occupancy(long_trajectory, verdict):
     q13 = fractile_q(1.0 / 3.0, 1.0, 0.5, ALPHA1_INV)
-    frac = float(empirical_time_average(long_trajectory, [q13], "norm").values[0])
+    frac = float(empirical_time_average(long_trajectory, [q13], "norm")[0])
     ok = frac >= 1.0 / 3.0
     verdict(4, ok, f"fraction {frac:.4f} inside radius {q13:.4f}")
 
@@ -150,10 +150,10 @@ def test_criterion_6_moment_and_probability(ensemble_run, benchmark_system, verd
             for row in t_rows]
     prob_ok = not any(r.flag or r.bound <= 0.0 for r in rows)
     elapsed = sim_elapsed + (time.perf_counter() - t0)
-    ok = mom.passed and prob_ok and elapsed < 300.0
+    ok = not any(r.flag for r in mom) and prob_ok and elapsed < 300.0
     verdict(
         6, ok,
-        f"moment flags {sum(r.flag for r in mom.rows)}, probability ok "
+        f"moment flags {sum(r.flag for r in mom)}, probability ok "
         f"{prob_ok}, {len(paths)} paths, {elapsed:.1f} s",
     )
 

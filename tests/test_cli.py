@@ -272,7 +272,7 @@ class TestPipeline:
                                               x0=cfg.x0), cfg.n_paths)
         mom = verify_moment_bound(every_step, spec, cfg.check_times)
         header = report.tables["moment_bound"][0]
-        write_csv(tmp_path / "every_step.csv", header, [astuple(r) for r in mom.rows])
+        write_csv(tmp_path / "every_step.csv", header, [astuple(r) for r in mom])
         assert ((tmp_path / "ens" / "moment_bound.csv").read_text()
                 == (tmp_path / "every_step.csv").read_text())
 
@@ -675,7 +675,7 @@ class TestCommandLine:
         sim_cfg = SimConfig(t_end=5.0, dt=cfg.dt, seed=cfg.seed, x0=(0.0,), save_every=500)
         mom = verify_moment_bound(ensemble(spec, sim_cfg, 1000), spec, cfg.check_times)
         got = np.loadtxt(out / "moment_bound.csv", delimiter=",", skiprows=1)
-        assert got.tolist() == np.array([astuple(r) for r in mom.rows], dtype=float).tolist()
+        assert got.tolist() == np.array([astuple(r) for r in mom], dtype=float).tolist()
 
     def test_unknown_system_rejected(self, tmp_path, capsys):
         args = ["example", "--set=system.name=warp-drive",

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from nss_lab.bounds import (
     expected_up_cross,
     optimal_v0,
     up_cross_survival_bound,
+    up_mean_critical,
 )
 from nss_lab.loops import (
     LoopRecord,
@@ -168,7 +170,7 @@ class TestEmpiricalTimeAverage:
     def test_constant_at_origin(self):
         traj = _traj_from_lyap(np.zeros(10))
         dist = empirical_time_average(traj, [0.5, 1.0, 7.0], mode="norm")
-        assert np.allclose(dist.values, 1.0)
+        assert np.allclose(dist, 1.0)
 
     def test_square_wave(self):
         # norms [1,3,1,3] over four unit intervals; last point is ignored
@@ -179,13 +181,13 @@ class TestEmpiricalTimeAverage:
             norms=np.array([1.0, 3.0, 1.0, 3.0, 7.0]),
         )
         dist = empirical_time_average(traj, [2.0], mode="norm")
-        assert dist.values[0] == 0.5
+        assert dist[0] == 0.5
 
     def test_monotone_in_threshold(self, short_trajectory):
         grid = np.geomspace(0.1, 10.0, 40)
         dist = empirical_time_average(short_trajectory, grid, mode="norm")
-        assert np.all(np.diff(dist.values) >= 0)
-        assert np.all((dist.values >= 0) & (dist.values <= 1))
+        assert np.all(np.diff(dist) >= 0)
+        assert np.all((dist >= 0) & (dist <= 1))
 
     def test_thresholds_in_any_order(self, monkeypatch, short_trajectory):
         # unsorted and repeated, and equal to samples: the first, one inside
@@ -193,15 +195,15 @@ class TestEmpiricalTimeAverage:
         norms = short_trajectory.norms
         thresholds = [2.0, 0.5, 1.0, 0.5, 7.0, norms[0], norms[777], norms[-1], norms[777]]
         dist = empirical_time_average(short_trajectory, thresholds)
-        assert list(dist.thresholds) == thresholds
-        for r, value in zip(thresholds, dist.values):
-            assert value == empirical_time_average(short_trajectory, [r]).values[0]
+        assert len(dist) == len(thresholds)
+        for r, value in zip(thresholds, dist):
+            assert value == empirical_time_average(short_trajectory, [r])[0]
         # the definition: sort the left endpoints, count those below each threshold
         left = np.sort(norms[:-1])
         expected = np.searchsorted(left, thresholds, side="left") / len(left)
         for rows in (loops._BLOCK_ROWS, 1000, 7):
             monkeypatch.setattr(loops, "_BLOCK_ROWS", rows)
-            got = empirical_time_average(short_trajectory, thresholds).values
+            got = empirical_time_average(short_trajectory, thresholds)
             assert got.tobytes() == expected.tobytes()
 
     def test_bad_mode_rejected(self, short_trajectory):
@@ -211,17 +213,17 @@ class TestEmpiricalTimeAverage:
     def test_norm_lyap_bridge(self, short_trajectory):
         # alpha1(|x|) <= V makes {V < alpha1(r)} a subset of {|x| < r}
         for r in (0.8, 1.5, 2.5):
-            d_norm = empirical_time_average(short_trajectory, [r], "norm").values[0]
+            d_norm = empirical_time_average(short_trajectory, [r], "norm")[0]
             d_lyap = empirical_time_average(
                 short_trajectory, [0.5 * r * r], "lyapunov"
-            ).values[0]
+            )[0]
             assert d_norm >= d_lyap
 
     def test_occupancy_dominates_up_phase_fraction(self, short_trajectory):
         # time below v1 >= total completed up-phase time, exactly on the grid
         v0, v1 = 0.9, 2.0
         rec = extract_loops(short_trajectory, v0=v0, v1=v1)
-        d_v1 = empirical_time_average(short_trajectory, [v1], "lyapunov").values[0]
+        d_v1 = empirical_time_average(short_trajectory, [v1], "lyapunov")[0]
         up_total = float(np.sum(rec.up_times))
         if len(rec.taus) % 2:  # the path ends in an up phase
             up_total += short_trajectory.horizon - float(rec.taus[-1])
@@ -345,6 +347,19 @@ class TestVerifyCrossTimes:
         rec = _record_from_times(up, down)
         with pytest.raises(ValueError, match="confidence"):
             verify_cross_time_bounds(rec, LEVELS, confidence=confidence)
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_mean_up_at_zero_noise_floor(self, n):
+        # at g = 0 the up law is 0 with chance v0/v1 = 1/2 and +inf otherwise,
+        # so n finite up times flag at alpha/4 = 0.0025 once 2^-n <= 0.0025
+        levels = LevelPair(v0=1.0, v1=2.0, c=1.0, gamma_max=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert up_mean_critical(levels, n, 0.0025) == (math.inf if n == 10 else 0.0)
+            report = verify_cross_time_bounds(
+                _record_from_times(np.full(n + 1, 3.0), np.full(n, 1.0)), levels)
+        assert report.mean_up_flag == (n == 10)
+        assert report.n_flags == (n == 10)
 
     def test_simulated_run_passes(self, long_trajectory, benchmark_system):
         from nss_lab.bounds import optimal_v0
@@ -552,13 +567,13 @@ class TestVerifyMomentBound:
         )
         cfg = SimConfig(t_end=2.0, dt=1e-2, seed=1, x0=(1.0,), save_every=10)
         paths = ensemble(spec, cfg, 1000)
-        report = verify_moment_bound(paths, spec, [0.0, 0.5, 1.0, 2.0])
-        assert report.passed
+        rows = verify_moment_bound(paths, spec, [0.0, 0.5, 1.0, 2.0])
+        assert not any(r.flag for r in rows)
         # t=0 row: the bound is V(x0) exactly
-        assert report.rows[0].bound == pytest.approx(0.5, rel=1e-12)
-        assert report.rows[0].empirical == pytest.approx(0.5, rel=1e-12)
+        assert rows[0].bound == pytest.approx(0.5, rel=1e-12)
+        assert rows[0].empirical == pytest.approx(0.5, rel=1e-12)
         # Euler contraction (1 - c dt)^k stays below e^{-ct}
-        for row in report.rows[1:]:
+        for row in rows[1:]:
             assert row.empirical < row.bound
 
     def test_requires_ensemble(self, benchmark_system):
@@ -578,8 +593,8 @@ class TestVerifyMomentBound:
         spec = SYSTEMS["ou-1d"]()  # floor = 0.25 in Lyapunov units
         cfg = SimConfig(t_end=1.0, dt=1e-2, seed=3, x0=(0.0,), save_every=10)
         paths = ensemble(spec, cfg, 2000)
-        report = verify_moment_bound(paths, spec, [0.5, 1.0])
-        assert report.passed
+        rows = verify_moment_bound(paths, spec, [0.5, 1.0])
+        assert not any(r.flag for r in rows)
 
 
 @pytest.mark.parametrize("check", ["moment", "probability"])
@@ -591,7 +606,7 @@ def test_check_times_on_the_saved_grid(check):
     paths = ensemble(spec, SimConfig(t_end=1.0, dt=0.1, seed=2, x0=(0.0,)), 1000)
     if check == "moment":
         def column(t):
-            return verify_moment_bound(paths, spec, [t]).rows[0].empirical
+            return verify_moment_bound(paths, spec, [t])[0].empirical
         assert column(0.3) == float(np.mean(paths.lyap[:, 3]))
     else:
         def column(t):
@@ -602,6 +617,17 @@ def test_check_times_on_the_saved_grid(check):
                    (0.35, "is not a whole number of steps 0.1")):
         with pytest.raises(ValueError, match=rf"^time {t!r} {why}$"):
             column(t)
+
+
+@pytest.mark.parametrize("check", ["moment", "probability"])
+def test_empty_check_times_refused(check):
+    spec = SYSTEMS["ou-1d"]()
+    paths = ensemble(spec, SimConfig(t_end=0.1, dt=0.1, seed=2, x0=(0.0,)), 1000)
+    with pytest.raises(ValueError, match="^times must list at least one check time$"):
+        if check == "moment":
+            verify_moment_bound(paths, spec, [])
+        else:
+            verify_probability_bound(paths, spec, [0.5], [])
 
 
 class TestVerifyProbabilityBound:

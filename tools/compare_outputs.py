@@ -12,10 +12,14 @@ with each tree on ``PYTHONPATH``.  Both sides write to the same
 ``output.dir`` under the temporary directory, because ``summary.txt`` and
 ``config_echo.ini`` echo it.  The exit code, stdout, stderr and every output
 file must match byte for byte.  Prints one line per run, ``identical`` or
-the outputs that differ, and exits 1 on any difference.
+the outputs that differ; under it, for each differing text output (stdout,
+stderr or a file), the first 20 lines of a unified diff from the old tree to
+the new.  Exits 1 on any difference.
 """
 
+import difflib
 import io
+import itertools
 import os
 import shutil
 import subprocess
@@ -75,6 +79,14 @@ def _outputs(src: Path, args: list, tmp: Path) -> dict:
             **files}
 
 
+def _diff_lines(name: str, old, new) -> list:
+    """The first 20 lines of a unified diff of output ``name`` between its old
+    and its new bytes, either of which may be None (the output is missing)."""
+    a, b = ([] if v is None else v.decode("utf-8", "replace").splitlines() for v in (old, new))
+    return list(itertools.islice(
+        difflib.unified_diff(a, b, f"old/{name}", f"new/{name}", lineterm=""), 20))
+
+
 def _export_src(rev: str, dest: Path) -> Path:
     """The ``src`` tree of git revision ``rev`` of this repository, under dest."""
     repo = Path(__file__).resolve().parent.parent
@@ -118,7 +130,11 @@ def main(argv: list) -> int:
             any_diff = any_diff or bool(diff)
             verdict = f"differs: {', '.join(diff)}" if diff else "identical"
             print(f"{label}: {verdict} "
-                  f"(exit {old['exit code']}, {len(old) - 3} files)", flush=True)
+                  f"(exit {old['exit code']}, {len(old) - 3} files)")
+            for name in (name for name in diff if name != "exit code"):
+                for line in _diff_lines(name, old.get(name), new.get(name)):
+                    print(f"    {line}")
+            sys.stdout.flush()
     return 1 if any_diff else 0
 
 
