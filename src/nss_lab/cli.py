@@ -174,7 +174,7 @@ def load_config(path: Optional[str] = None,
         section, dot, key = loc.partition(".")
         if not (eq and dot):
             raise ValueError(f"override must look like section.key=value, got {item!r}")
-        entries.append((section.strip(), key.strip(), raw))
+        entries.append((section.strip(), key.strip(), raw.strip()))  # as configparser strips
     updates = {}
     for section, key, raw in entries:
         if (section, key) not in _CONFIG_KEYS:

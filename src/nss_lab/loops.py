@@ -1,12 +1,13 @@
 """Crossing-time extraction and statistical verification on simulated data.
 
 A loop is one excursion of the Lyapunov value from level v0 up past v1 and
-back to v0.  This module extracts loops from a sampled trajectory, measures
-the fraction of time spent below thresholds, and checks the data against the
+back to v0.  This module extracts loops from one sampled path, measures the
+fraction of time it spends below thresholds, and checks the data against the
 closed-form bounds: the loop times against the laws that dominate them, the
-ensemble's moments with standard errors.  The loop times' survival and the
-ensemble's law at each check time read one one-sided DKW band.  The ensemble
-checks return lists of :class:`CheckRow` and the time average a float array.
+moments of an ensemble (a trajectory with a path axis) with standard errors.
+The loop times' survival and the ensemble's law at each check time read one
+one-sided DKW band.  The ensemble checks return lists of :class:`CheckRow`
+and the time average a float array.
 The theoretical bounds hold almost surely, so a confident violation indicates
 an implementation or discretization error, not a falsification of the theory.
 """
@@ -30,7 +31,7 @@ from .bounds import (
     up_mean_critical,
 )
 from .model import SystemSpec
-from .sim import _BLOCK_ROWS, Ensemble, Trajectory, _whole_steps
+from .sim import _BLOCK_ROWS, Trajectory, _whole_steps
 
 __all__ = [
     "LoopRecord",
@@ -90,14 +91,8 @@ def extract_loops(traj: Trajectory, v0: float, v1: float) -> LoopRecord:
             last = marks[-1]
     taus = np.concatenate(crossings) * traj.grid_dt
     diffs = np.diff(taus)
-    up_times = diffs[0::2]
-    down_times = diffs[1::2]
-    return LoopRecord(
-        taus=taus,
-        up_times=up_times,
-        down_times=down_times,
-        complete_loops=len(down_times),
-    )
+    return LoopRecord(taus=taus, up_times=diffs[0::2], down_times=diffs[1::2],
+                      complete_loops=len(diffs) // 2)
 
 
 def empirical_time_average(
@@ -155,10 +150,16 @@ class CrossTimeReport:
     t_dc: float
     mean_up: float
     mean_down: float
-    mean_up_halfwidth: float
-    mean_down_halfwidth: float
-    mean_up_flag: bool
-    mean_down_flag: bool
+    crit_up: float
+    crit_down: float
+
+    @property
+    def mean_up_flag(self) -> bool:
+        return self.mean_up < self.crit_up
+
+    @property
+    def mean_down_flag(self) -> bool:
+        return self.mean_down > self.crit_down
 
     @property
     def n_flags(self) -> int:
@@ -208,8 +209,8 @@ def verify_cross_time_bounds(
     draws, where it runs at ``alpha = (1 - confidence) / 4``: the up and the
     down survival each against its bound in a one-sided DKW band (Massart
     1990), the mean down time above its exact Gamma critical value, and the
-    mean up time below its Chernoff one.  ``mean_up_halfwidth`` is
-    ``t_uc - crit_up`` and ``mean_down_halfwidth`` is ``crit_down - t_dc``.
+    mean up time below its Chernoff one.  The report keeps the two critical
+    values, ``crit_up`` and ``crit_down``, which the mean flags read.
     The first up-cross is dropped: its law is not controlled.  ``min_loops``
     must be at least 2, so that an up time is left.
     """
@@ -234,15 +235,17 @@ def verify_cross_time_bounds(
     return CrossTimeReport(
         underpowered=underpowered, up_rows=up_rows, down_rows=down_rows,
         t_uc=t_uc, t_dc=t_dc, mean_up=mean_up, mean_down=mean_down,
-        mean_up_halfwidth=t_uc - crit_up, mean_down_halfwidth=crit_down - t_dc,
-        mean_up_flag=mean_up < crit_up, mean_down_flag=mean_down > crit_down,
+        crit_up=crit_up, crit_down=crit_down,
     )
 
 
-def _saved_indices(paths: Ensemble, times: Sequence[float]) -> List[int]:
+def _saved_indices(paths: Trajectory, times: Sequence[float]) -> List[int]:
     """The index of each time on the ensemble's saved grid ``q * grid_dt``.
-    Refuses fewer than ``MIN_PATHS`` paths, an empty ``times`` and a time off
-    the grid."""
+    Refuses a trajectory without one path axis, fewer than ``MIN_PATHS``
+    paths, an empty ``times`` and a time off the grid."""
+    if paths.lyap.ndim != 2:
+        raise ValueError(f"need a trajectory with one path axis, got V of shape "
+                         f"{paths.lyap.shape}")
     if len(paths) < MIN_PATHS:
         raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
     if len(times) == 0:
@@ -263,7 +266,7 @@ def _moment_envelope(spec: SystemSpec, v0: float, t: float) -> float:
 
 
 def verify_moment_bound(
-    paths: Ensemble, spec: SystemSpec, times: Sequence[float]
+    paths: Trajectory, spec: SystemSpec, times: Sequence[float]
 ) -> List[CheckRow]:
     """Check E[V(x(t))] <= e^{-ct}(V(x0) - floor) + floor at each sampled
     time: one row per time.
@@ -288,7 +291,7 @@ def verify_moment_bound(
 
 
 def verify_probability_bound(
-    paths: Ensemble,
+    paths: Trajectory,
     spec: SystemSpec,
     radii: Sequence[float],
     times: Sequence[float],

@@ -25,7 +25,6 @@ __all__ = [
     "block_length",
     "integrator_name",
     "Trajectory",
-    "Ensemble",
     "NonFiniteStateError",
     "path_generator",
     "integrate",
@@ -145,7 +144,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Path saved at times ``q * grid_dt``, with its Lyapunov-value series."""
+    """Paths saved at times ``q * grid_dt``, with their Lyapunov-value series:
+    ``states`` of shape (..., K+1, N), ``lyap`` and ``norms`` of shape
+    (..., K+1).  One path has no leading axis, P paths have (P,).  As with an
+    array, ``len`` and ``traj[i]`` read the leading axis (``ens[i]`` is path
+    i, of views into these arrays), while ``times`` and ``horizon`` read the
+    last one."""
 
     grid_dt: float
     states: np.ndarray
@@ -153,17 +157,23 @@ class Trajectory:
     norms: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.states) == len(self.lyap) == len(self.norms)):
-            raise ValueError("trajectory series must share one length")
+        if not (self.states.shape[:-1] == self.lyap.shape == self.norms.shape):
+            raise ValueError("trajectory series must share one shape")
+
+    def __len__(self) -> int:
+        return len(self.lyap)
+
+    def __getitem__(self, i: int) -> "Trajectory":
+        return Trajectory(self.grid_dt, self.states[i], self.lyap[i], self.norms[i])
 
     @property
     def times(self) -> np.ndarray:
         """The saved times, built when read."""
-        return np.arange(len(self.lyap)) * self.grid_dt
+        return np.arange(self.lyap.shape[-1]) * self.grid_dt
 
     @property
     def horizon(self) -> float:
-        return (len(self.lyap) - 1) * self.grid_dt
+        return (self.lyap.shape[-1] - 1) * self.grid_dt
 
 
 def _scratch_bytes(m: int, steps: int, paths: int) -> int:
@@ -395,25 +405,6 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
     return states
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Paths 0..P-1 saved at times ``q * grid_dt``, as arrays: ``states`` of
-    shape (P, K+1, N), ``lyap`` and ``norms`` of shape (P, K+1).  ``ens[i]``
-    is path i as a :class:`Trajectory` of views into these arrays."""
-
-    grid_dt: float
-    states: np.ndarray
-    lyap: np.ndarray
-    norms: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getitem__(self, i: int) -> Trajectory:
-        return Trajectory(grid_dt=self.grid_dt, states=self.states[i],
-                          lyap=self.lyap[i], norms=self.norms[i])
-
-
 def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
               lo: int) -> Tuple[np.ndarray, np.ndarray]:
     """V and the norm of saved states of shape (K+1, N) (path ``lo``) or
@@ -482,12 +473,12 @@ def integrate(spec: SystemSpec, cfg: SimConfig, path_index: int = 0) -> Trajecto
     (spec, cfg, path_index) on one platform, and bit-identical to path
     ``path_index`` of :func:`ensemble`: both run :func:`_simulate`.
     """
-    states, lyap, norms = _simulate(spec, cfg, path_index)
-    return Trajectory(grid_dt=cfg.grid_dt, states=states, lyap=lyap, norms=norms)
+    return Trajectory(cfg.grid_dt, *_simulate(spec, cfg, path_index))
 
 
-def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
-    """Independent paths i = 0..n_paths-1, each on substream (cfg.seed, i).
+def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Trajectory:
+    """Independent paths i = 0..n_paths-1, each on substream (cfg.seed, i), as
+    one :class:`Trajectory` with a leading path axis of n_paths.
 
     Path i, its V and its norms are bit-identical to ``integrate(spec, cfg, i)``
     regardless of chunking or thread schedule.  Every spec is stepped in
@@ -497,7 +488,7 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
     affine scan takes as many paths as fit beside one path group's scratch,
     the sequential kernel 1000 paths whose noise it draws in time segments.
     Each worker runs :func:`_simulate` on its chunk and copies the states, V
-    and norms into the ensemble's arrays, so besides those arrays memory holds
+    and norms into the trajectory's arrays, so besides those arrays memory holds
     one chunk's noise, series and temporaries per worker.  A non-finite state
     names the lowest failing path.
     """
@@ -508,8 +499,8 @@ def ensemble(spec: SystemSpec, cfg: SimConfig, n_paths: int) -> Ensemble:
         1, (_NOISE_BYTES - _scratch_bytes(m, n_steps, _GROUP))
         // (8 * m * _padded_length(n_steps))))
     shape = (n_paths, cfg.n_saved)
-    ens = Ensemble(grid_dt=cfg.grid_dt, states=np.empty(shape + (spec.dim_state,)),
-                   lyap=np.empty(shape), norms=np.empty(shape))
+    ens = Trajectory(cfg.grid_dt, np.empty(shape + (spec.dim_state,)), np.empty(shape),
+                     np.empty(shape))
 
     def run(lo):
         hi = min(lo + chunk, n_paths)
@@ -538,6 +529,6 @@ def write_csv(path, header: Sequence[str], *cols) -> None:
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Dump a trajectory as CSV: t,x1..xN,V,norm at full double precision."""
+    """Dump a one-path trajectory as CSV: t,x1..xN,V,norm at full double precision."""
     header = ["t", *(f"x{i + 1}" for i in range(traj.states.shape[1])), "V", "norm"]
     write_csv(path, header, traj.times, traj.states, traj.lyap, traj.norms)

@@ -128,8 +128,8 @@ def test_criterion_5_cross_time_bounds(long_trajectory, benchmark_system,
     stats_ok = (
         not report.underpowered
         and report.n_flags == 0
-        and report.mean_up + report.mean_up_halfwidth >= report.t_uc
-        and report.mean_down - report.mean_down_halfwidth <= report.t_dc
+        and report.mean_up >= report.crit_up
+        and report.mean_down <= report.crit_down
     )
     ok = record.complete_loops >= 100 and stats_ok and elapsed < 60.0
     verdict(

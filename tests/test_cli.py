@@ -89,6 +89,15 @@ class TestConfig:
             with pytest.raises(ValueError, match=rf"\[{section}\] {key} = '{raw}'"):
                 load_config(*args)
 
+    @pytest.mark.parametrize("section, key, raw", [
+        ("system", "name", "ou-1d"), ("grid", "spacing", "linear"), ("output", "dir", "o u"),
+    ])
+    def test_override_values_are_stripped_as_ini_values(self, tmp_path, section, key, raw):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} =  {raw} \n")
+        cfg = load_config(None, [f"{section}.{key}=  {raw} "])
+        assert cfg == load_config(str(ini)) == load_config(None, [f"{section}.{key}={raw}"])
+
     def test_r_grid_spacing(self):
         log_grid = _plan(builtin_example(), ExperimentConfig(r_spacing="log")).grid
         lin_grid = _plan(builtin_example(), ExperimentConfig(r_spacing="linear")).grid

@@ -28,7 +28,7 @@ from nss_lab.loops import (
     verify_probability_bound,
 )
 from nss_lab.model import SYSTEMS
-from nss_lab.sim import Ensemble, SimConfig, Trajectory, ensemble, integrate
+from nss_lab.sim import SimConfig, Trajectory, ensemble, integrate
 from nss_lab.slln import (
     ConditionalCdf,
     DominatingLaw,
@@ -360,6 +360,10 @@ class TestVerifyCrossTimes:
                 _record_from_times(np.full(n + 1, 3.0), np.full(n, 1.0)), levels)
         assert report.mean_up_flag == (n == 10)
         assert report.n_flags == (n == 10)
+        assert report.crit_up == up_mean_critical(levels, n, 0.0025)
+        floats = [v for v in dataclasses.astuple(report) if isinstance(v, float)] + [
+            v for r in report.up_rows + report.down_rows for v in dataclasses.astuple(r)]
+        assert not np.isnan(floats).any()
 
     def test_simulated_run_passes(self, long_trajectory, benchmark_system):
         from nss_lab.bounds import optimal_v0
@@ -373,8 +377,8 @@ class TestVerifyCrossTimes:
         assert rec.complete_loops >= 20
         assert report.n_flags == 0
         # sample means must sit on the bound side of the dominating means
-        assert report.mean_up + report.mean_up_halfwidth >= report.t_uc
-        assert report.mean_down - report.mean_down_halfwidth <= report.t_dc
+        assert report.mean_up >= report.crit_up
+        assert report.mean_down <= report.crit_down
 
 
 # the built-in system's constants at v1 = 2 and the optimal v0: the default run
@@ -461,8 +465,8 @@ def _gaussian_norms(rng, n=1000, times=3):
     moment envelope is 0.5 at every time."""
     norms = np.zeros((n, times + 1))
     norms[:, 1:] = np.hypot(*rng.standard_normal((2, n, times)))
-    return Ensemble(grid_dt=1.0, states=np.empty((n, times + 1, 0)),
-                    lyap=np.full((n, times + 1), 0.5), norms=norms)
+    return Trajectory(grid_dt=1.0, states=np.empty((n, times + 1, 0)),
+                      lyap=np.full((n, times + 1), 0.5), norms=norms)
 
 
 def _floor_spec(shifted_radius=None):
@@ -628,6 +632,18 @@ def test_empty_check_times_refused(check):
             verify_moment_bound(paths, spec, [])
         else:
             verify_probability_bound(paths, spec, [0.5], [])
+
+
+@pytest.mark.parametrize("check", ["moment", "probability"])
+def test_one_path_refused(check):
+    spec = SYSTEMS["ou-1d"]()
+    path = integrate(spec, SimConfig(t_end=0.1, dt=0.1, seed=2, x0=(0.0,)))
+    with pytest.raises(ValueError, match=r"^need a trajectory with one path axis, "
+                                         r"got V of shape \(2,\)$"):
+        if check == "moment":
+            verify_moment_bound(path, spec, [0.1])
+        else:
+            verify_probability_bound(path, spec, [0.5], [0.1])
 
 
 class TestVerifyProbabilityBound:

@@ -249,6 +249,19 @@ class TestReproducibility:
         paths = ensemble(spec, cfg, 2)
         assert not np.array_equal(paths[0].states, paths[1].states)
 
+    @pytest.mark.parametrize("name", ["ou-1d", "example-2d"])  # sequential, affine scan
+    def test_iterating_an_ensemble_yields_its_paths(self, name):
+        spec = SYSTEMS[name]()
+        cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state, save_every=5)
+        paths = list(ensemble(spec, cfg, 5))
+        assert len(paths) == 5
+        for i, path in enumerate(paths):
+            solo = integrate(spec, cfg, i)
+            assert path.grid_dt == solo.grid_dt
+            for got, want in ((path.states, solo.states), (path.lyap, solo.lyap),
+                              (path.norms, solo.norms)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("system, chunk_size", [
         pytest.param("ou", 3, id="ou"),
         pytest.param("builtin", 3, id="builtin"),
