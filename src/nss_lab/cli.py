@@ -29,6 +29,7 @@ from .bounds import (LevelPair, beta_star, expected_down_cross, expected_up_cros
                      make_bound_set, occupancy_ratio_bound, optimal_v0)
 from .loops import (
     MIN_PATHS,
+    _MOMENT_SES,
     _check_confidence,
     empirical_time_average,
     extract_loops,
@@ -397,7 +398,7 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
 
     if report.premises_verified:
         # one pass over the norms for the radius grid and the q_k
-        fractions = empirical_time_average(traj, [*plan.grid, *plan.q_list], mode="norm")
+        fractions = empirical_time_average(traj, [*plan.grid, *plan.q_list])
         dist, occ = np.split(fractions, [len(plan.grid)])
 
         # stage: time-average distribution vs closed-form bound
@@ -443,7 +444,7 @@ def run_custom(spec: SystemSpec, cfg: ExperimentConfig) -> ExperimentReport:
         report.add_table("moment_bound", [astuple(r) for r in mom])
         flags = sum(r.flag for r in mom)
         report.add_check("moment-bound", flags == 0,
-                         f"{len(mom)} times, {flags} flags at 3 standard errors")
+                         f"{len(mom)} times, {flags} flags at {_MOMENT_SES:g} standard errors")
         prob = verify_probability_bound(paths, spec, plan.grid, cfg.check_times,
                                         confidence=cfg.confidence)
         report.add_table("probability_bound", [(t, *astuple(r)) for t, t_rows

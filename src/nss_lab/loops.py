@@ -31,7 +31,7 @@ from .bounds import (
     up_mean_critical,
 )
 from .model import SystemSpec
-from .sim import _BLOCK_ROWS, Trajectory, _whole_steps
+from .sim import _BLOCK_ROWS, Trajectory, _check_path_axes, _whole_steps
 
 __all__ = [
     "LoopRecord",
@@ -48,6 +48,7 @@ __all__ = [
 
 MIN_LOOPS = 2
 MIN_PATHS = 1000
+_MOMENT_SES = 3.0  # the standard errors the ensemble mean of V may exceed its bound by
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,9 @@ def extract_loops(traj: Trajectory, v0: float, v1: float) -> LoopRecord:
     of each run of one mark, and a leading run of down points crosses
     nothing.  So a path that starts at or above v1 crosses up at time 0.
     The series is scanned in blocks of ``_BLOCK_ROWS`` points, each carrying
-    the last mark outside the band into the next.
+    the last mark outside the band into the next.  ``traj`` is one path.
     """
+    _check_path_axes(traj, 0)
     if not (0.0 < v0 < v1):
         raise ValueError(f"need 0 < v0 < v1, got v0={v0!r}, v1={v1!r}")
     crossings, last = [[0]], False
@@ -95,31 +97,28 @@ def extract_loops(traj: Trajectory, v0: float, v1: float) -> LoopRecord:
                       complete_loops=len(diffs) // 2)
 
 
-def empirical_time_average(
-    traj: Trajectory, thresholds: Sequence[float], mode: str = "norm"
-) -> np.ndarray:
-    """Finite-horizon fraction of time the state value stays below each
+def _count_below(values: np.ndarray, thresholds, side: str = "left") -> np.ndarray:
+    """How many ``values`` lie below each threshold (``side="left"``), or at
+    or below it (``"right"``), as integers in threshold order.  The values are
+    read in blocks of ``_BLOCK_ROWS``, each sorted on its own, and the counts
+    are summed over the blocks, so the result is the same for any block size."""
+    counts = np.zeros(len(thresholds), dtype=np.intp)
+    for lo in range(0, len(values), _BLOCK_ROWS):
+        counts += np.searchsorted(np.sort(values[lo:lo + _BLOCK_ROWS]), thresholds, side=side)
+    return counts
+
+
+def empirical_time_average(traj: Trajectory, thresholds: Sequence[float]) -> np.ndarray:
+    """Finite-horizon fraction of time the norm of one path stays below each
     threshold, as one float array in threshold order.
 
     Uses left-endpoint weighting: each grid interval contributes its full
-    step with the value at its left endpoint, which keeps the occupancy
+    step with the norm at its left endpoint, which keeps the occupancy
     accounting consistent with grid-detected crossings, for thresholds in any order.
-    The values are read in blocks of ``_BLOCK_ROWS``, each sorted on its own,
-    and the counts below each threshold are summed over the blocks.
     """
-    if mode == "norm":
-        vals = traj.norms
-    elif mode == "lyapunov":
-        vals = traj.lyap
-    else:
-        raise ValueError(f"mode must be 'norm' or 'lyapunov', got {mode!r}")
-    thresholds = np.asarray(thresholds, dtype=float)
-    n = len(vals) - 1
-    counts = np.zeros(len(thresholds), dtype=np.intp)
-    for lo in range(0, n, _BLOCK_ROWS):
-        counts += np.searchsorted(np.sort(vals[lo:min(lo + _BLOCK_ROWS, n)]), thresholds,
-                                  side="left")
-    return counts / n
+    _check_path_axes(traj, 0)
+    left = traj.norms[:-1]
+    return _count_below(left, np.asarray(thresholds, dtype=float)) / len(left)
 
 
 def _check_confidence(confidence: float) -> None:
@@ -191,16 +190,12 @@ def _band_rows(samples: np.ndarray, bound: np.ndarray, alpha: float,
     ``P{>= s}`` down, in the one-sided DKW band of level alpha.  Up-cross
     survival is bounded from below, down-cross from above."""
     n = len(samples)
-    emp = (n - np.searchsorted(samples, samples, side="right" if up_side else "left")) / n
+    emp = (n - _count_below(samples, samples, "right" if up_side else "left")) / n
     return _dkw_rows(samples, emp, bound, n, alpha, up_side)
 
 
-def verify_cross_time_bounds(
-    record: LoopRecord,
-    levels: LevelPair,
-    confidence: float = 0.99,
-    min_loops: int = MIN_LOOPS,
-) -> CrossTimeReport:
+def verify_cross_time_bounds(record: LoopRecord, levels: LevelPair,
+                             confidence: float = 0.99) -> CrossTimeReport:
     """Check the loop times against the laws that dominate them.
 
     The paper couples the up times to i.i.d. up-law draws below them and the
@@ -211,16 +206,15 @@ def verify_cross_time_bounds(
     1990), the mean down time above its exact Gamma critical value, and the
     mean up time below its Chernoff one.  The report keeps the two critical
     values, ``crit_up`` and ``crit_down``, which the mean flags read.
-    The first up-cross is dropped: its law is not controlled.  ``min_loops``
-    must be at least 2, so that an up time is left.
+    The first up-cross is dropped: its law is not controlled, so a record of
+    fewer than ``MIN_LOOPS`` = 2 complete loops, which leaves no up time, is
+    reported underpowered.
     """
     _check_confidence(confidence)
-    if min_loops < 2:
-        raise ValueError(f"min_loops must be >= 2, got {min_loops!r}")
     t_uc, t_dc = expected_up_cross(levels), expected_down_cross(levels)
     up = np.sort(record.up_times[1:])
     down = np.sort(record.down_times)
-    underpowered = record.complete_loops < min_loops
+    underpowered = record.complete_loops < MIN_LOOPS
     if underpowered:
         # NaN critical values make both mean flags False
         up_rows, down_rows, crit_up, crit_down = [], [], math.nan, math.nan
@@ -243,9 +237,7 @@ def _saved_indices(paths: Trajectory, times: Sequence[float]) -> List[int]:
     """The index of each time on the ensemble's saved grid ``q * grid_dt``.
     Refuses a trajectory without one path axis, fewer than ``MIN_PATHS``
     paths, an empty ``times`` and a time off the grid."""
-    if paths.lyap.ndim != 2:
-        raise ValueError(f"need a trajectory with one path axis, got V of shape "
-                         f"{paths.lyap.shape}")
+    _check_path_axes(paths, 1)
     if len(paths) < MIN_PATHS:
         raise ValueError(f"need >= {MIN_PATHS} paths, got {len(paths)}")
     if len(times) == 0:
@@ -272,8 +264,8 @@ def verify_moment_bound(
     time: one row per time.
 
     The mean is taken over the ensemble's column ``paths.lyap[:, idx]`` at
-    each time.  The empirical mean may exceed the bound by at most three
-    standard errors before the point is flagged.
+    each time.  The empirical mean may exceed the bound by at most
+    ``_MOMENT_SES`` standard errors before the point is flagged.
     """
     indices = _saved_indices(paths, times)
     v0 = float(paths.lyap[0, 0])
@@ -281,12 +273,10 @@ def verify_moment_bound(
     for t, idx in zip(map(float, times), indices):
         vals = paths.lyap[:, idx]
         mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
+        margin = _MOMENT_SES * (float(np.std(vals, ddof=1)) / math.sqrt(len(vals)))
         bound = _moment_envelope(spec, v0, t)
-        rows.append(
-            CheckRow(t, mean, bound, mean - 3.0 * se, mean + 3.0 * se,
-                     flag=mean - 3.0 * se > bound)
-        )
+        rows.append(CheckRow(t, mean, bound, mean - margin, mean + margin,
+                             flag=mean - margin > bound))
     return rows
 
 
@@ -317,7 +307,7 @@ def verify_probability_bound(
     alpha = (1.0 - confidence) / len(times)
     rows = []
     for t, idx in zip(map(float, times), indices):
-        freq = np.searchsorted(np.sort(paths.norms[:, idx]), radii, side="left") / n
+        freq = _count_below(paths.norms[:, idx], radii) / n
         floor = 1.0 - _moment_envelope(spec, v0, t) / alpha1
         rows.append(_dkw_rows(radii, freq, floor, n, alpha, True))
     return rows

@@ -176,6 +176,13 @@ class Trajectory:
         return (self.lyap.shape[-1] - 1) * self.grid_dt
 
 
+def _check_path_axes(traj: Trajectory, axes: int) -> None:
+    """Refuse ``traj`` unless it has ``axes`` path axes: 0 for one path, 1 for an ensemble."""
+    if traj.lyap.ndim != axes + 1:
+        raise ValueError(f"need a trajectory with {('no', 'one')[axes]} path axis, "
+                         f"got V of shape {traj.lyap.shape}")
+
+
 def _scratch_bytes(m: int, steps: int, paths: int) -> int:
     """Bytes that :func:`_noise` holds besides its output when it draws ``steps``
     steps of ``paths`` paths: one block of Sigma, of one path's draws, of one
@@ -530,5 +537,6 @@ def write_csv(path, header: Sequence[str], *cols) -> None:
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Dump a one-path trajectory as CSV: t,x1..xN,V,norm at full double precision."""
+    _check_path_axes(traj, 0)
     header = ["t", *(f"x{i + 1}" for i in range(traj.states.shape[1])), "V", "norm"]
     write_csv(path, header, traj.times, traj.states, traj.lyap, traj.norms)

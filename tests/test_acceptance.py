@@ -97,7 +97,7 @@ def test_criterion_2_fractile(verdict):
 def test_criterion_3_distribution_bound(long_trajectory, sim_timings, verdict):
     t0 = time.perf_counter()
     grid = np.geomspace(1.05, 10.0, 50)
-    dist = empirical_time_average(long_trajectory, grid, mode="norm")
+    dist = empirical_time_average(long_trajectory, grid)
     violations = sum(
         1 for r, d in zip(grid, dist)
         if d < bound_b(float(r), 1.0, 0.5, ALPHA1)
@@ -109,7 +109,7 @@ def test_criterion_3_distribution_bound(long_trajectory, sim_timings, verdict):
 
 def test_criterion_4_occupancy(long_trajectory, verdict):
     q13 = fractile_q(1.0 / 3.0, 1.0, 0.5, ALPHA1_INV)
-    frac = float(empirical_time_average(long_trajectory, [q13], "norm")[0])
+    frac = float(empirical_time_average(long_trajectory, [q13])[0])
     ok = frac >= 1.0 / 3.0
     verdict(4, ok, f"fraction {frac:.4f} inside radius {q13:.4f}")
 
@@ -122,8 +122,7 @@ def test_criterion_5_cross_time_bounds(long_trajectory, benchmark_system,
     levels = LevelPair(v0=v0, v1=v1, c=benchmark_system.c,
                        gamma_max=benchmark_system.gamma_max)
     record = extract_loops(long_trajectory, v0=v0, v1=v1)
-    report = verify_cross_time_bounds(record, levels, confidence=0.99,
-                                      min_loops=20)
+    report = verify_cross_time_bounds(record, levels, confidence=0.99)
     elapsed = sim_timings["long_trajectory"] + (time.perf_counter() - t0)
     stats_ok = (
         not report.underpowered

@@ -213,6 +213,19 @@ class TestPipeline:
         with pytest.raises(ValueError, match="not affine and drift and diffusion"):
             dataclasses.replace(base, affine=scaled, drift=drift, diffusion=diffusion)
 
+    @pytest.mark.xfail(strict=True, reason="premise times stop at 2π (ROADMAP PH)")
+    def test_premise_broken_after_two_pi_is_seen(self):
+        # an OU whose noise steps from 1 to 2 at t = 7: from then on its gain
+        # s/2 is 2, four times the declared gamma_max, on the simulated path
+        spec = SystemSpec(
+            dim_state=1, dim_noise=1, affine=([[-1.0]], [[1.0]], [[[0.0]]]),
+            covariance=lambda t: np.where(np.asarray(t) < 7.0, 1.0, 2.0).reshape(-1, 1, 1),
+            lyapunov=_quadratic_lyapunov(1), c=2.0,
+            gamma=lambda s: np.asarray(s, dtype=float) / 2.0, gamma_max=0.5,
+        )
+        report = run_custom(spec, ExperimentConfig(system="ou-step-noise", x0=(0.0,)))
+        assert report.verdict == "premises-unverified"
+
     def test_premise_check_reads_the_plan(self, monkeypatch):
         import nss_lab.cli as cli
 

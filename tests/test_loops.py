@@ -28,7 +28,7 @@ from nss_lab.loops import (
     verify_probability_bound,
 )
 from nss_lab.model import SYSTEMS
-from nss_lab.sim import SimConfig, Trajectory, ensemble, integrate
+from nss_lab.sim import SimConfig, Trajectory, ensemble, integrate, trajectory_to_csv
 from nss_lab.slln import (
     ConditionalCdf,
     DominatingLaw,
@@ -169,7 +169,7 @@ class TestExtractLoops:
 class TestEmpiricalTimeAverage:
     def test_constant_at_origin(self):
         traj = _traj_from_lyap(np.zeros(10))
-        dist = empirical_time_average(traj, [0.5, 1.0, 7.0], mode="norm")
+        dist = empirical_time_average(traj, [0.5, 1.0, 7.0])
         assert np.allclose(dist, 1.0)
 
     def test_square_wave(self):
@@ -180,12 +180,12 @@ class TestEmpiricalTimeAverage:
             lyap=np.array([0.5, 4.5, 0.5, 4.5, 24.5]),
             norms=np.array([1.0, 3.0, 1.0, 3.0, 7.0]),
         )
-        dist = empirical_time_average(traj, [2.0], mode="norm")
+        dist = empirical_time_average(traj, [2.0])
         assert dist[0] == 0.5
 
     def test_monotone_in_threshold(self, short_trajectory):
         grid = np.geomspace(0.1, 10.0, 40)
-        dist = empirical_time_average(short_trajectory, grid, mode="norm")
+        dist = empirical_time_average(short_trajectory, grid)
         assert np.all(np.diff(dist) >= 0)
         assert np.all((dist >= 0) & (dist <= 1))
 
@@ -201,29 +201,44 @@ class TestEmpiricalTimeAverage:
         # the definition: sort the left endpoints, count those below each threshold
         left = np.sort(norms[:-1])
         expected = np.searchsorted(left, thresholds, side="left") / len(left)
+        # the ensemble's law and the loop times' survival share the count: 1500
+        # paths and 1201 loops, so that blocks of 1000 split them too
+        rng = np.random.default_rng(8)
+        lyap = rng.exponential(size=(1500, 3))
+        lyap[:, 0] = 0.0
+        states = np.sqrt(2.0 * lyap)[..., None]
+        paths = Trajectory(grid_dt=0.5, states=states, lyap=lyap, norms=states[..., 0])
+        radii = [2.0, 0.5, 1.0, 0.5, 7.0, states[3, 1, 0], states[1200, 1, 0], states[3, 1, 0]]
+        record = _record_from_times(dominating_draws(LEVELS, "up", 1202, seed=27),
+                                    dominating_draws(LEVELS, "down", 1201, seed=28))
+
+        def row_bytes(rows):
+            return np.array([dataclasses.astuple(r) for r in rows], dtype=float).tobytes()
+
+        def other_rows():
+            prob = verify_probability_bound(paths, SYSTEMS["ou-1d"](), radii, [0.5, 1.0])
+            cross = verify_cross_time_bounds(record, LEVELS)
+            return [row_bytes(rows) for rows in (*prob, cross.up_rows, cross.down_rows)]
+
+        default = other_rows()
         for rows in (loops._BLOCK_ROWS, 1000, 7):
             monkeypatch.setattr(loops, "_BLOCK_ROWS", rows)
             got = empirical_time_average(short_trajectory, thresholds)
             assert got.tobytes() == expected.tobytes()
-
-    def test_bad_mode_rejected(self, short_trajectory):
-        with pytest.raises(ValueError):
-            empirical_time_average(short_trajectory, [1.0], mode="speed")
+            assert other_rows() == default
 
     def test_norm_lyap_bridge(self, short_trajectory):
         # alpha1(|x|) <= V makes {V < alpha1(r)} a subset of {|x| < r}
         for r in (0.8, 1.5, 2.5):
-            d_norm = empirical_time_average(short_trajectory, [r], "norm")[0]
-            d_lyap = empirical_time_average(
-                short_trajectory, [0.5 * r * r], "lyapunov"
-            )[0]
+            d_norm = empirical_time_average(short_trajectory, [r])[0]
+            d_lyap = np.mean(short_trajectory.lyap[:-1] < 0.5 * r * r)
             assert d_norm >= d_lyap
 
     def test_occupancy_dominates_up_phase_fraction(self, short_trajectory):
         # time below v1 >= total completed up-phase time, exactly on the grid
         v0, v1 = 0.9, 2.0
         rec = extract_loops(short_trajectory, v0=v0, v1=v1)
-        d_v1 = empirical_time_average(short_trajectory, [v1], "lyapunov")[0]
+        d_v1 = np.mean(short_trajectory.lyap[:-1] < v1)
         up_total = float(np.sum(rec.up_times))
         if len(rec.taus) % 2:  # the path ends in an up phase
             up_total += short_trajectory.horizon - float(rec.taus[-1])
@@ -328,16 +343,6 @@ class TestVerifyCrossTimes:
         assert not two.underpowered
         assert (len(two.up_rows), len(two.down_rows)) == (1, 2)
         assert two.n_flags == 0
-        high_gate = verify_cross_time_bounds(rec, LEVELS, confidence=0.99, min_loops=3)
-        assert high_gate.underpowered
-
-    @pytest.mark.parametrize("min_loops", [0, 1])
-    def test_min_loops_below_two_rejected(self, min_loops):
-        up = dominating_draws(LEVELS, "up", 2, seed=25)
-        down = dominating_draws(LEVELS, "down", 2, seed=26)
-        rec = _record_from_times(up, down)
-        with pytest.raises(ValueError, match="min_loops"):
-            verify_cross_time_bounds(rec, LEVELS, confidence=0.99, min_loops=min_loops)
 
     @pytest.mark.parametrize("confidence", [0.0, 1.5])
     def test_confidence_outside_unit_interval_rejected(self, confidence):
@@ -373,7 +378,7 @@ class TestVerifyCrossTimes:
         levels = LevelPair(v0=v0, v1=v1, c=benchmark_system.c,
                            gamma_max=benchmark_system.gamma_max)
         rec = extract_loops(long_trajectory, v0=v0, v1=v1)
-        report = verify_cross_time_bounds(rec, levels, confidence=0.99, min_loops=20)
+        report = verify_cross_time_bounds(rec, levels, confidence=0.99)
         assert rec.complete_loops >= 20
         assert report.n_flags == 0
         # sample means must sit on the bound side of the dominating means
@@ -644,6 +649,22 @@ def test_one_path_refused(check):
             verify_moment_bound(path, spec, [0.1])
         else:
             verify_probability_bound(path, spec, [0.5], [0.1])
+
+
+@pytest.mark.parametrize("reader", ["extract_loops", "empirical_time_average",
+                                    "trajectory_to_csv"])
+def test_one_path_readers_refuse_an_ensemble(reader, tmp_path):
+    paths = ensemble(SYSTEMS["ou-1d"](), SimConfig(t_end=20.0, dt=0.01, seed=2, x0=(0.0,)), 3)
+    out = tmp_path / "trajectory.csv"
+    with pytest.raises(ValueError, match=r"^need a trajectory with no path axis, "
+                                         r"got V of shape \(3, 2001\)$"):
+        if reader == "extract_loops":
+            extract_loops(paths, v0=0.5, v1=1.0)
+        elif reader == "empirical_time_average":
+            empirical_time_average(paths, [1.0])
+        else:
+            trajectory_to_csv(paths, out)
+    assert not out.exists()
 
 
 class TestVerifyProbabilityBound:
