@@ -117,6 +117,8 @@ class LevelPair:
 
 def optimal_v0(v1: float, c: float, gamma_max: float) -> float:
     """The v0 that maximizes the occupancy ratio bound for a given v1."""
+    if not c > 0.0:  # LevelPair's check, before the division
+        raise ValueError(f"c must be positive, got {c!r}")
     floor = gamma_max / c
     if v1 <= floor:
         raise ValueError(f"v1={v1!r} must exceed the noise floor {floor!r}")

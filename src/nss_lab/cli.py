@@ -30,7 +30,6 @@ from .bounds import (LevelPair, beta_star, expected_down_cross, expected_up_cros
 from .loops import (
     MIN_PATHS,
     _MOMENT_SES,
-    _check_confidence,
     empirical_time_average,
     extract_loops,
     verify_cross_time_bounds,
@@ -108,10 +107,14 @@ def _parse_bool(raw: str) -> bool:
     return states[raw.strip().lower()]
 
 
-def _key(section: str, key: str, default, parse=float, fmt=_format_float):
+_SPACINGS = {"log": np.geomspace, "linear": np.linspace}  # grid.spacing -> its radii
+
+
+def _key(section: str, key: str, default, parse=float, fmt=_format_float, rule=None):
     """A config field that ``[section] key`` sets through ``parse`` and the
-    echo writes through ``fmt``."""
-    return field(default=default, metadata={"key": (section, key), "io": (parse, fmt)})
+    echo writes through ``fmt``.  ``rule = (test, what)``: :func:`_plan`
+    refuses a value that fails ``test`` as not being ``what``."""
+    return field(default=default, metadata={"key": (section, key), "io": (parse, fmt, rule)})
 
 
 @dataclass(frozen=True)
@@ -123,36 +126,39 @@ class ExperimentConfig:
     x0: Tuple[float, ...] = _key("system", "x0", (0.0, 0.0), _parse_floats, _format_floats)
     t_end: float = _key("sim", "t_end", 500.0)
     dt: float = _key("sim", "dt", 1e-3)
-    seed: int = _key("sim", "seed", _DEFAULT_SEED, int, str)
+    seed: int = _key("sim", "seed", _DEFAULT_SEED, int, str, (lambda s: s >= 0, ">= 0"))
     dump_trajectory: bool = _key("sim", "dump_trajectory", False, _parse_bool,
                                  lambda b: str(b).lower())
     v1: float = _key("levels", "v1", 2.0)
     v0: Optional[float] = _key(  # None selects the optimal level ratio
         "levels", "v0", None, lambda s: None if s.strip() == "optimal" else float(s),
         lambda v: "optimal" if v is None else _format_float(v))
-    r_min: float = _key("grid", "r_min", 1.05)
+    r_min: float = _key("grid", "r_min", 1.05, rule=(lambda r: r > 0.0, "positive"))
     r_max: float = _key("grid", "r_max", 10.0)
-    r_count: int = _key("grid", "count", 50, int, str)
-    r_spacing: str = _key("grid", "spacing", "log", str, str)
+    r_count: int = _key("grid", "count", 50, int, str, (lambda n: n >= 1, ">= 1"))
+    r_spacing: str = _key("grid", "spacing", "log", str, str,
+                          (lambda s: s in _SPACINGS, " or ".join(map(repr, _SPACINGS))))
     k_list: Tuple[float, ...] = _key("fractiles", "k", (1.0 / 3.0,), _parse_floats,
-                                     _format_floats)
-    n_paths: int = _key("ensemble", "n_paths", 0, int, str)
+                                     _format_floats, (len, "at least one fraction"))
+    n_paths: int = _key("ensemble", "n_paths", 0, int, str,
+                        (lambda n: n == 0 or n >= MIN_PATHS, f"0 or >= {MIN_PATHS}"))
     check_times: Tuple[float, ...] = _key("ensemble", "check_times", (1.0, 2.5, 5.0),
                                           _parse_floats, _format_floats)
-    confidence: float = _key("stats", "confidence", 0.99)
+    confidence: float = _key("stats", "confidence", 0.99,
+                             rule=(lambda c: 0.0 < c < 1.0, "in (0, 1)"))
     output_dir: str = _key("output", "dir", "nss-lab-out", str, str)
 
     def echo_ini(self) -> str:
         """Canonical INI text sufficient to reproduce the run exactly."""
         sections = {}
-        for (section, key), (attr, _, fmt) in _CONFIG_KEYS.items():
+        for (section, key), (attr, _, fmt, _) in _CONFIG_KEYS.items():
             sections.setdefault(section, []).append(f"{key} = {fmt(getattr(self, attr))}")
         return "\n\n".join(
             f"[{section}]\n" + "\n".join(lines) for section, lines in sections.items()
         ) + "\n"
 
 
-# (section, key) -> (ExperimentConfig field, parser, formatter), in echo order
+# (section, key) -> (ExperimentConfig field, parser, formatter, rule), in echo order
 _CONFIG_KEYS = {f.metadata["key"]: (f.name, *f.metadata["io"])
                 for f in fields(ExperimentConfig)}
 
@@ -175,12 +181,13 @@ def load_config(path: Optional[str] = None,
         section, dot, key = loc.partition(".")
         if not (eq and dot):
             raise ValueError(f"override must look like section.key=value, got {item!r}")
-        entries.append((section.strip(), key.strip(), raw.strip()))  # as configparser strips
+        # as configparser reads them: stripped, and the option name lowercased
+        entries.append((section.strip(), key.strip().lower(), raw.strip()))
     updates = {}
     for section, key, raw in entries:
         if (section, key) not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key [{section}] {key}")
-        attr, parse, _ = _CONFIG_KEYS[section, key]
+        attr, parse, *_ = _CONFIG_KEYS[section, key]
         try:
             updates[attr] = parse(raw)
         except ValueError as exc:
@@ -297,49 +304,36 @@ def _plan(spec: SystemSpec, cfg: ExperimentConfig) -> _Plan:
         raise ValueError(f"system.name: unknown built-in system {cfg.system!r}, not one of "
                          f"{', '.join(SYSTEMS)}; custom systems are supplied through the "
                          "library API (run_custom)")
-    for (section, key), (attr, _, _) in _CONFIG_KEYS.items():
+    for (section, key), (attr, _, _, rule) in _CONFIG_KEYS.items():
         value = getattr(cfg, attr)
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (value if isinstance(value, tuple) else (value,))):
             raise ValueError(f"{section}.{key} must be finite, got {value!r}")
+        if rule and not rule[0](value):
+            raise ValueError(f"{section}.{key} must be {rule[1]}, got {value!r}")
     with _config_key("levels.v1"):
         v0 = cfg.v0 if cfg.v0 is not None else optimal_v0(cfg.v1, spec.c, spec.gamma_max)
     with _config_key("levels.v0", "levels.v1"):
         levels = LevelPair(v0=v0, v1=cfg.v1, c=spec.c, gamma_max=spec.gamma_max)
     bset = make_bound_set(levels, spec.lyapunov.alpha1, spec.lyapunov.alpha1_inv)
-    if not cfg.r_min > 0.0:
-        raise ValueError(f"grid.r_min must be positive, got {cfg.r_min!r}")
-    if cfg.r_count < 1:
-        raise ValueError(f"grid.count must be >= 1, got {cfg.r_count!r}")
     if not cfg.r_max > cfg.r_min:
         raise ValueError(
             f"grid.r_max must exceed grid.r_min, got r_min={cfg.r_min!r}, "
             f"r_max={cfg.r_max!r}"
         )
-    spacing = {"log": np.geomspace, "linear": np.linspace}.get(cfg.r_spacing)
-    if spacing is None:
-        raise ValueError(f"grid.spacing must be 'log' or 'linear', got {cfg.r_spacing!r}")
-    grid = spacing(cfg.r_min, cfg.r_max, cfg.r_count)
+    grid = _SPACINGS[cfg.r_spacing](cfg.r_min, cfg.r_max, cfg.r_count)
     b_grid = []
     for r in grid.tolist():
         keys = ["grid.r_min"] if r == cfg.r_min else ["grid.r_min", "grid.r_max", "grid.count"]
         with _config_key(*keys):
             b_grid.append(bset.b(r))
-    if not cfg.k_list:
-        raise ValueError("fractiles.k must list at least one fraction")
     with _config_key("fractiles.k"):
         q_list = [bset.q(k) for k in cfg.k_list]
-    with _config_key("stats.confidence"):
-        _check_confidence(cfg.confidence)
-    if cfg.seed < 0:
-        raise ValueError(f"sim.seed must be >= 0, got {cfg.seed}")
     if len(cfg.x0) != spec.dim_state:
         raise ValueError(f"system.x0 must list {spec.dim_state} values, got {len(cfg.x0)}")
     with _config_key("sim.t_end", "sim.dt"):
         sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, seed=cfg.seed, x0=cfg.x0)
         _check_series(spec, sim_cfg, 1)
-    if cfg.n_paths != 0 and cfg.n_paths < MIN_PATHS:
-        raise ValueError(f"ensemble.n_paths must be 0 or >= {MIN_PATHS}, got {cfg.n_paths}")
     ens_cfg = None
     if cfg.n_paths > 0:
         if not cfg.check_times:

@@ -118,6 +118,8 @@ def empirical_time_average(traj: Trajectory, thresholds: Sequence[float]) -> np.
     """
     _check_path_axes(traj, 0)
     left = traj.norms[:-1]
+    if not len(left):
+        raise ValueError("empty horizon: need a trajectory of at least one step")
     return _count_below(left, np.asarray(thresholds, dtype=float)) / len(left)
 
 

@@ -50,7 +50,7 @@ _GROUP = 32
 _SEQUENTIAL_CHUNK = 1000
 # Rows (time steps, or saved states) per block of every pass that reads a
 # whole horizon beside the stored series: Sigma, the noise's draws and row
-# sums, V and the norms here, the crossings and the time averages in `loops`.
+# sums, V, the norms and CSV rows here, the crossings and the time averages in `loops`.
 # So a long path holds its three series (states, V, norms) and blocks of this.
 _BLOCK_ROWS = 1 << 14
 
@@ -330,14 +330,14 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
     With ``s_k = Sigma(t_k) dW_k``, step k is the affine map ``x -> M_k x + b_k``
     with ``M_k = I + A dt + [H[i] s_k]_i`` (column i) and ``b_k = H0 s_k``.  The
     steps are cut into blocks of :func:`block_length` steps.  The map of every
-    full block is composed, all blocks at once; the block start states are
-    carried from block to block; then the states inside the blocks that hold
-    a saved step are refilled from their starts, all such blocks at once and
-    only up to the furthest saved offset: one row per block if every block
-    holds a saved step, else one row per saved step, chosen once.  With L
-    the block length, the saved steps' offsets repeat every
-    ``L / gcd(save_every, L)`` saved indices, so each offset's saved states
-    are one slice of the rows (:func:`_refill_plan`).  The last block holds
+    full block is composed from the identity, all blocks at once; the block
+    start states are carried from block to block; then the states inside the
+    blocks that hold a saved step are refilled from their starts, all such
+    blocks at once and only up to the furthest saved offset: one row per
+    block if every block holds a saved step, else one row per saved step,
+    chosen once.  With L the block length, the saved steps' offsets repeat
+    every ``L / gcd(save_every, L)`` saved indices, so each offset's saved
+    states are one slice of the rows (:func:`_refill_plan`).  The last block holds
     the ``n_steps % L`` remaining steps, then zero noise up to
     :func:`_padded_length`; it is never composed, and its refill row runs on
     into that padding, where no state is saved.  The chunk's noise, with its
@@ -371,15 +371,13 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
                for r in range(n)]
         return mat, [entry(0.0, b_terms[r], blocks, jj) for r in range(n)]
 
-    # compose each full block's map: y[r] is row r of [P c], one array over
-    # the n + 1 columns, so that one multiply steps a whole row
+    # compose each full block's map from [I | 0]: y[r] is row r of [P c], one
+    # array over the n + 1 columns, so that one multiply steps a whole row; the
+    # identity is a read-only broadcast, which the first step replaces
     full = slice(None, n_full)
-    mat, off = step_map(full, 0)
-    y = [np.empty((n + 1, n_full) + batch) for _ in range(n)]
-    for r, row in enumerate(y):
-        for i, value in enumerate(mat[r] + [off[r]]):
-            row[i] = value
-    for jj in range(1, span):
+    eye = np.eye(n, n + 1).reshape((n, n + 1) + (1,) * (1 + len(batch)))
+    y = list(np.broadcast_to(eye, (n, n + 1, n_full) + batch))
+    for jj in range(span):
         mat, off = step_map(full, jj)
         y = _affine_apply(mat, y)
         for r in range(n):
@@ -394,8 +392,8 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
         starts[blk + 1] = _affine_apply(p_blk[blk], starts[blk], c_blk[blk])
 
     # refill from the block starts, one row per block or per saved step, up to
-    # the furthest saved offset; the last block's row runs on into the zero
-    # padding past n_steps, where nothing is saved
+    # one step past the furthest saved offset; the last block's row runs on
+    # into the zero padding past n_steps, where nothing is saved
     save = cfg.save_every
     rows = slice(None) if save <= span else np.arange(cfg.n_saved) * save // span
     x = [starts[rows, r] for r in range(n)]
@@ -406,9 +404,8 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
             filled, saved = fill
             for r in range(n):
                 states[..., saved, r] = x[r][filled].T
-        if jj < len(plan) - 1:
-            mat, off = step_map(rows, jj)
-            x = _affine_apply(mat, x, off)
+        mat, off = step_map(rows, jj)
+        x = _affine_apply(mat, x, off)
     return states
 
 
@@ -530,8 +527,8 @@ def write_csv(path, header: Sequence[str], *cols) -> None:
     row = ",".join(["%.17g"] * len(header)) + "\n"  # prints as f"{c:.17g}" does
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(cols[0]), 4096):  # one block of rows in memory at a time
-            block = np.column_stack([c[lo:lo + 4096] for c in cols])
+        for lo in range(0, len(cols[0]), _BLOCK_ROWS):  # one block of rows in memory
+            block = np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in cols])
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 

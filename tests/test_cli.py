@@ -15,6 +15,7 @@ from nss_lab.cli import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_PREMISES,
+    _CONFIG_KEYS,
     ExperimentConfig,
     _plan,
     load_config,
@@ -97,6 +98,17 @@ class TestConfig:
         ini.write_text(f"[{section}]\n{key} =  {raw} \n")
         cfg = load_config(None, [f"{section}.{key}=  {raw} "])
         assert cfg == load_config(str(ini)) == load_config(None, [f"{section}.{key}={raw}"])
+
+    def test_option_names_are_read_as_in_an_ini_file(self, tmp_path):
+        # configparser lowercases an option name and keeps a section name as written
+        ini = tmp_path / "run.ini"
+        ini.write_text("[sim]\nT_END = 5\n")
+        assert load_config(str(ini)) == load_config(None, ["sim.T_END=5"]) \
+            == ExperimentConfig(t_end=5.0)
+        ini.write_text("[SIM]\nt_end = 5\n")
+        for args in ((str(ini),), (None, ["SIM.t_end=5"])):
+            with pytest.raises(ValueError, match=r"^unknown config key \[SIM\] t_end$"):
+                load_config(*args)
 
     def test_r_grid_spacing(self):
         log_grid = _plan(builtin_example(), ExperimentConfig(r_spacing="log")).grid
@@ -403,6 +415,12 @@ class TestCommandLine:
                 for line in out.strip().splitlines()}
         assert vals["beta"] == pytest.approx(vals["beta_star"], rel=1e-12)
 
+    def test_bounds_optimal_names_c(self, capsys):
+        # optimal_v0 divides by c: it refuses c = 0 as LevelPair does
+        assert main(["bounds", "--c", "0", "--gamma-max", "0.5",
+                     "--v1", "2", "--optimal"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: c must be positive, got 0.0\n"
+
     def test_error_exit_code(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.ini")]) == EXIT_ERROR
         assert main(["bounds", "--c", "1", "--gamma-max", "0.5",
@@ -463,7 +481,7 @@ class TestCommandLine:
          "ensemble.check_times"),
         (["ensemble.n_paths=1000", "ensemble.check_times=5.0005"], None,
          "ensemble.check_times"),
-        (["stats.confidence=1.5"], None, "stats.confidence: confidence must lie in (0, 1)"),
+        (["stats.confidence=1.5"], None, "error: stats.confidence must be in (0, 1), got 1.5"),
         (["grid.spacing=cubic"], None, "grid.spacing must be 'log' or 'linear', got 'cubic'"),
         (["levels.v1=0.1"], None, "levels.v1: v1=0.1 must exceed the noise floor"),
         (["levels.v0=3"], None, "levels.v0, levels.v1: levels must satisfy"),
@@ -519,6 +537,28 @@ class TestCommandLine:
         assert calls == []
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("section, key", list(_CONFIG_KEYS))
+    def test_each_rule_refuses_before_any_stage(self, tmp_path, monkeypatch, capsys,
+                                                section, key):
+        # a value that breaks the key's rule, for exactly the keys that have one
+        broken = {("sim", "seed"): "-1", ("grid", "r_min"): "-1", ("grid", "count"): "0",
+                  ("grid", "spacing"): "cubic", ("fractiles", "k"): "",
+                  ("ensemble", "n_paths"): "10", ("stats", "confidence"): "1"}.get((section, key))
+        rule = _CONFIG_KEYS[section, key][3]
+        assert (broken is None) == (rule is None)
+        if rule is None:
+            return
+        import nss_lab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "check_enss", lambda *a, **k: calls.append("check_enss"))
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append("integrate"))
+        argv = ["example", "--set=sim.t_end=20", f"--set=output.dir={tmp_path}/x",
+                f"--set={section}.{key}={broken}"]
+        assert main(argv) == EXIT_ERROR
+        assert calls == []
+        assert f"{section}.{key} must be " in capsys.readouterr().err
 
     def test_whole_step_horizons_up_to_the_budget(self, monkeypatch):
         # t_end / dt is 1.5e-8 off 100,000,003 and off 123,456,789: round-off,

@@ -183,6 +183,12 @@ class TestEmpiricalTimeAverage:
         dist = empirical_time_average(traj, [2.0])
         assert dist[0] == 0.5
 
+    def test_empty_horizon_refused(self):
+        traj = Trajectory(0.1, np.zeros((1, 2)), np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError, match="^empty horizon: need a trajectory of at least "
+                                             "one step$"):
+            empirical_time_average(traj, [1.0])
+
     def test_monotone_in_threshold(self, short_trajectory):
         grid = np.geomspace(0.1, 10.0, 40)
         dist = empirical_time_average(short_trajectory, grid)

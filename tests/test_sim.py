@@ -773,8 +773,8 @@ class TestCsvDump:
         assert np.array_equal(data[:, 2], traj.lyap)
         assert np.array_equal(data[:, 3], traj.norms)
 
-    def test_bytes_equal_per_cell_format(self, tmp_path):
-        # edge values, then enough random rows to span several write blocks
+    def test_bytes_equal_per_cell_format(self, tmp_path, monkeypatch):
+        # edge values, then random rows, written in blocks of every size
         special = np.array([
             [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310],
             [1e-3, 1.7976931348623157e308, -1e301, 3e300, -0.0],
@@ -783,8 +783,10 @@ class TestCsvDump:
         rows = np.random.default_rng(8).standard_cauchy(size=(10_000, 5))
         table = np.concatenate([special, rows])
         out = tmp_path / "traj.csv"
-        write_csv(out, ["t", "x1", "x2", "V", "norm"], table[:, 0], table[:, 1:3],
-                  table[:, 3], table[:, 4])
         expected = "t,x1,x2,V,norm\n" + "".join(
             ",".join(f"{c:.17g}" for c in row) + "\n" for row in table)
-        assert out.read_bytes() == expected.encode("ascii")
+        for block_rows in (sim._BLOCK_ROWS, 7, 1):
+            monkeypatch.setattr(sim, "_BLOCK_ROWS", block_rows)
+            write_csv(out, ["t", "x1", "x2", "V", "norm"], table[:, 0], table[:, 1:3],
+                      table[:, 3], table[:, 4])
+            assert out.read_bytes() == expected.encode("ascii"), block_rows
