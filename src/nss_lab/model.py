@@ -69,6 +69,28 @@ def _call(name: str, fn: Callable, arg: np.ndarray, shape: tuple, hint: str = ""
     return out
 
 
+def _matvec(mat, vec, off=None):
+    """``mat @ vec + off`` on nested lists of arrays (or arrays, read along
+    their first axis), one new array per row, each row summed in place, left
+    to right from its first product.  Each product broadcasts, so an entry
+    may stack states, each of which gets the same sums as it would alone."""
+    out = []
+    for r, row in enumerate(mat):
+        acc = row[0] * vec[0]
+        for coef, v in zip(row[1:], vec[1:]):
+            acc += coef * v
+        if off is not None:
+            acc += off[r]
+        out.append(acc)
+    return out
+
+
+def _columns(x) -> list:
+    """The N columns ``x[..., i]`` of states of shape (..., N), as views."""
+    x = np.asarray(x, dtype=float)
+    return [x[..., i] for i in range(x.shape[-1])]
+
+
 @dataclass(frozen=True)
 class LyapunovSpec:
     """Lyapunov function V with its lower class-K-infinity envelope.
@@ -107,7 +129,9 @@ class SystemSpec:
     per magnitude, ``(K,)``.  A map that returns another shape where the
     premise check or :meth:`sigma_series` reads it raises ValueError.  The
     ensemble steps chunks of paths, and ``integrate(spec, cfg, i)`` equals
-    path ``i`` of ``ensemble`` bit for bit.
+    path ``i`` of ``ensemble`` bit for bit if each map computes a state's
+    row by the same operations whatever rows are batched with it: declare
+    ``affine``, or sum elementwise, as ``x @ A.T`` and ``einsum`` may not.
     """
 
     dim_state: int
@@ -157,12 +181,13 @@ class SystemSpec:
     @cached_property
     def dynamics(self) -> Tuple[Callable, Callable]:
         """``(drift, diffusion)``: the declared maps, or those of ``affine``,
-        ``x -> A x`` and ``x -> H0 + sum_i x_i H[i]``, for states and batches."""
+        ``x -> A x`` and ``x -> H0 + sum_i x_i H[i]``, summed by :func:`_matvec`."""
         if self.affine is None:
             return self.drift, self.diffusion
         a, h0, h = self.affine
-        return (lambda x: np.asarray(x, dtype=float) @ a.T,
-                lambda x: h0 + np.einsum("...i,inj->...nj", np.asarray(x, dtype=float), h))
+        at, hs = list(a.T), list(h)  # the coefficients of x_i: A[:, i] and H[i]
+        return (lambda x: _matvec([at], [c[..., None] for c in _columns(x)])[0],
+                lambda x: _matvec([hs], [c[..., None, None] for c in _columns(x)], [h0])[0])
 
     def sigma_series(self, times) -> np.ndarray:
         """Sigma(t) at every time of a 1-D sequence, shape (K, m, m), from one
@@ -269,21 +294,11 @@ def check_enss(
     )
 
 
-def _sum_of_squares(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The squares of the last axis of ``x`` added column by column, left to
-    right, into ``out`` if given: for fewer than 8 columns the bits of
-    ``np.sum(x * x, axis=-1)``, which regroups from 8 terms on and is far
-    slower on that axis."""
-    acc = np.multiply(x[..., 0], x[..., 0], out=out)
-    for i in range(1, x.shape[-1]):
-        acc += x[..., i] * x[..., i]
-    return acc
-
-
 def _quadratic_lyapunov(n: int) -> LyapunovSpec:
     """V(x) = |x|^2 / 2 on R^n, its exact gradient and Hessian, ``alpha1(r) = r^2 / 2``
-    and its inverse, for states and batches.  V halves :func:`_sum_of_squares`."""
-    return LyapunovSpec(v=lambda x: 0.5 * _sum_of_squares(np.asarray(x, dtype=float)),
+    and its inverse, for states and batches.  V halves the sum of squares of
+    the columns by :func:`_matvec`: below 8 columns the bits of ``np.sum``."""
+    return LyapunovSpec(v=lambda x: 0.5 * _matvec([_columns(x)], _columns(x))[0],
                         alpha1=lambda r: 0.5 * r * r, alpha1_inv=lambda s: math.sqrt(2.0 * s),
                         grad_v=lambda x: np.asarray(x, dtype=float).copy(),
                         hess_v=lambda x: np.broadcast_to(np.eye(n), np.shape(x) + (n,)))

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .model import SystemSpec, _sum_of_squares
+from .model import SystemSpec, _matvec
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -285,21 +285,6 @@ def _padded_length(n_steps: int) -> int:
     return (n_steps // span + 1) * span
 
 
-def _affine_apply(mat, vec, off=None):
-    """``mat @ vec + off`` on nested lists of arrays, summed left to right, in
-    place, into one new array per row.  Each product broadcasts, so an entry
-    of ``vec`` may stack several columns along a leading axis."""
-    out = []
-    for r, row in enumerate(mat):
-        acc = row[0] * vec[0]
-        for coef, v in zip(row[1:], vec[1:]):
-            acc += coef * v
-        if off is not None:
-            acc += off[r]
-        out.append(acc)
-    return out
-
-
 def _refill_plan(n_steps: int, span: int, save: int) -> list:
     """``plan[jj]``, for each block offset jj up to the furthest one that holds
     a saved step: None, or the refill's rows that hold a saved state at
@@ -379,7 +364,7 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
     y = list(np.broadcast_to(eye, (n, n + 1, n_full) + batch))
     for jj in range(span):
         mat, off = step_map(full, jj)
-        y = _affine_apply(mat, y)
+        y = _matvec(mat, y)
         for r in range(n):
             y[r][n] += off[r]
     pc = np.moveaxis(np.stack(y), 2, 0)  # (block, row, column) + batch
@@ -389,7 +374,7 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
     starts = np.empty((n_full + 1, n) + batch)
     starts[0] = x0.reshape((n,) + (1,) * len(batch))
     for blk in range(n_full):
-        starts[blk + 1] = _affine_apply(p_blk[blk], starts[blk], c_blk[blk])
+        starts[blk + 1] = _matvec(p_blk[blk], starts[blk], c_blk[blk])
 
     # refill from the block starts, one row per block or per saved step, up to
     # one step past the furthest saved offset; the last block's row runs on
@@ -405,7 +390,7 @@ def _affine_scan(spec: SystemSpec, cfg: SimConfig, x0: np.ndarray,
             for r in range(n):
                 states[..., saved, r] = x[r][filled].T
         mat, off = step_map(rows, jj)
-        x = _affine_apply(mat, x, off)
+        x = _matvec(mat, x, off)
     return states
 
 
@@ -421,16 +406,16 @@ def _finalize(spec: SystemSpec, cfg: SimConfig, states: np.ndarray,
     non-finite state makes its norm non-finite, and a finite state above
     about 1e154 overflows its square.  So the first non-finite row is the
     lowest failing path's first failing step.  The norm is the square root of
-    :func:`~nss_lab.model._sum_of_squares`, the squares added column by
-    column: for N <= 7 the bits of ``np.linalg.norm(states, axis=-1)``, which
-    regroups its sum from 8 terms on."""
+    the :func:`~nss_lab.model._matvec` sum of squares, added column by column:
+    for N <= 7 the bits of ``np.linalg.norm(states, axis=-1)``, which regroups
+    its sum from 8 terms on."""
     flat = states.reshape(-1, states.shape[-1])  # a view: both kernels write path-major
     lyap, norms = np.empty(len(flat)), np.empty(len(flat))
     for r0 in range(0, len(flat), _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, len(flat))
         block = flat[r0:r1]
         lyap[r0:r1] = np.asarray(spec.lyapunov.v(block), dtype=float).reshape(-1)
-        np.sqrt(_sum_of_squares(block, out=norms[r0:r1]), out=norms[r0:r1])
+        np.sqrt(_matvec([block.T], block.T)[0], out=norms[r0:r1])
         bad = ~(np.isfinite(lyap[r0:r1]) & np.isfinite(norms[r0:r1]))
         if bad.any():
             path, idx = divmod(r0 + int(np.argmax(bad)), states.shape[-2])

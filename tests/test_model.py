@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import generic_affine_3d
 from nss_lab import model
 from nss_lab.cli import ExperimentConfig, _plan, run_custom
 from nss_lab.model import (
@@ -12,9 +13,9 @@ from nss_lab.model import (
     _TOL,
     _fd_derivatives,
     _lv_plus_cv,
+    _matvec,
     _noise_magnitudes,
     _quadratic_lyapunov,
-    _sum_of_squares,
     builtin_example,
     check_enss,
 )
@@ -420,17 +421,22 @@ class TestCheckEnss:
         {},
         dict(lyapunov=dataclasses.replace(builtin_example().lyapunov,
                                           grad_v=None, hess_v=None)),
-    ], ids=["builtin", "finite-differences"])
+        None,
+    ], ids=["builtin", "finite-differences", "affine-3d"])
     def test_table_independent_of_block_size(self, monkeypatch, variant):
-        # a negative gain flags every point, so the report lists the whole table
-        spec = _example_variant(gamma=lambda s: np.full(np.shape(s), -100.0), gamma_max=0.0,
-                                **variant)
-        states, times, gamma_times = _plan(spec, ExperimentConfig(system="variant")).premise
+        # a negative gain flags every point, so the report lists the whole
+        # table; on the 3-D affine spec, maps that sum by `@` or einsum
+        # regroup their sums with the block size
+        spec = generic_affine_3d() if variant is None else _example_variant(
+            gamma=lambda s: np.full(np.shape(s), -100.0), gamma_max=0.0, **variant)
+        n = spec.dim_state
+        cfg = ExperimentConfig(system="variant", x0=(0.0,) * n)
+        states, times, gamma_times = _plan(spec, cfg).premise
         tables = []
         for block in (model._STATE_BLOCK, 7, 1):
             monkeypatch.setattr(model, "_STATE_BLOCK", block)
             report = check_enss(spec, states, times, gamma_times)
-            assert len(report.violating_points) == report.points_checked == 49 * 11
+            assert len(report.violating_points) == report.points_checked == 7 ** n * 11
             tables.append(np.array([r for _, _, r in report.violating_points]).tobytes())
         assert tables[0] == tables[1] == tables[2]
 
@@ -529,15 +535,13 @@ class TestBuiltinExample:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sum_of_squares_has_the_bits_of_the_sum(self, n):
-        # by columns, left to right: np.sum's order below 8 terms
+        # _matvec by columns, left to right: np.sum's order below 8 terms
         rng = np.random.default_rng(n)
         for shape in ((n,), (40, n), (3, 40, n)):
             x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
             want = np.sum(x * x, axis=-1)
-            assert np.asarray(_sum_of_squares(x)).tobytes() == np.asarray(want).tobytes()
-            out = np.empty(shape[:-1])
-            assert _sum_of_squares(x, out=out) is out
-            assert out.tobytes() == np.asarray(want).tobytes()
+            cols = np.moveaxis(x, -1, 0)
+            assert np.asarray(_matvec([cols], cols)[0]).tobytes() == np.asarray(want).tobytes()
 
     def test_affine_declaration_reproduces_dynamics(self, benchmark_system):
         a, h0, h = benchmark_system.affine

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats as sps
 
 import nss_lab.sim as sim
+from conftest import generic_affine_3d
 from nss_lab.loops import extract_loops
 from nss_lab.model import SYSTEMS, SystemSpec, _quadratic_lyapunov
 from nss_lab.sim import (
@@ -76,6 +77,36 @@ def _mixed_noise():
     spec = _affine([[-1.0, 0.5], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]],
                    np.zeros((2, 2, 2)))
     return dataclasses.replace(spec, covariance=covariance)
+
+
+def _three_channels(diagonal):
+    """:func:`generic_affine_3d` with a time-varying Sigma(t) of 3 channels:
+    every entry nonzero for t < 4, or only the diagonal ones (the others
+    +0.0 or -0.0)."""
+    scale = np.array([[1.0, 0.4, -0.3], [0.2, 1.5, 0.6], [-0.5, 0.1, 0.8]])
+
+    def covariance(t):
+        t = np.asarray(t, dtype=float)[:, None, None]
+        sig = scale * (1.0 + t * np.array([0.5, -0.25, 0.125]))
+        return sig * np.eye(3) if diagonal else sig
+
+    return dataclasses.replace(generic_affine_3d(), covariance=covariance)
+
+
+def _elementwise_3():
+    """A 3-D, 3-channel spec whose drift and diffusion are elementwise
+    products and sums, so that each state's row is computed alone; it runs
+    the sequential kernel."""
+    def drift(x):
+        x = np.asarray(x, dtype=float)
+        return -x - 0.5 * x * x * x + 0.2 * x[..., ::-1]
+
+    def diffusion(x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 + 0.2 * x[..., :, None] * np.array([1.0, -0.5, 0.25])
+
+    return dataclasses.replace(_three_channels(False), affine=None, drift=drift,
+                               diffusion=diffusion)
 
 
 def _reference_noise(spec, cfg, i):
@@ -268,17 +299,35 @@ class TestReproducibility:
         pytest.param("affine-ou", 1, id="affine-ou-chunk1"),
         pytest.param("affine-ou", 3, id="affine-ou-chunk3"),
         pytest.param("affine-ou", 7, id="affine-ou-chunk7"),
+        pytest.param("affine-3-full", 3, id="affine-3-full"),
+        pytest.param("affine-3-diagonal", 3, id="affine-3-diagonal"),
+        pytest.param("elementwise-3", 3, id="elementwise-3"),
     ])
     def test_ensemble_matches_per_path_integrate(self, monkeypatch, system, chunk_size,
                                                  benchmark_system):
         spec = {"ou": SYSTEMS["ou-1d"](), "builtin": benchmark_system,
-                "affine-ou": SYSTEMS["ou-1d-affine"]()}[system]
+                "affine-ou": SYSTEMS["ou-1d-affine"](),
+                "affine-3-full": _three_channels(False),
+                "affine-3-diagonal": _three_channels(True),
+                "elementwise-3": _elementwise_3()}[system]
         cfg = SimConfig(t_end=0.5, dt=1e-2, seed=6, x0=(0.3,) * spec.dim_state)
         _set_chunk(monkeypatch, spec, cfg, chunk_size)
         shapes = _spy_noise(monkeypatch)
         paths = ensemble(spec, cfg, 7)
         assert max(s[-1] for s in shapes) == chunk_size
         _assert_paths_equal(paths, [integrate(spec, cfg, path_index=i) for i in range(7)])
+
+    @pytest.mark.parametrize("chunk_size", [3, 7, 64])
+    def test_affine_maps_step_each_path_alone(self, monkeypatch, chunk_size):
+        # the sequential kernel on an affine spec's own maps; maps that sum
+        # by `@` or einsum give path 1 and each chunk's last path other bits
+        spec = _sequential(generic_affine_3d())
+        cfg = SimConfig(t_end=1.0, dt=1e-3, seed=3, x0=(0.5,) * 3)
+        _set_chunk(monkeypatch, spec, cfg, chunk_size)
+        paths = ensemble(spec, cfg, chunk_size + 2)
+        checked = [0, 1, chunk_size - 1, chunk_size, chunk_size + 1]
+        _assert_paths_equal([paths[i] for i in checked],
+                            [integrate(spec, cfg, path_index=i) for i in checked])
 
     def test_chunking_irrelevant(self, monkeypatch):
         spec = SYSTEMS["ou-1d"]()
@@ -496,13 +545,22 @@ class TestNoise:
             assert got[:, :cfg.n_steps].tobytes() == ref.tobytes()
             assert got[:, cfg.n_steps:].tobytes() == bytes(8 * 2 * (padded - cfg.n_steps))
 
-    @pytest.mark.parametrize("cut", [None, 23])
-    def test_chunk_matches_reference(self, monkeypatch, cut):
+    @pytest.mark.parametrize("cut, channels", [
+        pytest.param(None, "mixed-2", id="None"),
+        pytest.param(23, "mixed-2", id="23"),
+        pytest.param(None, "full-3", id="full-3"),
+        pytest.param(23, "full-3", id="full-3-cut"),
+        pytest.param(None, "diagonal-3", id="diagonal-3"),
+        pytest.param(23, "diagonal-3", id="diagonal-3-cut"),
+    ])
+    def test_chunk_matches_reference(self, monkeypatch, cut, channels):
         # one whole path group and 3 paths of the next; with a cut, two
         # time segments that continue every path's stream; in blocks of 1 or
         # 7 steps, the blocks and the path groups interleave
-        spec = _mixed_noise()
-        cfg = SimConfig(t_end=3.0, dt=0.05, seed=22, x0=(0.0, 0.0))
+        spec = {"mixed-2": _mixed_noise, "full-3": lambda: _three_channels(False),
+                "diagonal-3": lambda: _three_channels(True)}[channels]()
+        m = spec.dim_noise
+        cfg = SimConfig(t_end=3.0, dt=0.05, seed=22, x0=(0.0,) * spec.dim_state)
         n, paths = cfg.n_steps, sim._GROUP + 3
         bounds = [0, n] if cut is None else [0, cut, n]
         ref = np.stack([_reference_noise(spec, cfg, 3 + i) for i in range(paths)], axis=-1)
@@ -510,7 +568,7 @@ class TestNoise:
             monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
             gens = [path_generator(cfg.seed, i) for i in range(3, 3 + paths)]
             got = np.concatenate([sim._noise(spec, gens, cfg.dt, k0, k1,
-                                             (2, k1 - k0, paths))
+                                             (m, k1 - k0, paths))
                                   for k0, k1 in zip(bounds, bounds[1:])], axis=1)
             assert got.tobytes() == ref.tobytes()
 
